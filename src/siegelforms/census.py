@@ -10,13 +10,21 @@ quadratic twist by lambda flips the sign of the trace term and leaves the
 F_{q^2} data alone, so each monic model stands for (q-1)/2 models per twist
 class.
 
-Point counts over F_{q^2} only evaluate one point per Frobenius-conjugate
-pair: the coefficients live in F_q, so chi(g(x^q)) = chi(g(x)).
+In odd characteristic every point count goes through one kernel, the point
+map.  A monic model g = x^d + sum c_i x^i over F_q is indexed by
+sum c_i q^i, so the base-p digits D of its index are the F_p-coordinates of
+its coefficients, and g(x) is an F_p-affine function of D for each fixed
+point x.  One float32 matmul D @ W + w0 evaluates a block of models at all
+points at once, with the F_p-coordinates of g(x) packed into one number
+below the table size, and one gather maps that number to chi(g(x)).  Over
+F_{q^2} only one point per Frobenius-conjugate pair is evaluated: the
+coefficients live in F_q, so chi(g(x^q)) = chi(g(x)).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -39,6 +47,17 @@ class FieldTooLarge(Exception):
 
 class CacheError(Exception):
     pass
+
+
+class CensusInvariantError(Exception):
+    """A census broke an identity every census satisfies (total mass,
+    Hasse and Weil bounds, parity); raised, not asserted, so that the
+    checks also run under python -O."""
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise CensusInvariantError(message)
 
 
 _cache_dir: Path | None = None
@@ -71,47 +90,69 @@ def _tables(q: int):
     return mul, add, neg, chi, inv
 
 
-@lru_cache(maxsize=None)
-def _ext_context(q: int):
-    """Data for the quadratic extension F_{q^2} of F_q used in genus-2 counts.
-
-    Returns (chi2, reps) where chi2 is the quadratic character table of
-    F_{q^2} indexed by lo + q*hi, and reps is a list of power tables
-    [(lo_i, hi_i) for i = 0..6] for one representative per conjugate pair
-    of F_{q^2} - F_q.
-    """
-    F = finite_field(q)
-    E = Fq(F.p, base=F)
-    q2 = q * q
-    chi2 = np.zeros(q2, dtype=np.int8)
-    squares = set()
-    for x in range(1, q2):
-        squares.add(E.mul(x, x))
-    for x in range(1, q2):
-        chi2[x] = 1 if x in squares else -1
-    reps = []
-    seen = set()
-    for x in range(q2):
-        if x < q or x in seen:  # x < q: lies in the base field
-            continue
-        fx = E.pow(x, q)
-        seen.add(fx)
-        powers = []
-        v = 1
-        for _ in range(7):
-            powers.append((v % q, v // q))
-            v = E.mul(v, x)
-        reps.append(powers)
-    assert len(reps) == (q2 - q) // 2
-    return chi2, reps
-
-
 def _digits(idx: np.ndarray, q: int, n: int) -> np.ndarray:
     out = np.empty((len(idx), n), dtype=np.int32)
     rem = idx.copy()
     for i in range(n):
         out[:, i] = rem % q
         rem //= q
+    return out
+
+
+# entries (models x points) evaluated by one matmul
+_BLOCK = 1 << 18
+
+
+@lru_cache(maxsize=None)
+def _point_map(q: int, d: int, ext: int):
+    """(W, w0, table, weights) evaluating monic degree-d models over odd q
+    at one point per Frobenius orbit of F_{q^ext}.
+
+    Entry j of D @ W + w0 packs the F_p-coordinates y_b of g(x_j) as
+    sum y_b B^b with every y_b < B, so table[D @ W + w0] = chi(g(x_j));
+    the sum of those characters weighted by orbit size is the character
+    sum over all of F_{q^ext}.
+    """
+    p, E = finite_field(q).p, finite_field(q ** ext)
+    k = round(math.log(q, p))  # F_p-coordinates per F_q coefficient
+    m = k * ext
+    points = list(range(q))
+    if ext == 2:
+        points += [x for x in range(q, q * q) if x < E.pow(x, q)]
+
+    def coords(y):
+        return [y // p ** b % p for b in range(m)]
+
+    # digit i*k + a of a model index is the coordinate of c_i on p^a in F_q
+    pows = [[E.pow(x, i) for i in range(d + 1)] for x in points]
+    C = np.array(
+        [[coords(E.mul(p ** a, xi[i])) for xi in pows] for i in range(d) for a in range(k)]
+    )
+    C0 = np.array([coords(xi[d]) for xi in pows])
+    B = int(((p - 1) * C.sum(axis=0) + C0).max()) + 1
+    if B ** m >= 1 << 24:  # float32 represents integers exactly below 2^24
+        raise FieldTooLarge(f"point map over F_{q ** ext} needs {B}^{m} table entries")
+    place = B ** np.arange(m)
+    # code[n]: the element whose coordinates are the base-B digits of n mod p
+    code = np.zeros(1, dtype=np.min_scalar_type(q ** ext))
+    for b in range(m):
+        code = np.add.outer((np.arange(B) % p * p ** b).astype(code.dtype), code).ravel()
+    chi = np.array([E.chi(y) for y in range(q ** ext)], dtype=np.int8)
+    weights = np.where(np.arange(len(points)) < q, 1, 2).astype(np.float32)
+    return (C @ place).astype(np.float32), (C0 @ place).astype(np.float32), chi[code], weights
+
+
+def _char_sums(q: int, d: int, ext: int, idx: np.ndarray) -> np.ndarray:
+    """sum over x in F_{q^ext} of chi(g(x)) for each monic degree-d model g
+    with index sum c_i q^i in idx."""
+    W, w0, table, weights = _point_map(q, d, ext)
+    p = finite_field(q).p
+    place = p ** np.arange(len(W), dtype=np.int64)
+    rows = max(1, _BLOCK // len(w0))
+    out = np.empty(len(idx), dtype=np.int32)
+    for lo in range(0, len(idx), rows):
+        D = (idx[lo : lo + rows, None] // place % p).astype(np.float32)
+        out[lo : lo + rows] = table[(D @ W + w0).astype(np.int32)] @ weights
     return out
 
 
@@ -162,47 +203,16 @@ class G2Census:
 # elliptic censuses
 
 
-def _ell_short(q: int) -> EllCensus:
-    """y^2 = x^3 + Ax + B, char >= 5; transformation group has order q - 1."""
-    mul, add, neg, chi, _ = _tables(q)
-    idx = np.arange(q * q, dtype=np.int64)
-    A = (idx % q).astype(np.int32)
-    B = (idx // q).astype(np.int32)
-    A3 = mul[mul[A, A], A]
-    B2 = mul[B, B]
-    F = finite_field(q)
-    disc = add[mul[A3, 4 % F.p], mul[B2, 27 % F.p]]
-    good = disc != 0
-    A, B = A[good], B[good]
-    s = np.zeros(len(A), dtype=np.int32)
-    for x in range(q):
-        fx = add[add[mul[A, x], B], F.pow(x, 3)]
-        s += chi[fx]
-    return _ell_from_traces(q, -s, group_order=q - 1)
-
-
-def _ell_char3_reduced(q: int) -> EllCensus:
-    """y^2 = x^3 + b x^2 + c x + d in characteristic 3; group order q(q-1)."""
-    mul, add, neg, chi, _ = _tables(q)
-    idx = np.arange(q ** 3, dtype=np.int64)
-    dig = _digits(idx, q, 3)
-    b, c, d = dig[:, 0], dig[:, 1], dig[:, 2]
-    # cubic discriminant 18bcd - 4b^3d + b^2c^2 - 4c^3 - 27d^2, constants mod 3
-    b2, c2 = mul[b, b], mul[c, c]
-    b3, c3 = mul[b2, b], mul[c2, c]
-    disc = add[
-        add[mul[mul[b, c], mul[d, 18 % 3]], mul[mul[b3, d], (-4) % 3]],
-        add[add[mul[b2, c2], mul[c3, (-4) % 3]], mul[mul[d, d], (-27) % 3]],
-    ]
-    good = disc != 0
-    b, c, d = b[good], c[good], d[good]
-    s = np.zeros(len(b), dtype=np.int32)
-    F = finite_field(q)
-    for x in range(q):
-        x2, x3 = F.mul(x, x), F.pow(x, 3)
-        fx = add[add[mul[b, x2], mul[c, x]], add[d, x3]]
-        s += chi[fx]
-    return _ell_from_traces(q, -s, group_order=q * (q - 1))
+def _ell_monic(q: int) -> EllCensus:
+    """y^2 = g(x) with g a squarefree monic cubic, odd q.  For p >= 5 the
+    cubic is depressed (no x^2 term) and the group has order q - 1; in
+    characteristic 3 all cubics are kept and it has order q(q - 1)."""
+    depressed = finite_field(q).p != 3
+    size = q * q if depressed else q ** 3
+    # evaluate first: a field too large for the point map fails before the bitmap
+    sums = _char_sums(q, 3, 1, np.arange(size))
+    group = q - 1 if depressed else q * (q - 1)
+    return _ell_from_traces(q, -sums[~_nonsquarefree_bitmap(q, 3)[:size]], group)
 
 
 def _ell_full(q: int) -> EllCensus:
@@ -257,26 +267,21 @@ def _ell_from_traces(q: int, traces: np.ndarray, group_order: int) -> EllCensus:
     offset = bound
     cnt = np.bincount(traces + offset, minlength=2 * bound + 1)
     counts = {int(t - offset): int(c) for t, c in enumerate(cnt) if c}
-    assert all(t * t <= 4 * q for t in counts), "Hasse bound violated"
+    _require(all(t * t <= 4 * q for t in counts), f"Hasse bound violated over F_{q}")
     census = EllCensus(q, counts, group_order, int(traces.size))
-    assert census.mass_sum() == q, f"mass sum {census.mass_sum()} != {q}"
+    _require(census.mass_sum() == q, f"mass sum {census.mass_sum()} != {q}")
     return census
 
 
 def _ell_census_compute(q: int) -> EllCensus:
-    F = finite_field(q)
-    p = F.p
-    if p >= 5:
-        return _ell_short(q)
-    if p == 3 and q <= 9:
+    p = finite_field(q).p
+    if p == 2 and q <= 16 or p == 3 and q <= 9:
         return _ell_full(q)
-    if p == 3:
+    if p >= 3:
         # q = 81 arises as the twisted-sector field of the F_9 census; the
-        # five-coefficient space is out of reach there, but the reduced
-        # cubic model gives the same masses (cross-checked at q = 3, 9).
-        return _ell_char3_reduced(q)
-    if p == 2 and q <= 16:
-        return _ell_full(q)
+        # five-coefficient space is out of reach there, but the monic cubic
+        # model gives the same masses (cross-checked at q = 3, 5, 7, 9).
+        return _ell_monic(q)
     raise FieldTooLarge(f"elliptic census unsupported for q = {q}")
 
 
@@ -366,49 +371,23 @@ def _g2_chunks(q: int, d: int, chunk_order: str = "ascending"):
 def _g2_pass(q: int, d: int, chunk_order: str = "ascending", skip=None):
     """Yield (chunk_id, S1, S2chi) integer arrays over squarefree monic
     degree-d polynomials; chunks listed in `skip` are not recomputed."""
-    mul, add, _, chi, _ = _tables(q)
-    chi2, reps = _ext_context(q)
     bitmap = _nonsquarefree_bitmap(q, d)
+    at_infinity = int(d == 6)  # the point [1:0], where F is the leading coefficient 1
     for cid, lo, hi in _g2_chunks(q, d, chunk_order):
         if skip and (d, cid) in skip:
             continue
-        idx = np.arange(lo, hi, dtype=np.int64)
-        sf = ~bitmap[lo:hi]
-        idx = idx[sf]
+        idx = lo + np.flatnonzero(~bitmap[lo:hi])
         if len(idx) == 0:
             continue
-        dig = _digits(idx, q, d)
-        n = len(idx)
-        S1 = np.zeros(n, dtype=np.int32)
-        nz = np.zeros(n, dtype=np.int32)
-        for x in range(q):
-            v = np.full(n, 1, dtype=np.int32)  # monic leading coefficient
-            for i in range(d - 1, -1, -1):
-                v = add[mul[v, x], dig[:, i]]
-            S1 += chi[v]
-            nz += v != 0
-        if d == 6:
-            S1 += 1  # point [1:0], F evaluates to the leading coefficient 1
-            nz += 1
-        S2 = nz.copy()  # chi_{q^2} is 1 on nonzero base-field values
-        glo = np.empty(n, dtype=np.int32)
-        ghi = np.empty(n, dtype=np.int32)
-        for powers in reps:
-            plo, phi = powers[d]
-            glo[:] = plo
-            ghi[:] = phi
-            for i in range(d):
-                plo, phi = powers[i]
-                glo = add[glo, mul[dig[:, i], plo]]
-                ghi = add[ghi, mul[dig[:, i], phi]]
-            S2 += 2 * chi2[glo + q * ghi]
+        S1 = _char_sums(q, d, 1, idx) + at_infinity
+        S2 = _char_sums(q, d, 2, idx) + at_infinity
         yield cid, S1, S2
 
 
 def _chunk_stats(q: int, S1, S2) -> tuple[dict[tuple[int, int], int], int]:
     counts: dict[tuple[int, int], int] = {}
     ssum = S1.astype(np.int64) ** 2 + S2 - 4 * q
-    assert not np.any(ssum & 1), "parity of t1^2 - (a1^2+a2^2) broken"
+    _require(not np.any(ssum & 1), "parity of t1^2 - (a1^2+a2^2) broken")
     e = ssum >> 1
     for t1 in (-S1, S1):
         keys = (t1.astype(np.int64) + 2 * q) * (4 * q * q + 1) + (e + 2 * q * q)
@@ -439,8 +418,7 @@ def _g2_census_compute(
     checkpoint: bool = False,
     resume: bool = False,
 ) -> G2Census:
-    F = finite_field(q)
-    if F.p == 2:
+    if q % 2 == 0:
         raise FieldTooLarge("characteristic-2 genus-2 census is not implemented")
     if q > MAX_Q_G2:
         raise FieldTooLarge(f"genus-2 census capped at q <= {MAX_Q_G2}")
@@ -494,13 +472,14 @@ def _g2_census_compute(
 
 def _validate_g2(census: G2Census) -> None:
     q = census.q
-    assert census.mass_sum() == q ** 3, "total genus-2 mass must be q^3"
+    _require(census.mass_sum() == q ** 3, "total genus-2 mass must be q^3")
     for (t1, e), c in census.counts.items():
-        assert c > 0
+        _require(c > 0, f"non-positive count at {(t1, e)}")
         # x^2 - t1 x + e must have two real roots in [-2 sqrt(q), 2 sqrt(q)]
-        assert t1 * t1 >= 4 * e, f"complex roots at {(t1, e)}"
-        assert 4 * q + e >= 0 and (4 * q + e) ** 2 >= 4 * q * t1 * t1, (
-            f"Weil bound violated at {(t1, e)}"
+        _require(t1 * t1 >= 4 * e, f"complex roots at {(t1, e)}")
+        _require(
+            4 * q + e >= 0 and (4 * q + e) ** 2 >= 4 * q * t1 * t1,
+            f"Weil bound violated at {(t1, e)}",
         )
 
 

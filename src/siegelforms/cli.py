@@ -1,9 +1,9 @@
 """Command-line front end: censuses, trace reports, coefficient tables,
 genus-1 data, Satake identities and congruence checks.
 
-Exit codes: 0 ok, 1 failed assertion/verdict, 2 missing or unbuildable
-census, 3 configuration error.  All numeric output is exact; --json output
-is byte-stable (sorted keys, canonical rational strings).
+Exit codes: 0 ok, 1 failed verdict or census invariant, 2 missing or
+unbuildable census, 3 configuration error.  All numeric output is exact;
+--json output is byte-stable (sorted keys, canonical rational strings).
 """
 
 from __future__ import annotations
@@ -25,16 +25,12 @@ class Config:
     cache_dir: Path | None = None
     max_q_g2: int = 7
     precision_bits: int = 256
-    enable_char2: bool = False
-    threads: str = "auto"
 
     def validate(self) -> None:
         if self.precision_bits < 128:
             raise ConfigError("precision_bits must be >= 128")
         if self.max_q_g2 > 13:
             raise ConfigError("max_q_g2 is hard-capped at 13")
-        if self.max_q_g2 % 2 == 0 and not self.enable_char2:
-            raise ConfigError("even max_q_g2 requires enable_char2")
 
 
 def _config_from_args(args) -> Config:
@@ -43,7 +39,6 @@ def _config_from_args(args) -> Config:
         cache_dir=Path(cache) if cache else None,
         max_q_g2=getattr(args, "max_q_g2", 7),
         precision_bits=getattr(args, "precision_bits", 256),
-        enable_char2=getattr(args, "enable_char2", False),
     )
     cfg.validate()
     return cfg
@@ -218,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", help="census cache directory (or SIEGELFORMS_CACHE_DIR)")
     common.add_argument("--max-q-g2", type=int, dest="max_q_g2")
     common.add_argument("--precision-bits", type=int, dest="precision_bits")
-    common.add_argument("--enable-char2", action="store_true", dest="enable_char2")
     ap = argparse.ArgumentParser(
         prog="siegelforms",
         description="exact genus-2 Siegel modular form computations from curve censuses",
@@ -273,7 +267,6 @@ _GLOBAL_DEFAULTS = {
     "cache_dir": None,
     "max_q_g2": 7,
     "precision_bits": 256,
-    "enable_char2": False,
 }
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import census as census_mod
 from .census import FieldTooLarge, ell_census, g2_census
 from .exact_arith import rat_str
 from .g1_modforms import dim_S, motive_trace
@@ -63,11 +62,6 @@ class LocalSystemIndex:
     @staticmethod
     def from_jk(j: int, k: int) -> "LocalSystemIndex":
         return LocalSystemIndex(j + k - 3, k - 3)
-
-
-def cheb_D(n: int, a, q):
-    """D_1 = 1, D_2 = a, D_n = a D_{n-1} - q D_{n-2} (generic in a)."""
-    return census_mod.cheb_second_kind(n, a, q)
 
 
 @lru_cache(maxsize=None)

@@ -217,6 +217,8 @@ def squarefree_part(n: int) -> tuple[int, int]:
 
 
 def primes_upto(n: int) -> list[int]:
+    if n < 2:
+        return []
     sieve = bytearray([1]) * (n + 1)
     sieve[:2] = b"\x00\x00"
     for p in range(2, int(n ** 0.5) + 1):

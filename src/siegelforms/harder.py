@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohom import trace_T_Sjk
-from .exact_arith import QuadElem
+from .exact_arith import QuadElem, primes_upto
 from .g1_modforms import dim_S, eigenforms
 from .g2data import congruence_rows, published_a22, published_lambdas, quartic_factors
 
@@ -192,9 +192,7 @@ def eigen_records(
     table = published_lambdas().get((j, k), {})
     quartics = quartic_factors().get((j, k), [])
     out: dict[int, list[EigenRecord]] = {}
-    for p in range(2, p_max + 1):
-        if not _is_prime_small(p):
-            continue
+    for p in primes_upto(p_max):
         recs: list[EigenRecord] = []
         census_val = None
         if (
@@ -228,14 +226,6 @@ def eigen_records(
         if recs:
             out[p] = recs
     return out
-
-
-def _is_prime_small(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
-def _primes_upto(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if _is_prime_small(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +269,7 @@ def check_congruence(
     f = eigenforms(r)[0]
     records = eigen_records(j, k, dim_sjk, p_max, sources)
     result = CongruenceResult(r, j, k, ell)
-    result.missing = [
-        p for p in _primes_upto(p_max) if p not in records
-    ]
+    result.missing = [p for p in primes_upto(p_max) if p not in records]
     if not records:
         return result  # untestable
     verdict = True

@@ -1,8 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelforms.census import (
     CACHE_VERSION,
@@ -10,9 +17,14 @@ from siegelforms.census import (
     FieldTooLarge,
     G2Census,
     SexticForm,
-    _ell_char3_reduced,
+    _char_sums,
     _ell_full,
+    _ell_monic,
     _g2_census_compute,
+    _g2_chunks,
+    _g2_pass,
+    _nonsquarefree_bitmap,
+    _poly_mul,
     cheb_second_kind,
     count_points_g2,
     ell_census,
@@ -85,8 +97,8 @@ def test_j_class_mass_is_one():
 
 def test_char3_reduced_model_agrees_with_full():
     # masses are model-independent; raw counts differ by the group orders
-    for q in (3, 9):
-        assert _ell_char3_reduced(q).masses == _ell_full(q).masses
+    for q in (3, 5, 7, 9):
+        assert _ell_monic(q).masses == _ell_full(q).masses
 
 
 def test_sigma10_table():
@@ -224,6 +236,12 @@ def test_g2_rejects_unsupported():
         _g2_census_compute(4)
 
 
+def test_ell_rejects_oversized_point_map():
+    # F_625 coordinates do not pack below 2^24, the float32-exact range
+    with pytest.raises(FieldTooLarge):
+        ell_census(625)
+
+
 def test_g2_census_vs_reference_points():
     # vectorized S1/S2 agree with the naive point counter on monic samples
     q = 5
@@ -291,3 +309,114 @@ def test_g2_checkpoint_resume(tmp_path):
         assert not list(pdir.glob("g2_q3_*.json"))
     finally:
         set_cache_dir(None)
+
+
+# -- the point-evaluation kernel
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_fresh_censuses_reproduce_golden_cache(tmp_path):
+    golden = sorted((ROOT / ".census_cache").glob("*.json"))
+    assert {p.name for p in golden} == {
+        f"{kind}_q{q}_v{CACHE_VERSION}.json"
+        for kind, qs in (("g2", (11, 13)), ("ell", (11, 13, 121, 169)))
+        for q in qs
+    }
+    set_cache_dir(tmp_path)
+    ell_census.cache_clear()
+    g2_census.cache_clear()
+    try:
+        for q in (11, 13):
+            g2_census(q)
+            ell_census(q)
+            ell_census(q * q)
+        for path in golden:
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+    finally:
+        set_cache_dir(None)
+        ell_census.cache_clear()
+        g2_census.cache_clear()
+
+
+def _monic_form(q, d, index):
+    coeffs = [index // q ** i % q for i in range(d)] + [1]
+    return SexticForm(tuple(coeffs + [0] * (6 - d)), q)
+
+
+@pytest.mark.parametrize("q", (5, 9, 11))
+@pytest.mark.parametrize("d", (5, 6))
+def test_g2_pass_matches_point_counter(q, d):
+    # per-model (S1, S2) from the census kernel against the naive counter
+    bitmap = _nonsquarefree_bitmap(q, d)
+    chunks = {cid: (lo, hi) for cid, lo, hi in _g2_chunks(q, d)}
+    idx, s1, s2 = [], [], []
+    for cid, S1, S2 in _g2_pass(q, d):
+        lo, hi = chunks[cid]
+        idx.append(lo + np.flatnonzero(~bitmap[lo:hi]))
+        s1.append(S1)
+        s2.append(S2)
+    idx, s1, s2 = np.concatenate(idx), np.concatenate(s1), np.concatenate(s2)
+    rng = random.Random(q * 10 + d)
+    for pos in rng.sample(range(len(idx)), 200):
+        form = _monic_form(q, d, int(idx[pos]))
+        assert squarefree_sextic(form, q)
+        assert s1[pos] == count_points_g2(form, q, 1) - q - 1
+        assert s2[pos] == count_points_g2(form, q, 2) - q * q - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_char_sums_under_affine_substitution(data):
+    # h = a^-d g(ax + b): sum_x chi(h(x)) = chi(a)^d sum_x chi(g(x)) over
+    # F_q, and over F_{q^2} chi(a) = 1
+    q = data.draw(st.sampled_from((3, 5, 7, 9, 11, 13)))
+    d = data.draw(st.sampled_from((5, 6)))
+    g = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)) + [1]
+    a = data.draw(st.integers(1, q - 1))
+    b = data.draw(st.integers(0, q - 1))
+    F = finite_field(q)
+    h = (0,)
+    for c in reversed(g):  # Horner in the polynomial ring: h = h (ax + b) + c
+        h = _poly_mul(F, h, (b, a))
+        h = (F.add(h[0], c),) + h[1:]
+    scale = F.inv(F.pow(a, d))
+    assert h[d] == F.pow(a, d)
+    index = np.array(
+        [sum(c * q ** i for i, c in enumerate(g[:d])),
+         sum(F.mul(scale, c) * q ** i for i, c in enumerate(h[:d]))],
+        dtype=np.int64,
+    )
+    s1 = _char_sums(q, d, 1, index)
+    s2 = _char_sums(q, d, 2, index)
+    assert s1[1] == F.chi(a) ** d * s1[0]
+    assert s2[1] == s2[0]
+
+
+def test_invariants_survive_optimized_mode():
+    # the mass check raises under python -O, and the CLI exits 1 on it
+    script = """
+from siegelforms import census, cli
+if __debug__:
+    raise SystemExit("not running under -O")
+bad = census.G2Census(3, {(0, 0): 1}, group_order=48, model_count=1)
+try:
+    census._validate_g2(bad)
+except census.CensusInvariantError:
+    pass
+else:
+    raise SystemExit("wrong mass accepted")
+def broken(q, resume=False):
+    census._validate_g2(bad)
+census.g2_census = broken
+raise SystemExit(cli.main(["census", "--genus", "2", "--q", "3"]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "total genus-2 mass must be q^3" in proc.stderr

@@ -87,6 +87,9 @@ def test_missing_census_exit_code(capsys):
     code, _, err = run(capsys, "census", "--genus", "2", "--q", "11")
     assert code == 2
     assert "census unavailable" in err
+    code, _, err = run(capsys, "--max-q-g2", "8", "census", "--genus", "2", "--q", "8")
+    assert code == 2
+    assert "census unavailable" in err
 
 
 def test_cache_dir_flag(tmp_path, capsys):

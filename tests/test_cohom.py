@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from siegelforms.census import cheb_second_kind
 from siegelforms.cohom import (
     DimNotOne,
     LocalSystemIndex,
     MissingCensus,
     NotRegular,
-    cheb_D,
     ec_full_A2,
     eis_correction,
     endo_correction,
@@ -33,8 +33,8 @@ def test_local_system_index():
 
 
 def test_cheb_D():
-    assert cheb_D(1, Fraction(7), 3) == 1
-    assert cheb_D(3, Fraction(5), 3) == 25 - 3
+    assert cheb_second_kind(1, Fraction(7), 3) == 1
+    assert cheb_second_kind(3, Fraction(5), 3) == 25 - 3
 
 
 def test_sp_char_closed_forms():
@@ -209,10 +209,6 @@ def test_slope_multiset_sums_to_2w():
         assert tuple(got) == slopes
 
 
-@pytest.mark.skipif(
-    not __import__("os").environ.get("SIEGELFORMS_BIG"),
-    reason="p = 11, 13 censuses are optional; set SIEGELFORMS_BIG=1 to run (~7 min)",
-)
 def test_eigenvalues_big_primes():
     from siegelforms.g2data import published_lambdas
 

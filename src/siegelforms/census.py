@@ -64,10 +64,22 @@ _cache_dir: Path | None = None
 
 
 def set_cache_dir(path: str | os.PathLike | None) -> None:
+    """Read and write censuses under path (None: keep them in memory only);
+    censuses already computed are forgotten, so the next call uses path."""
     global _cache_dir
     _cache_dir = Path(path) if path is not None else None
     if _cache_dir is not None:
         _cache_dir.mkdir(parents=True, exist_ok=True)
+    for memo in _MEMOIZED:
+        memo.cache_clear()
+
+
+def _field(q: int) -> Fq:
+    """F_q, or FieldTooLarge when q is not a field order supported here."""
+    try:
+        return finite_field(q)
+    except ValueError as exc:
+        raise FieldTooLarge(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -267,32 +279,32 @@ def _ell_from_traces(q: int, traces: np.ndarray, group_order: int) -> EllCensus:
     offset = bound
     cnt = np.bincount(traces + offset, minlength=2 * bound + 1)
     counts = {int(t - offset): int(c) for t, c in enumerate(cnt) if c}
-    _require(all(t * t <= 4 * q for t in counts), f"Hasse bound violated over F_{q}")
     census = EllCensus(q, counts, group_order, int(traces.size))
-    _require(census.mass_sum() == q, f"mass sum {census.mass_sum()} != {q}")
+    _validate_ell(census)
     return census
 
 
+def _validate_ell(census: EllCensus) -> None:
+    q = census.q
+    _require(all(t * t <= 4 * q for t in census.counts), f"Hasse bound violated over F_{q}")
+    _require(census.mass_sum() == q, f"mass sum {census.mass_sum()} != {q}")
+
+
 def _ell_census_compute(q: int) -> EllCensus:
-    p = finite_field(q).p
-    if p == 2 and q <= 16 or p == 3 and q <= 9:
+    p = _field(q).p  # q is p, p^2 or p^4, so at most 16 in characteristic 2
+    if p == 2 or p == 3 and q <= 9:
         return _ell_full(q)
-    if p >= 3:
-        # q = 81 arises as the twisted-sector field of the F_9 census; the
-        # five-coefficient space is out of reach there, but the monic cubic
-        # model gives the same masses (cross-checked at q = 3, 5, 7, 9).
-        return _ell_monic(q)
-    raise FieldTooLarge(f"elliptic census unsupported for q = {q}")
+    # q = 81 arises as the twisted-sector field of the F_9 census; the
+    # five-coefficient space is out of reach there, but the monic cubic
+    # model gives the same masses (cross-checked at q = 3, 5, 7, 9).
+    return _ell_monic(q)
 
 
 @lru_cache(maxsize=None)
 def ell_census(q: int) -> EllCensus:
-    cached = _load_cache("ell", q)
-    if cached is not None:
-        return cached
-    census = _ell_census_compute(q)
-    _save_cache("ell", q, census)
-    return census
+    """Elliptic census over F_q, read from the cache directory or computed
+    and written there."""
+    return _cached("ell", q, _ell_census_compute)
 
 
 # ---------------------------------------------------------------------------
@@ -404,69 +416,76 @@ def _merge_counts(total: dict, part: dict) -> None:
         total[key] = total.get(key, 0) + c
 
 
-def _partial_path(q: int, d: int, cid: int) -> Path | None:
+def _partials(q: int) -> dict[tuple[int, int], tuple[Path, dict]]:
+    """Checkpoint file and key of every chunk (d, cid), none without a cache
+    directory.  The key is q, d, the model-index range [lo, hi) and
+    CACHE_VERSION; a checkpoint is used only for the chunk its key names."""
     if _cache_dir is None:
-        return None
+        return {}
     pdir = _cache_dir / "partial"
     pdir.mkdir(exist_ok=True)
-    return pdir / f"g2_q{q}_d{d}_c{cid}_v{CACHE_VERSION}.json"
+    return {
+        (d, cid): (
+            pdir / f"g2_q{q}_d{d}_c{cid}_v{CACHE_VERSION}.json",
+            {"q": q, "d": d, "lo": lo, "hi": hi, "version": CACHE_VERSION},
+        )
+        for d in (6, 5)
+        for cid, lo, hi in _g2_chunks(q, d)
+    }
 
 
-def _g2_census_compute(
-    q: int,
-    chunk_order: str = "ascending",
-    checkpoint: bool = False,
-    resume: bool = False,
-) -> G2Census:
-    if q % 2 == 0:
-        raise FieldTooLarge("characteristic-2 genus-2 census is not implemented")
+def _read_partial(path: Path, key: dict):
+    """(counts, models) checkpointed for the chunk `key` names; None if the
+    file is missing, does not parse or belongs to another chunk."""
+    try:
+        payload = json.loads(path.read_text())
+        if any(payload[k] != v for k, v in key.items()):
+            return None
+        counts = {(int(t), int(e)): int(c) for t, e, c in payload["key_counts"]}
+        return counts, int(payload["models"])
+    except (OSError, KeyError, TypeError, ValueError):
+        return None
+
+
+def _g2_census_compute(q: int, chunk_order: str = "ascending") -> G2Census:
+    """Merge _chunk_stats over every chunk of squarefree monic sextics and
+    quintics.  With a cache directory each finished chunk is checkpointed,
+    a matching checkpoint of an interrupted run replaces recomputing, and
+    all checkpoints are removed once the merged census has been checked."""
     if q > MAX_Q_G2:
         raise FieldTooLarge(f"genus-2 census capped at q <= {MAX_Q_G2}")
+    if _field(q).p == 2:
+        raise FieldTooLarge("characteristic-2 genus-2 census is not implemented")
     counts: dict[tuple[int, int], int] = {}
     model_count = 0
-    done: set[tuple[int, int]] = set()
-    partials = []
-    if resume and _cache_dir is not None:
-        for d in (6, 5):
-            for cid, _, _ in _g2_chunks(q, d):
-                path = _partial_path(q, d, cid)
-                if path is not None and path.exists():
-                    payload = json.loads(path.read_text())
-                    _merge_counts(
-                        counts,
-                        {(t, e): c for t, e, c in payload["key_counts"]},
-                    )
-                    model_count += payload["models"]
-                    done.add((d, cid))
-                    partials.append(path)
+    partials = _partials(q)
+    done = set()
+    for chunk, (path, key) in partials.items():
+        saved = _read_partial(path, key)
+        if saved is not None:
+            _merge_counts(counts, saved[0])
+            model_count += saved[1]
+            done.add(chunk)
     for d in (6, 5):
         for cid, S1, S2 in _g2_pass(q, d, chunk_order, skip=done):
             part, models = _chunk_stats(q, S1, S2)
             _merge_counts(counts, part)
             model_count += models
-            if checkpoint:
-                path = _partial_path(q, d, cid)
-                if path is not None:
-                    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-                    with os.fdopen(fd, "w") as fh:
-                        json.dump(
-                            {
-                                "key_counts": [[t, e, c] for (t, e), c in part.items()],
-                                "models": models,
-                            },
-                            fh,
-                        )
-                    os.replace(tmp, path)
-                    partials.append(path)
+            if (d, cid) in partials:
+                path, key = partials[d, cid]
+                key_counts = [[t, e, c] for (t, e), c in part.items()]
+                _write_json(path, {**key, "key_counts": key_counts, "models": models})
     census = G2Census(
         q,
         counts,
         group_order=(q * q - 1) * (q * q - q),
         model_count=model_count * (q - 1),
     )
-    _validate_g2(census)
-    for path in partials:
-        path.unlink(missing_ok=True)
+    try:
+        _validate_g2(census)
+    finally:
+        for path, _ in partials.values():
+            path.unlink(missing_ok=True)
     return census
 
 
@@ -484,17 +503,14 @@ def _validate_g2(census: G2Census) -> None:
 
 
 @lru_cache(maxsize=None)
-def g2_census(q: int, resume: bool = False) -> G2Census:
-    """Genus-2 census with disk caching; only complete caches satisfy
-    reads, but with a cache directory the computation checkpoints per
-    chunk for q >= 11 and `resume` continues from those checkpoints."""
-    cached = _load_cache("g2", q)
-    if cached is not None:
-        return cached
-    checkpoint = _cache_dir is not None and q >= 11
-    census = _g2_census_compute(q, checkpoint=checkpoint, resume=resume)
-    _save_cache("g2", q, census)
-    return census
+def g2_census(q: int) -> G2Census:
+    """Genus-2 census over F_q, read from the cache directory or computed
+    (resuming from checkpoints) and written there."""
+    return _cached("g2", q, _g2_census_compute)
+
+
+# set_cache_dir clears these; held here, as the names may be rebound to wrappers
+_MEMOIZED = (ell_census, g2_census)
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +615,28 @@ def g2_census_direct_masses(q: int) -> tuple[dict[tuple[int, int], Fraction], in
 # weighted symmetric-power sums
 
 
-def cheb_second_kind(n: int, a, q):
-    """D_1 = 1, D_2 = a, D_n = a D_{n-1} - q D_{n-2}; D_{k+1}(t, q) is the
-    degree-k symmetric power sum alpha^k + alpha^(k-1) conj + ... + conj^k."""
+@lru_cache(maxsize=None)
+def _cheb_coeffs(n: int, q: int) -> tuple[int, ...]:
+    """Coefficients of D_n(x) over Z, lowest degree first: D_1 = 1,
+    D_2 = x, D_n = x D_{n-1} - q D_{n-2}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return a * 0 + 1
-    prev, cur = a * 0 + 1, a
-    for _ in range(n - 2):
-        prev, cur = cur, a * cur - q * prev
-    return cur
+    prev, cur = [0], [1]
+    for _ in range(n - 1):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= q * c
+        prev, cur = cur, nxt
+    return tuple(cur)
+
+
+def cheb_second_kind(n: int, a, q):
+    """D_n(a) for the polynomials of _cheb_coeffs; D_{k+1}(t, q) is the
+    degree-k symmetric power sum alpha^k + alpha^(k-1) conj + ... + conj^k."""
+    acc = a * 0
+    for c in reversed(_cheb_coeffs(n, q)):
+        acc = acc * a + c
+    return acc
 
 
 def sigma_weighted(k: int, q: int) -> Fraction:
@@ -631,17 +658,14 @@ def _cache_path(kind: str, q: int) -> Path | None:
     return _cache_dir / f"{kind}_q{q}_v{CACHE_VERSION}.json"
 
 
-def _save_cache(kind: str, q: int, census) -> None:
-    path = _cache_path(kind, q)
-    if path is None:
-        return
+def _cache_payload(kind: str, q: int, census) -> dict:
     if kind == "ell":
         masses = [[t, rat_str(m)] for t, m in sorted(census.masses.items())]
         counts = [[t, c] for t, c in sorted(census.counts.items())]
     else:
         masses = [[t1, e, rat_str(m)] for (t1, e), m in sorted(census.masses.items())]
         counts = [[t1, e, c] for (t1, e), c in sorted(census.counts.items())]
-    payload = {
+    return {
         "q": q,
         "kind": kind,
         "masses": masses,
@@ -650,25 +674,49 @@ def _save_cache(kind: str, q: int, census) -> None:
         "model_count": census.model_count,
         "version": CACHE_VERSION,
     }
-    # never leave a partially written cache behind
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    # never leave a partially written file behind
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     with os.fdopen(fd, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
     os.replace(tmp, path)
 
 
+def _cached(kind: str, q: int, compute):
+    census = _load_cache(kind, q)
+    if census is None:
+        census = compute(q)
+        _save_cache(kind, q, census)
+    return census
+
+
+def _save_cache(kind: str, q: int, census) -> None:
+    path = _cache_path(kind, q)
+    if path is not None:
+        _write_json(path, _cache_payload(kind, q, census))
+
+
 def _load_cache(kind: str, q: int):
+    """The census cached for (kind, q), None when there is no file, and
+    CacheError when the file is not exactly what _save_cache writes for a
+    census that passes the checks a fresh one passes."""
     path = _cache_path(kind, q)
     if path is None or not path.exists():
         return None
     try:
         payload = json.loads(path.read_text())
-        if payload.get("version") != CACHE_VERSION or payload.get("q") != q:
-            return None
         if kind == "ell":
             counts = {int(t): int(c) for t, c in payload["counts"]}
-            return EllCensus(q, counts, payload["group_order"], payload["model_count"])
-        counts = {(int(t1), int(e)): int(c) for t1, e, c in payload["counts"]}
-        return G2Census(q, counts, payload["group_order"], payload["model_count"])
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+            census = EllCensus(q, counts, int(payload["group_order"]), int(payload["model_count"]))
+            _validate_ell(census)
+        else:
+            counts = {(int(t1), int(e)): int(c) for t1, e, c in payload["counts"]}
+            census = G2Census(q, counts, int(payload["group_order"]), int(payload["model_count"]))
+            _validate_g2(census)
+        if payload != _cache_payload(kind, q, census):
+            raise ValueError("fields disagree with the counts or the file name")
+        return census
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, CensusInvariantError) as exc:
         raise CacheError(f"corrupt census cache {path}: {exc}") from exc

@@ -1,9 +1,10 @@
 """Command-line front end: censuses, trace reports, coefficient tables,
 genus-1 data, Satake identities and congruence checks.
 
-Exit codes: 0 ok, 1 failed verdict or census invariant, 2 missing or
-unbuildable census, 3 configuration error.  All numeric output is exact;
---json output is byte-stable (sorted keys, canonical rational strings).
+Exit codes: 0 ok, 1 failed verdict or census invariant, 2 missing,
+unbuildable or corrupt census, 3 invalid option value.  All numeric
+output is exact; --json output is byte-stable (sorted keys, canonical
+rational strings).
 """
 
 from __future__ import annotations
@@ -12,36 +13,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class Config:
-    cache_dir: Path | None = None
-    max_q_g2: int = 7
-    precision_bits: int = 256
-
-    def validate(self) -> None:
-        if self.precision_bits < 128:
-            raise ConfigError("precision_bits must be >= 128")
-        if self.max_q_g2 > 13:
-            raise ConfigError("max_q_g2 is hard-capped at 13")
-
-
-def _config_from_args(args) -> Config:
-    cache = getattr(args, "cache_dir", None) or os.environ.get("SIEGELFORMS_CACHE_DIR")
-    cfg = Config(
-        cache_dir=Path(cache) if cache else None,
-        max_q_g2=getattr(args, "max_q_g2", 7),
-        precision_bits=getattr(args, "precision_bits", 256),
-    )
-    cfg.validate()
-    return cfg
 
 
 def _emit(args, payload: dict, cite: str | None = None) -> None:
@@ -54,14 +29,11 @@ def _emit(args, payload: dict, cite: str | None = None) -> None:
         print(f"reproduces: {cite}")
 
 
-def cmd_census(args, cfg: Config) -> int:
+def cmd_census(args) -> int:
     from . import census
 
-    if cfg.cache_dir:
-        census.set_cache_dir(cfg.cache_dir)
-    q = args.q
     if args.genus == 1:
-        c = census.ell_census(q ** args.ext if args.ext else q)
+        c = census.ell_census(args.q)
         _emit(
             args,
             {
@@ -73,13 +45,11 @@ def cmd_census(args, cfg: Config) -> int:
             cite="mass identity sum 1/#Aut = q over elliptic curves",
         )
         return 0
-    if q > cfg.max_q_g2:
-        raise census.FieldTooLarge(f"q = {q} above configured max_q_g2 = {cfg.max_q_g2}")
-    c = census.g2_census(q, resume=args.resume)
+    c = census.g2_census(args.q)
     _emit(
         args,
         {
-            "q": q,
+            "q": args.q,
             "kind": "g2",
             "mass": str(c.mass_sum()),
             "model_count": c.model_count,
@@ -90,12 +60,12 @@ def cmd_census(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_trace(args, cfg: Config) -> int:
-    from . import census
+def cmd_trace(args) -> int:
     from .cohom import lambda_psq, trace_T_Sjk
+    from .exact_arith import is_prime
 
-    if cfg.cache_dir:
-        census.set_cache_dir(cfg.cache_dir)
+    if not is_prime(args.p):
+        raise ConfigError(f"--p {args.p} is not a prime")
     report = trace_T_Sjk(args.j, args.k, args.p)
     payload = report.to_json()
     if args.psq:
@@ -107,16 +77,19 @@ def cmd_trace(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_igusa(args, cfg: Config) -> int:
+def cmd_igusa(args) -> int:
     from .siegel_g2 import chi10, chi12, eisenstein_g2
 
+    # products of the tables reach the singular classes [0,0,c] with
+    # c <= (max_disc + 1) // 4
+    size = (args.max_disc, max(8, (args.max_disc + 1) // 4))
     builders = {
-        "E4": lambda: eisenstein_g2(4, args.max_disc),
-        "E6": lambda: eisenstein_g2(6, args.max_disc),
-        "E10": lambda: eisenstein_g2(10, args.max_disc),
-        "E12": lambda: eisenstein_g2(12, args.max_disc),
-        "chi10": lambda: chi10(args.max_disc),
-        "chi12": lambda: chi12(args.max_disc),
+        "E4": lambda: eisenstein_g2(4, *size),
+        "E6": lambda: eisenstein_g2(6, *size),
+        "E10": lambda: eisenstein_g2(10, *size),
+        "E12": lambda: eisenstein_g2(12, *size),
+        "chi10": lambda: chi10(*size),
+        "chi12": lambda: chi12(*size),
     }
     table = builders[args.form]()
     payload = {"form": args.form, "weight": table.weight, "coeffs": table.to_json_rows()}
@@ -130,14 +103,16 @@ def cmd_igusa(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_g1(args, cfg: Config) -> int:
-    from .g1_modforms import congruence_prime_scan, critical_ratios, eigenforms, hecke_T
+def cmd_g1(args) -> int:
+    from .g1_modforms import congruence_prime_scan, critical_ratios, dim_S, eigenforms, hecke_T
 
     r = args.weight
     if args.hecke:
         mat = hecke_T(r, args.hecke)
         _emit(args, {"weight": r, "p": args.hecke, "matrix": [[str(x) for x in row] for row in mat]})
         return 0
+    if dim_S(r) == 0:
+        raise ConfigError(f"S_{r} = 0: weight {r} has no cusp eigenform")
     if args.ratios:
         f = eigenforms(r)[0]
         ratios = critical_ratios(f, args.precision_bits)
@@ -156,7 +131,7 @@ def cmd_g1(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_satake(args, cfg: Config) -> int:
+def cmd_satake(args) -> int:
     from .hecke_satake import ALL_IDENTITIES, newton_slopes, spin_factor, verify_identity
 
     if args.verify_all:
@@ -174,12 +149,9 @@ def cmd_satake(args, cfg: Config) -> int:
     raise ConfigError("satake needs --verify-all or --spin")
 
 
-def cmd_harder(args, cfg: Config) -> int:
-    from . import census
+def cmd_harder(args) -> int:
     from .harder import check_congruence, run_table
 
-    if cfg.cache_dir:
-        census.set_cache_dir(cfg.cache_dir)
     if args.all:
         results = run_table(args.pmax)
         payload = {"results": [r.to_json() for r in results]}
@@ -206,12 +178,11 @@ def cmd_harder(args, cfg: Config) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps subparser defaults from clobbering flags given before
-    # the subcommand; _config_from_args supplies the real defaults
+    # the subcommand; main supplies the real defaults
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", help="byte-stable JSON output")
     common.add_argument("--cite", action="store_true", help="name the published table each output reproduces")
     common.add_argument("--cache-dir", help="census cache directory (or SIEGELFORMS_CACHE_DIR)")
-    common.add_argument("--max-q-g2", type=int, dest="max_q_g2")
     common.add_argument("--precision-bits", type=int, dest="precision_bits")
     ap = argparse.ArgumentParser(
         prog="siegelforms",
@@ -223,9 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("census", help="build or refresh a curve census", parents=[common])
     c.add_argument("--genus", type=int, choices=(1, 2), required=True)
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--ext", type=int, choices=(1, 2), default=0)
-    c.add_argument("--resume", action="store_true", default=False,
-                   help="continue a checkpointed genus-2 census")
     c.set_defaults(func=cmd_census)
 
     t = sub.add_parser("trace", help="Hecke trace/eigenvalue on S_{j,k}", parents=[common])
@@ -261,23 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_GLOBAL_DEFAULTS = {
-    "json": False,
-    "cite": False,
-    "cache_dir": None,
-    "max_q_g2": 7,
-    "precision_bits": 256,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    for key, val in _GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, val)
+    defaults = argparse.Namespace(json=False, cite=False, cache_dir=None, precision_bits=256)
+    args = build_parser().parse_args(argv, defaults)
     try:
-        cfg = _config_from_args(args)
-        return args.func(args, cfg)
+        if args.precision_bits < 128:
+            raise ConfigError("precision_bits must be >= 128")
+        cache_dir = args.cache_dir or os.environ.get("SIEGELFORMS_CACHE_DIR")
+        if cache_dir:
+            from .census import set_cache_dir
+
+            set_cache_dir(cache_dir)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

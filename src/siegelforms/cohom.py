@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .census import FieldTooLarge, ell_census, g2_census
-from .exact_arith import rat_str
+from .census import FieldTooLarge, _cheb_coeffs, ell_census, g2_census
+from .exact_arith import is_prime, rat_str
 from .g1_modforms import dim_S, motive_trace
 from .g2data import dim_S_jk
 
@@ -65,26 +65,12 @@ class LocalSystemIndex:
 
 
 @lru_cache(maxsize=None)
-def _dcoeffs(n: int, q: int) -> tuple[int, ...]:
-    """Coefficient list of D_n(x) over Z, lowest degree first."""
-    if n == 1:
-        return (1,)
-    prev, cur = [1], [0, 1]
-    for _ in range(n - 2):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= q * c
-        prev, cur = cur, nxt
-    return tuple(cur)
-
-
-@lru_cache(maxsize=None)
 def _schar_terms(l: int, m: int, q: int) -> tuple[tuple[int, int, int], ...]:
     """The divided difference [D_{l+2}(x) D_{m+1}(y) - D_{m+1}(x) D_{l+2}(y)]
     / (x - y) as a list (a, b, coeff) of symmetric monomials: a > b stands
     for x^a y^b + x^b y^a, a = b for (xy)^a."""
-    A = _dcoeffs(l + 2, q)
-    B = _dcoeffs(m + 1, q) + (0,) * (len(A) - (m + 1))
+    A = _cheb_coeffs(l + 2, q)
+    B = _cheb_coeffs(m + 1, q) + (0,) * (len(A) - (m + 1))
     terms: dict[tuple[int, int], int] = {}
     for i in range(len(A)):
         for j in range(i):
@@ -218,6 +204,8 @@ class TraceReport:
 
 
 def _trace_at(l: int, m: int, p: int, i: int) -> TraceReport:
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     jac, prod = ec_full_A2(l, m, p ** i)
     full = jac + prod
     eis = eis_correction(l, m, p, i)
@@ -230,8 +218,8 @@ def _trace_at(l: int, m: int, p: int, i: int) -> TraceReport:
 
 
 def trace_T_Sjk(j: int, k: int, p: int) -> TraceReport:
-    """Trace of T(p) on S_{j,k}(Gamma_2), j > 0 even, k >= 4 (regular range);
-    conditional on the endoscopic contribution conjecture."""
+    """Trace of T(p) on S_{j,k}(Gamma_2), j > 0 even, k >= 4 (regular range),
+    p prime; conditional on the endoscopic contribution conjecture."""
     if j <= 0 or j % 2 != 0 or k < 4:
         raise NotRegular(f"(j, k) = ({j}, {k}) outside the regular range")
     ls = LocalSystemIndex.from_jk(j, k)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from siegelforms.census import (
     CACHE_VERSION,
+    CacheError,
+    CensusInvariantError,
     EllCensus,
     FieldTooLarge,
     G2Census,
@@ -34,7 +37,7 @@ from siegelforms.census import (
     sigma_weighted,
     squarefree_sextic,
 )
-from siegelforms.exact_arith import finite_field
+from siegelforms.exact_arith import finite_field, rat_str
 from siegelforms.g1_modforms import dim_S, hecke_T, mat_trace
 
 
@@ -282,9 +285,10 @@ def test_cache_round_trip(tmp_path):
         g2_census.cache_clear()
 
 
-def test_g2_checkpoint_resume(tmp_path):
+def test_g2_checkpoint_resume(tmp_path, monkeypatch):
     import json as _json
 
+    from siegelforms import census as census_mod
     from siegelforms.census import _chunk_stats, _g2_census_compute, _g2_pass
 
     set_cache_dir(tmp_path)
@@ -293,22 +297,148 @@ def test_g2_checkpoint_resume(tmp_path):
         # precompute the single degree-6 chunk and store it as a checkpoint
         (cid, S1, S2) = next(iter(_g2_pass(3, 6)))
         part, models = _chunk_stats(3, S1, S2)
+        (_, lo, hi), = _g2_chunks(3, 6)
         pdir = tmp_path / "partial"
-        pdir.mkdir(exist_ok=True)
-        payload = {
-            "key_counts": [[t, e, c] for (t, e), c in part.items()],
-            "models": models,
-        }
-        (pdir / f"g2_q3_d6_c{cid}_v{CACHE_VERSION}.json").write_text(
-            _json.dumps(payload)
+        path = pdir / f"g2_q3_d6_c{cid}_v{CACHE_VERSION}.json"
+        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "version": CACHE_VERSION}
+        stats_calls = []
+        monkeypatch.setattr(
+            census_mod, "_chunk_stats", lambda *a: stats_calls.append(a) or _chunk_stats(*a)
         )
-        resumed = _g2_census_compute(3, resume=True)
-        assert resumed.counts == truth.counts
-        assert resumed.model_count == truth.model_count
-        # partials are cleaned up after a successful run
-        assert not list(pdir.glob("g2_q3_*.json"))
+        for stale, recomputed in (({}, 1), ({"hi": hi - 1}, 2), ({"version": 0}, 2)):
+            payload = {
+                **key,
+                **stale,
+                "key_counts": [[t, e, c] for (t, e), c in part.items()],
+                "models": models,
+            }
+            path.write_text(_json.dumps(payload))
+            stats_calls.clear()
+            resumed = _g2_census_compute(3)
+            assert resumed.counts == truth.counts
+            assert resumed.model_count == truth.model_count
+            # a matching checkpoint replaces the degree-6 chunk; one for
+            # another chunk is recomputed
+            assert len(stats_calls) == recomputed
+            # partials are cleaned up after a successful run
+            assert not list(pdir.glob("g2_q3_*.json"))
     finally:
         set_cache_dir(None)
+
+
+def test_bad_checkpoint_is_recomputed_or_removed(tmp_path):
+    set_cache_dir(tmp_path)
+    try:
+        truth = _g2_census_compute(3)
+        (_, lo, hi), = _g2_chunks(3, 6)
+        path = tmp_path / "partial" / f"g2_q3_d6_c0_v{CACHE_VERSION}.json"
+        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "version": CACHE_VERSION}
+        for text in ("{not json", "[1, 2]", json.dumps({**key, "key_counts": [["x", 0, 1]]})):
+            path.write_text(text)
+            assert _g2_census_compute(3).counts == truth.counts
+            assert not path.exists()
+        # a well-formed checkpoint with wrong counts fails the merged
+        # census, and is removed so that the next run starts clean
+        path.write_text(json.dumps({**key, "key_counts": [[0, 0, 1]], "models": 1}))
+        with pytest.raises(CensusInvariantError):
+            _g2_census_compute(3)
+        assert not path.exists()
+        assert _g2_census_compute(3).counts == truth.counts
+    finally:
+        set_cache_dir(None)
+
+
+def test_set_cache_dir_forgets_memoized_censuses(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    try:
+        set_cache_dir(a)
+        g2_census(3)
+        ell_census(3)
+        set_cache_dir(b)
+        g2_census(3)
+        ell_census(3)
+        for cache in (a, b):
+            assert sorted(p.name for p in cache.glob("*.json")) == [
+                f"ell_q3_v{CACHE_VERSION}.json",
+                f"g2_q3_v{CACHE_VERSION}.json",
+            ]
+    finally:
+        set_cache_dir(None)
+
+
+# -- golden cache files as load fixtures
+
+
+@pytest.fixture
+def golden_cache(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for path in (ROOT / ".census_cache").glob("*.json"):
+        shutil.copyfile(path, cache / path.name)
+    set_cache_dir(cache)
+    yield cache
+    set_cache_dir(None)
+
+
+def test_golden_caches_load_and_validate(golden_cache, monkeypatch):
+    from siegelforms import census as census_mod
+
+    def no_compute(q):
+        raise AssertionError(f"q = {q} recomputed instead of loaded")
+
+    monkeypatch.setattr(census_mod, "_g2_census_compute", no_compute)
+    monkeypatch.setattr(census_mod, "_ell_census_compute", no_compute)
+    for q in (11, 13):
+        assert g2_census(q).mass_sum() == q ** 3
+        for qq in (q, q * q):
+            assert ell_census(qq).mass_sum() == qq
+
+
+def _tamper(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload, sort_keys=True))
+
+
+def _bump_first_count(payload):
+    payload["counts"][0][-1] += 2
+
+
+def _bump_first_count_and_mass(payload):
+    # the file stays self-consistent, so only the total-mass check sees it
+    _bump_first_count(payload)
+    unit = Fraction(payload["q"] - 1, 2) if payload["kind"] == "g2" else Fraction(1)
+    mass = payload["counts"][0][-1] * unit / payload["group_order"]
+    payload["masses"][0][-1] = rat_str(mass)
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("g2_q11_v1.json", _bump_first_count),
+        ("ell_q13_v1.json", _bump_first_count),
+        ("g2_q13_v1.json", _bump_first_count_and_mass),
+        ("ell_q169_v1.json", _bump_first_count_and_mass),
+        ("ell_q121_v1.json", lambda p: p["counts"].append([23, 1])),  # beyond Hasse
+        ("g2_q13_v1.json", lambda p: p["masses"][0].__setitem__(-1, "1")),
+        ("g2_q11_v1.json", lambda p: p.update(q=13)),
+        ("ell_q11_v1.json", lambda p: p.update(version=CACHE_VERSION + 1)),
+        ("ell_q11_v1.json", lambda p: p.update(group_order=0)),
+        ("g2_q13_v1.json", lambda p: p.pop("counts")),
+    ],
+)
+def test_tampered_cache_raises(golden_cache, name, edit):
+    _tamper(golden_cache / name, edit)
+    kind, q = name.split("_")[0], int(name.split("_")[1][1:])
+    with pytest.raises(CacheError, match="corrupt census cache"):
+        (g2_census if kind == "g2" else ell_census)(q)
+
+
+@pytest.mark.parametrize("text", ["[1, 2, 3]", '"counts"', "7", "{"])
+def test_malformed_cache_payload_raises(golden_cache, text):
+    (golden_cache / "g2_q11_v1.json").write_text(text)
+    with pytest.raises(CacheError, match="g2_q11_v1.json"):
+        g2_census(11)
 
 
 # -- the point-evaluation kernel
@@ -406,7 +536,7 @@ except census.CensusInvariantError:
     pass
 else:
     raise SystemExit("wrong mass accepted")
-def broken(q, resume=False):
+def broken(q):
     census._validate_g2(bad)
 census.g2_census = broken
 raise SystemExit(cli.main(["census", "--genus", "2", "--q", "3"]))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,19 +78,83 @@ def test_harder_wrong_modulus_exit_code(capsys):
 
 
 def test_config_errors(capsys):
-    code, _, err = run(capsys, "--max-q-g2", "15", "census", "--genus", "2", "--q", "3")
-    assert code == 3
     code, _, err = run(capsys, "--precision-bits", "64", "g1", "--weight", "12", "--ratios")
     assert code == 3
 
 
 def test_missing_census_exit_code(capsys):
-    code, _, err = run(capsys, "census", "--genus", "2", "--q", "11")
+    code, _, err = run(capsys, "census", "--genus", "2", "--q", "17")
     assert code == 2
     assert "census unavailable" in err
-    code, _, err = run(capsys, "--max-q-g2", "8", "census", "--genus", "2", "--q", "8")
+    code, _, err = run(capsys, "census", "--genus", "2", "--q", "8")
     assert code == 2
     assert "census unavailable" in err
+
+
+def test_genus2_cap_is_shared(capsys):
+    # census and trace build the same genus-2 censuses and stop at the same q
+    code, out, _ = run(capsys, "census", "--genus", "2", "--q", "11")
+    assert code == 0 and "mass: 1331" in out
+    code, _, err = run(capsys, "trace", "--j", "6", "--k", "8", "--p", "17")
+    assert code == 2
+    assert "capped at q <= 13" in err
+
+
+@pytest.mark.parametrize("q", ["8", "27", "1", "0"])
+def test_unsupported_field_order_exit_code(capsys, q):
+    code, _, err = run(capsys, "census", "--genus", "1", "--q", q)
+    assert code == 2
+    assert "unsupported field order" in err
+
+
+@pytest.mark.parametrize("p", ["9", "6", "1", "-3"])
+def test_trace_rejects_non_prime(capsys, p):
+    code, out, err = run(capsys, "trace", "--j", "6", "--k", "8", "--p", p)
+    assert code == 3
+    assert "not a prime" in err and out == ""
+
+
+def test_trace_T_Sjk_rejects_non_prime():
+    from siegelforms.cohom import trace_T_Sjk
+
+    with pytest.raises(ValueError, match="not a prime"):
+        trace_T_Sjk(6, 8, 9)
+
+
+def test_g1_zero_space_exit_code(capsys):
+    code, _, err = run(capsys, "g1", "--weight", "13")
+    assert code == 3
+    assert "S_13 = 0" in err
+
+
+def test_igusa_large_table(capsys):
+    # the singular classes a product reaches grow with max_disc: [0,0,9] at 40
+    tables = {}
+    for max_disc in ("20", "40"):
+        code, out, _ = run(capsys, "igusa", "--form", "chi10", "--max-disc", max_disc, "--json")
+        assert code == 0
+        tables[max_disc] = {(n, r, m): v for n, r, m, v in json.loads(out)["coeffs"]}
+    assert tables["40"][(0, 0, 9)] == "0"
+    assert tables["20"].items() <= tables["40"].items()
+    assert len(tables["40"]) > len(tables["20"])
+
+
+def test_corrupt_cache_exit_code(tmp_path, capsys):
+    from siegelforms import census
+
+    golden = Path(__file__).resolve().parents[1] / ".census_cache"
+    for path in golden.glob("*.json"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    target = tmp_path / "g2_q11_v1.json"
+    payload = json.loads(target.read_text())
+    payload["counts"][0][-1] += 2
+    target.write_text(json.dumps(payload))
+    try:
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "trace", "--j", "6", "--k", "8", "--p", "11")
+        assert code == 2
+        assert "corrupt census cache" in err and "g2_q11_v1.json" in err
+    finally:
+        census.set_cache_dir(None)
 
 
 def test_cache_dir_flag(tmp_path, capsys):

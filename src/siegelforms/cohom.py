@@ -7,6 +7,16 @@ through their (t1, e) distribution, the product locus through pairs of
 elliptic curves plus a Frobenius-twisted sector coming from pairs conjugate
 over the quadratic extension.
 
+The character sp_char(l, m, t1, e, q) is sum c e^b p_{a-b}(t1, e) over the
+terms (a, b, c) of _schar_terms(l, m, q), with p_n = a1^n + a2^n the power
+sums of the Frobenius pair (and p_0 read as 1).  A sector's weighted sum
+over its classes is therefore sum c M[b][a-b], where the moment
+M[b][n] = sum w e^b p_n of the sector does not depend on (l, m).
+ec_full_A2 reads each sector from such a table, built once per census
+object and extended by whole antidiagonals 2b + n when a larger weight
+needs them; sp_char stays as the per-class oracle the tables are tested
+against.
+
 Subtracting the rank-boundary (Eisenstein) part and the conjectural
 endoscopic part converts that Euler characteristic into the trace of T(p)
 on S_{j,k} with (j, k) = (l - m, m + 3).  Every result produced here is
@@ -16,9 +26,11 @@ one; reports carry that flag.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .census import FieldTooLarge, _cheb_coeffs, ell_census, g2_census
 from .exact_arith import is_prime, rat_str
@@ -64,7 +76,6 @@ class LocalSystemIndex:
         return LocalSystemIndex(j + k - 3, k - 3)
 
 
-@lru_cache(maxsize=None)
 def _schar_terms(l: int, m: int, q: int) -> tuple[tuple[int, int, int], ...]:
     """The divided difference [D_{l+2}(x) D_{m+1}(y) - D_{m+1}(x) D_{l+2}(y)]
     / (x - y) as a list (a, b, coeff) of symmetric monomials: a > b stands
@@ -88,13 +99,18 @@ def _schar_terms(l: int, m: int, q: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((a, b, c) for (a, b), c in sorted(terms.items()) if c != 0)
 
 
+# sp_char asks for the same terms once per class; ec_full_A2 asks once per
+# trace and keeps none (every weight's terms at q = 11, 13 take ~3 MB)
+_schar_terms_cached = lru_cache(maxsize=None)(_schar_terms)
+
+
 def sp_char(l: int, m: int, t1, e, q):
     """Symplectic character of highest weight (l, m) at Frobenius data
     (t1, e) = (a1 + a2, a1 a2) over F_q; exact polynomial division, no
     limits."""
     if not l >= m >= 0:
         raise ValueError("need l >= m >= 0")
-    terms = _schar_terms(l, m, q)
+    terms = _schar_terms_cached(l, m, q)
     top = max((a - b for a, b, _ in terms), default=0)
     # power sums p_n = a1^n + a2^n
     ps = [2, t1]
@@ -117,26 +133,97 @@ def _require_censuses(q: int):
         raise MissingCensus(str(exc)) from exc
 
 
+class _Moments:
+    """M[b][n] = sum over classes (t1, e) of weight w of w e^b p_n(t1, e),
+    p_0 read as 1, for every 2b + n <= degree; rows[b] holds M[b][.]."""
+
+    def __init__(self, classes: dict[tuple[int, int], int]):
+        # grouped by e: the O(degree^2) update runs once per distinct e
+        self.by_e: dict[int, list[tuple[int, int]]] = {}
+        for (t1, e), w in classes.items():
+            self.by_e.setdefault(e, []).append((t1, w))
+        self.rows: list[list[int]] = []
+        self.degree = -1
+
+    def extend(self, degree: int) -> None:
+        """Add the antidiagonals 2b + n = self.degree + 1 .. degree."""
+        old = self.degree
+        if degree <= old:
+            return
+        rows = self.rows
+        for b, row in enumerate(rows):
+            row.extend([0] * (degree - 2 * b + 1 - len(row)))
+        while 2 * len(rows) <= degree:
+            rows.append([0] * (degree - 2 * len(rows) + 1))
+        for e, members in self.by_e.items():
+            # s[n] = sum over the classes with this e of w p_n(t1, e)
+            s = [0] * (degree + 1)
+            for t1, w in members:
+                p_prev, p = 2, t1
+                s[0] += w
+                for n in range(1, degree + 1):
+                    s[n] += w * p
+                    p_prev, p = p, t1 * p - e * p_prev
+            eb = 1
+            for b, row in enumerate(rows):
+                lo = max(0, old + 1 - 2 * b)
+                row[lo:] = [x + eb * y for x, y in zip(row[lo:], s[lo:])]
+                eb *= e
+        self.degree = degree
+
+
+# one table per (sector, census object); an entry leaves with its census,
+# so a recomputed or reloaded census starts a fresh table
+_MOMENTS: dict[tuple, tuple[weakref.ref, _Moments]] = {}
+
+
+def _sector_sum(classes, census, terms) -> int:
+    """sum of w sp_char over the {(t1, e): w} = classes(census) of one
+    sector, read from that sector's moment table."""
+    key = (classes, id(census))
+    entry = _MOMENTS.get(key)
+    if entry is None or entry[0]() is not census:
+        owner = weakref.ref(census, lambda _, key=key: _MOMENTS.pop(key, None))
+        entry = _MOMENTS[key] = (owner, _Moments(classes(census)))
+    table = entry[1]
+    table.extend(max((a + b for a, b, _ in terms), default=0))
+    rows = table.rows
+    return sum(c * rows[b][a - b] for a, b, c in terms)
+
+
+def _jacobians(g2c) -> dict[tuple[int, int], int]:
+    return g2c.counts
+
+
+def _untwisted_products(e1) -> dict[tuple[int, int], int]:
+    # ordered pairs of elliptic curves, both factors defined over F_q
+    out: dict[tuple[int, int], int] = {}
+    for t, ct in e1.counts.items():
+        for tp, ctp in e1.counts.items():
+            key = (t + tp, t * tp)
+            out[key] = out.get(key, 0) + ct * ctp
+    return out
+
+
+def _twisted_products(e2) -> dict[tuple[int, int], int]:
+    # Frobenius swaps the two factors; the surface has trace 0 and
+    # e = -(t'' + 2q) for t'' the trace over F_{q^2}
+    q = isqrt(e2.q)
+    return {(0, -(t2 + 2 * q)): c2 for t2, c2 in e2.counts.items()}
+
+
 def ec_full_A2(l: int, m: int, q: int) -> tuple[Fraction, Fraction]:
     """(jac_part, prod_part) of the Frobenius trace on e_c of the (l, m)
     local system over the moduli of abelian surfaces."""
+    if not l >= m >= 0:
+        raise ValueError("need l >= m >= 0")
     g2c, e1, e2 = _require_censuses(q)
-    jac_num = 0
-    for (t1, e), cnt in g2c.counts.items():
-        jac_num += cnt * sp_char(l, m, t1, e, q)
+    terms = _schar_terms(l, m, q)
+    jac_num = _sector_sum(_jacobians, g2c, terms)
     jac = Fraction(jac_num * (q - 1), 2 * g2c.group_order)
-
-    # untwisted product sector: ordered pairs, halved
-    unt = 0
-    items = sorted(e1.counts.items())
-    for t, ct in items:
-        for tp, ctp in items:
-            unt += ct * ctp * sp_char(l, m, t + tp, t * tp, q)
-    # twisted sector: Frobenius swaps the two factors; the surface has
-    # trace 0 and e = -(t'' + 2q) for t'' the trace over F_{q^2}
-    tw = 0
-    for t2, c2 in e2.counts.items():
-        tw += c2 * sp_char(l, m, 0, -(t2 + 2 * q), q)
+    # product locus: ordered pairs, halved
+    unt = _sector_sum(_untwisted_products, e1, terms)
+    tw = _sector_sum(_twisted_products, e2, terms)
     prod = Fraction(unt, 2 * e1.group_order ** 2) + Fraction(tw, 2 * e2.group_order)
     return jac, prod
 

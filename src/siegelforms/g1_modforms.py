@@ -40,6 +40,12 @@ class PrecisionLoss(Exception):
     pass
 
 
+class FormInvariantError(Exception):
+    """A cusp-space basis or eigenform broke an identity every one
+    satisfies (rank, echelon shape, integrality, real T(2) spectrum);
+    raised, not asserted, so that the checks also run under python -O."""
+
+
 class QExpansion:
     """Truncated q-expansion sum a(n) q^n, 0 <= n < prec, exact coefficients."""
 
@@ -187,8 +193,10 @@ def basis_S(k: int, prec: int = 40) -> tuple[QExpansion, ...]:
         if r == len(rows):
             break
     basis = [QExpansion(k, rows[i]) for i in range(r)]
-    assert len(basis) == dim_S(k), f"rank {len(basis)} != dim {dim_S(k)} at k={k}"
-    assert pivots == list(range(1, r + 1)), "basis not in echelon position"
+    if len(basis) != dim_S(k):
+        raise FormInvariantError(f"rank {len(basis)} != dim {dim_S(k)} at k={k}")
+    if pivots != list(range(1, r + 1)):
+        raise FormInvariantError(f"basis not in echelon position at k={k}")
     return tuple(basis)
 
 
@@ -258,7 +266,8 @@ class EigenformG1:
         if isinstance(v, QuadElem):
             return v.min_poly()
         v = Fraction(v)
-        assert v.denominator == 1
+        if v.denominator != 1:
+            raise FormInvariantError(f"a({p}) = {v} is not an integer")
         return [-v.numerator, 1]
 
     def embed_coeff(self, n: int) -> mp.mpf:
@@ -292,11 +301,13 @@ def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
         return [EigenformG1(k, 1, "plus", list(f.coeffs), ap)]
     t, det = char_poly_2x2(hecke_T(k, 2))
     disc = t * t - 4 * det
-    assert disc > 0, "T(2) must have real distinct eigenvalues"
+    if disc <= 0:
+        raise FormInvariantError("T(2) must have real distinct eigenvalues")
     # disc = D * s^2 with D squarefree and s rational
     D, c = squarefree_part(disc.numerator * disc.denominator)
     s = Fraction(c, disc.denominator)
-    assert D * s * s == disc
+    if D * s * s != disc:
+        raise FormInvariantError(f"{disc} != {D} * ({s})^2")
     out = []
     for tag, sign in (("plus", 1), ("minus", -1)):
         lam2 = QuadElem(D, t / 2, sign * s / 2)

@@ -1,7 +1,6 @@
 import json
 import os
 import random
-import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -366,18 +365,7 @@ def test_set_cache_dir_forgets_memoized_censuses(tmp_path):
         set_cache_dir(None)
 
 
-# -- golden cache files as load fixtures
-
-
-@pytest.fixture
-def golden_cache(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    for path in (ROOT / ".census_cache").glob("*.json"):
-        shutil.copyfile(path, cache / path.name)
-    set_cache_dir(cache)
-    yield cache
-    set_cache_dir(None)
+# -- golden cache files as load fixtures (golden_cache: conftest.py)
 
 
 def test_golden_caches_load_and_validate(golden_cache, monkeypatch):

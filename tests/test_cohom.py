@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from siegelforms import census, cohom
 from siegelforms.census import cheb_second_kind
 from siegelforms.cohom import (
     DimNotOne,
@@ -94,6 +96,63 @@ def test_odd_weight_vanishing():
             for q in (3, 5, 7):
                 jac, prod = ec_full_A2(l, m, q)
                 assert jac + prod == 0, (l, m, q)
+
+
+def _ec_full_A2_by_class(l, m, q, g2c, e1, e2):
+    """ec_full_A2 summed class by class through the sp_char oracle."""
+    jac = sum(cnt * sp_char(l, m, t1, e, q) for (t1, e), cnt in g2c.counts.items())
+    unt = sum(
+        ct * ctp * sp_char(l, m, t + tp, t * tp, q)
+        for t, ct in e1.counts.items()
+        for tp, ctp in e1.counts.items()
+    )
+    tw = sum(c2 * sp_char(l, m, 0, -(t2 + 2 * q), q) for t2, c2 in e2.counts.items())
+    return (
+        Fraction(jac * (q - 1), 2 * g2c.group_order),
+        Fraction(unt, 2 * e1.group_order ** 2) + Fraction(tw, 2 * e2.group_order),
+    )
+
+
+def _assert_tables_match_oracle(q, pairs, monkeypatch):
+    censuses = cohom._require_censuses(q)
+    want = {(l, m): _ec_full_A2_by_class(l, m, q, *censuses) for l, m in pairs}
+    # each order starts from new census objects, hence new moment tables:
+    # increasing weight extends a table at almost every step
+    for ordered in (sorted(pairs), sorted(pairs, reverse=True)):
+        fresh = tuple(dataclasses.replace(c) for c in censuses)
+        with monkeypatch.context() as patch:
+            patch.setattr(cohom, "_require_censuses", lambda _q: fresh)
+            for l, m in ordered:
+                assert ec_full_A2(l, m, q) == want[l, m], (l, m, q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_moment_tables_match_sp_char_small_q(q, monkeypatch):
+    pairs = [(l, m) for l in range(17) for m in range(l + 1)]
+    _assert_tables_match_oracle(q, pairs, monkeypatch)
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_moment_tables_match_sp_char_golden(q, golden_cache, monkeypatch):
+    pairs = [(0, 0), (1, 1), (5, 0), (11, 5), (17, 9), (24, 23), (30, 2), (35, 17)]
+    _assert_tables_match_oracle(q, pairs, monkeypatch)
+
+
+def test_moment_tables_follow_the_census_objects(golden_cache, monkeypatch):
+    q = 11
+    jac, prod = ec_full_A2(11, 5, q)
+    golden = census.g2_census(q)
+    forgetters = [lambda: census.set_cache_dir(golden_cache), census.g2_census.cache_clear]
+    # a census with other counts replaces the golden one; the tables must follow
+    for factor, forget in zip((2, 3), forgetters):
+        scaled = dataclasses.replace(
+            golden, counts={key: factor * c for key, c in golden.counts.items()}
+        )
+        (golden_cache / "g2_q11_v1.json").unlink()
+        monkeypatch.setattr(census, "_g2_census_compute", lambda _q, c=scaled: c)
+        forget()
+        assert census.g2_census(q) is scaled
+        assert ec_full_A2(11, 5, q) == (factor * jac, prod), factor
 
 
 def test_trivial_system_counts_moduli_points():

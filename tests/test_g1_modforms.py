@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -234,3 +238,47 @@ def test_eigenform_json():
     js = f.to_json()
     assert js["disc"] == 144169
     assert js["a_p"]["2"] == {"disc": 144169, "a": "540", "b": "12"}
+
+
+def test_form_invariants_survive_optimized_mode():
+    # each basis and eigenform check raises FormInvariantError under python -O
+    script = """
+from fractions import Fraction
+from siegelforms import g1_modforms as g1
+if __debug__:
+    raise SystemExit("not running under -O")
+def fails(compute):
+    try:
+        compute()
+    except g1.FormInvariantError as exc:
+        print(exc)
+    else:
+        raise SystemExit("invariant not checked")
+fails(lambda: g1.basis_S(24, 2))  # two coefficients see rank 1 of 2
+fails(lambda: g1.EigenformG1(12, 1, "plus", [], {2: Fraction(1, 2)}).a_min_poly(2))
+real_delta = g1.delta
+g1.delta = lambda prec: real_delta(prec) ** 2  # leading term q^2
+fails(lambda: g1.basis_S(12, 10))
+g1.delta = real_delta
+g1.char_poly_2x2 = lambda mat: (Fraction(0), Fraction(1))  # disc -4
+fails(lambda: g1.eigenforms(24))
+g1.char_poly_2x2 = lambda mat: (Fraction(1), Fraction(-1))  # disc 5
+g1.squarefree_part = lambda n: (n, 2)
+fails(lambda: g1.eigenforms(24))
+"""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.splitlines() == [
+        "rank 1 != dim 2 at k=24",
+        "a(2) = 1/2 is not an integer",
+        "basis not in echelon position at k=12",
+        "T(2) must have real distinct eigenvalues",
+        "5 != 5 * (2)^2",
+    ]

@@ -19,9 +19,12 @@ against.
 
 Subtracting the rank-boundary (Eisenstein) part and the conjectural
 endoscopic part converts that Euler characteristic into the trace of T(p)
-on S_{j,k} with (j, k) = (l - m, m + 3).  Every result produced here is
-conditional on the endoscopic contribution being exactly the conjectured
-one; reports carry that flag.
+on S_{j,k} with (j, k) = (l - m, m + 3).  Both corrections need the
+genus-1 traces S[k] of Frobenius over F_{p^i}; motive_trace counts them
+from the elliptic census over F_{p^i} (Eichler-Selberg), the census the
+product locus reads, so no trace builds a q-expansion basis.  Every result
+produced here is conditional on the endoscopic contribution being exactly
+the conjectured one; reports carry that flag.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .census import FieldTooLarge, _cheb_coeffs, ell_census, g2_census
+from .census import FieldTooLarge, _cheb_coeffs, ell_census, g2_census, sigma_weighted
 from .exact_arith import is_prime, rat_str
-from .g1_modforms import dim_S, motive_trace
+from .g1_modforms import dim_S
 from .g2data import dim_S_jk
 
 
@@ -226,6 +229,18 @@ def ec_full_A2(l: int, m: int, q: int) -> tuple[Fraction, Fraction]:
     tw = _sector_sum(_twisted_products, e2, terms)
     prod = Fraction(unt, 2 * e1.group_order ** 2) + Fraction(tw, 2 * e2.group_order)
     return jac, prod
+
+
+def motive_trace(k: int, p: int, i: int) -> Fraction:
+    """Trace of Frob_{p^i} on the weight-k cusp motive S[k], counted from
+    the elliptic census over F_{p^i} (Eichler-Selberg): sigma_{k-2} - 1."""
+    if i < 1:
+        raise ValueError("i must be >= 1")
+    if dim_S(k) == 0:
+        return Fraction(0)
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
+    return sigma_weighted(k - 2, p ** i) - 1
 
 
 def _check_regular(l: int, m: int) -> None:

@@ -518,12 +518,6 @@ class Fq:
     def frobenius(self, x: int) -> int:
         return self.pow(x, self.p)
 
-    def embed(self, x: int) -> int:
-        """Embed a base-field element into this extension."""
-        if self.base is None:
-            raise ValueError("prime field has no base")
-        return x
-
     def chi(self, x: int) -> int:
         """Quadratic character: 1 on nonzero squares, -1 on non-squares, 0 at 0."""
         if x == 0:

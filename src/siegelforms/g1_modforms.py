@@ -317,33 +317,6 @@ def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
     return out
 
 
-def motive_trace(k: int, p: int, i: int) -> Fraction:
-    """Trace of the i-th Frobenius power on the weight-k cusp motive.
-
-    Computed from u_j = T(p) u_{j-1} - p^(k-1) u_{j-2}, u_0 = 2 Id,
-    u_1 = T(p); the result is the trace of u_i and is always rational.
-    """
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    d = dim_S(k)
-    if d == 0:
-        return Fraction(0)
-    tp = hecke_T(k, p)
-    pk = Fraction(p) ** (k - 1)
-    prev = [[Fraction(2 if a == b else 0) for b in range(d)] for a in range(d)]
-    cur = [row[:] for row in tp]
-    for _ in range(i - 1):
-        nxt = [
-            [
-                sum(tp[a][c] * cur[c][b] for c in range(d)) - pk * prev[a][b]
-                for b in range(d)
-            ]
-            for a in range(d)
-        ]
-        prev, cur = cur, nxt
-    return mat_trace(cur)
-
-
 # ---------------------------------------------------------------------------
 # completed L-function values
 

@@ -109,7 +109,10 @@ def quartic_factors() -> dict[tuple[int, int], list[list]]:
         for i in range(5):
             a, b = int(r[f"a{i}"]), int(r[f"b{i}"])
             if disc == 0:
-                assert b == 0
+                if b != 0:
+                    raise ValueError(
+                        f"rational quartic factor on S_{{{jk[0]},{jk[1]}}} has b{i} = {b}"
+                    )
                 coeffs.append(Fraction(a))
             else:
                 coeffs.append(QuadElem(disc, a, b))

@@ -184,7 +184,6 @@ def eigen_records(
     dim_sjk: int,
     p_max: int,
     sources: tuple[str, ...] = ("census", "published_table"),
-    census_primes: tuple[int, ...] = CENSUS_PRIMES,
 ) -> dict[int, list[EigenRecord]]:
     """Available lambda(p) records for p <= p_max, keyed by p.  A key maps
     to several records only for the published quartic factors (candidate
@@ -198,7 +197,7 @@ def eigen_records(
         if (
             "census" in sources
             and dim_sjk == 1
-            and p in census_primes
+            and p in CENSUS_PRIMES
             and j >= 2
             and k >= 4
         ):
@@ -332,7 +331,8 @@ def verify_reference_row(p_max: int = 37) -> bool:
     f22 = eigenforms(22)[0]
     for p, ap in a22.items():
         if p < f22.prec:
-            assert f22.ap(p) == ap, f"published a({p}) disagrees with the basis"
+            if f22.ap(p) != ap:
+                raise EigenvalueMismatch(f"published a({p}) disagrees with the basis")
     return bool(res.verdict) and len(res.entries) == sum(
         1 for p in a22 if p <= p_max
     )

@@ -562,7 +562,8 @@ def sk_spin_factor(a_p, k: int, p: int):
     factor = EulerFactor(c, p, w)
     lam_p = a_p + Fraction(p) ** (k - 1) + Fraction(p) ** (k - 2)
     lam_psq = lam_p ** 2 - c[2] - Fraction(p) ** (w - 1)
-    assert c[1] == -lam_p and c[3] == -lam_p * Fraction(p) ** w
+    if c[1] != -lam_p or c[3] != -lam_p * Fraction(p) ** w:
+        raise ValueError(f"spin factor coefficients disagree with lambda({p}) = {lam_p}")
     return factor, lam_p, lam_psq
 
 
@@ -659,5 +660,6 @@ def newton_slopes(factor: EulerFactor, p: int) -> list[Fraction]:
         s = Fraction(y2 - y1, x2 - x1)
         slopes.extend([s] * (x2 - x1))
     total = sum(slopes)
-    assert total == hull[-1][1] - hull[0][1]
+    if total != hull[-1][1] - hull[0][1]:
+        raise ValueError(f"slopes sum to {total}, not the polygon's rise")
     return slopes

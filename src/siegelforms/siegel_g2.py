@@ -55,7 +55,8 @@ def reduce_form(n: int, r: int, m: int) -> tuple[int, int, int]:
             n, m = m, n
         if n == 0:
             # semi-definite with n = 0 forces r = 0
-            assert r == 0
+            if r != 0:
+                raise ValueError(f"reduction reached the indefinite form [0,{r},{m}]")
             return (0, 0, m)
         if r > n:
             t = (r + n) // (2 * n)  # shift x -> x - t y
@@ -81,12 +82,6 @@ class HalfIntegralMatrix:
     def content(self) -> int:
         return math.gcd(self.n, math.gcd(self.r, self.m))
 
-    def is_psd(self) -> bool:
-        return self.n >= 0 and self.m >= 0 and self.disc >= 0
-
-    def is_definite(self) -> bool:
-        return self.is_psd() and self.disc > 0
-
     def reduced(self) -> "HalfIntegralMatrix":
         return HalfIntegralMatrix(*reduce_form(self.n, self.r, self.m))
 
@@ -109,9 +104,6 @@ class SiegelCoeffTable:
         self.max_disc = max_disc
         self.sing_max = sing_max
         self.coeffs: dict[tuple[int, int, int], Fraction] = {}
-
-    def reduced_keys(self):
-        return sorted(self.coeffs, key=lambda k: (4 * k[0] * k[2] - k[1] ** 2, k))
 
     def covers(self, n: int, r: int, m: int) -> bool:
         d = 4 * n * m - r * r
@@ -237,9 +229,10 @@ def cohen_H(r: int, N: int) -> Fraction:
     s, c = squarefree_part(N)
     if (-s) % 4 == 1:
         D, f = -s, c
-    else:
-        assert c % 2 == 0
+    elif c % 2 == 0:
         D, f = -4 * s, c // 2
+    else:
+        raise ValueError(f"N = {N} = {s} * {c}^2 has no fundamental discriminant")
     lval = -gen_bernoulli(r, D) / r
     corr = sum(
         mobius(d) * kronecker(D, d) * d ** (r - 1) * sigma_div(2 * r - 1, f // d)
@@ -422,7 +415,8 @@ def fourier_jacobi(F: SiegelCoeffTable, m: int = 1) -> JacobiFormQ:
             key = (D, r % (2 * m))
             val = F.get(n, r, m)
             if key in coeffs:
-                assert coeffs[key] == val, f"coefficient class {key} inconsistent"
+                if coeffs[key] != val:
+                    raise ValueError(f"coefficient class {key} inconsistent")
             else:
                 coeffs[key] = val
         if row_done and 4 * m * n > F.max_disc:
@@ -451,7 +445,8 @@ def V_l(phi: JacobiFormQ, l: int) -> JacobiFormQ:
                 total += a ** (k - 1) * phi.c(n * l // (a * a), r // a)
             key = (D, r % (2 * l))
             if key in coeffs:
-                assert coeffs[key] == total, "V_l output not class-invariant"
+                if coeffs[key] != total:
+                    raise ValueError("V_l output not class-invariant")
             else:
                 coeffs[key] = total
     return JacobiFormQ(k, l, coeffs)

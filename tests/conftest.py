@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,3 +22,26 @@ def golden_cache(tmp_path):
     set_cache_dir(cache)
     yield cache
     set_cache_dir(None)
+
+
+@pytest.fixture
+def run_optimized():
+    """Runs a script under python -O, where assert statements are stripped,
+    with this checkout's src/ first on the path; returns the finished
+    process.  The script exits at once if asserts are still on."""
+
+    def run(script: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        guard = 'if __debug__:\n    raise SystemExit("not running under -O")\n'
+        return subprocess.run(
+            [sys.executable, "-O", "-c", guard + script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    return run

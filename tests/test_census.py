@@ -1,8 +1,5 @@
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,11 +123,17 @@ def test_sigma_integral():
 
 
 def test_sigma_hecke_closure():
+    # Eichler-Selberg: sigma_{w-2}(q) - 1 is the trace of Frob_q on S[w],
+    # tr T(p) over F_p and tr T(p)^2 - 2 d p^(w-1) over F_{p^2}
     for p in (2, 3, 5, 7, 11, 13):
         for w in range(12, 28, 2):
+            d = dim_S(w)
+            tp = hecke_T(w, p)
+            tr2 = sum(tp[i][m] * tp[m][i] for i in range(d) for m in range(d))
             lhs = sigma_weighted(w - 2, p) - 1
-            rhs = mat_trace(hecke_T(w, p)) if dim_S(w) else Fraction(0)
-            assert lhs == rhs, (p, w)
+            assert lhs == mat_trace(tp), (p, w)
+            lhs = sigma_weighted(w - 2, p * p) - 1
+            assert lhs == tr2 - 2 * d * Fraction(p) ** (w - 1), (p * p, w)
 
 
 def test_cheb_second_kind():
@@ -511,12 +514,10 @@ def test_char_sums_under_affine_substitution(data):
     assert s2[1] == s2[0]
 
 
-def test_invariants_survive_optimized_mode():
+def test_invariants_survive_optimized_mode(run_optimized):
     # the mass check raises under python -O, and the CLI exits 1 on it
-    script = """
+    proc = run_optimized("""
 from siegelforms import census, cli
-if __debug__:
-    raise SystemExit("not running under -O")
 bad = census.G2Census(3, {(0, 0): 1}, group_order=48, model_count=1)
 try:
     census._validate_g2(bad)
@@ -528,13 +529,6 @@ def broken(q):
     census._validate_g2(bad)
 census.g2_census = broken
 raise SystemExit(cli.main(["census", "--genus", "2", "--q", "3"]))
-"""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+""")
     assert proc.returncode == 1, proc.stderr
     assert "total genus-2 mass must be q^3" in proc.stderr

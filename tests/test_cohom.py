@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelforms import census, cohom
+from siegelforms import census, cohom, g1_modforms
 from siegelforms.census import cheb_second_kind
 from siegelforms.cohom import (
     DimNotOne,
@@ -17,11 +17,12 @@ from siegelforms.cohom import (
     eis_correction,
     endo_correction,
     lambda_psq,
+    motive_trace,
     sp_char,
     trace_T_Sjk,
 )
-from siegelforms.g1_modforms import dim_S, hecke_T, mat_trace, motive_trace
-from siegelforms.g2data import cusp_dims_jk, dim_S_jk, s68_table
+from siegelforms.g1_modforms import dim_S, hecke_T, mat_trace
+from siegelforms.g2data import cusp_dims_jk, dim_S_jk, published_lambdas, s68_table
 
 
 def test_local_system_index():
@@ -182,6 +183,21 @@ def test_endo_correction_examples():
         assert endo_correction(19, 9, p) == -2 * tau_p * p ** 10
     with pytest.raises(NotRegular):
         endo_correction(5, 5, 3)
+
+
+def test_traces_never_build_a_basis(golden_cache, monkeypatch):
+    # the genus-1 traces in both corrections come from the elliptic census
+    def no_basis(*args):
+        raise AssertionError("a trace built a q-expansion basis")
+
+    monkeypatch.setattr(g1_modforms, "basis_S", no_basis)
+    tables = published_lambdas()
+    # S[k] feeds both corrections on S_{28,4}, the endoscopic one on
+    # S_{18,5} and the Eisenstein one on S_{8,8} and S_{12,6}
+    for p in (11, 13):
+        for jk in ((4, 10), (18, 5), (28, 4), (8, 8), (12, 6)):
+            assert trace_T_Sjk(*jk, p).result == tables[jk][p], (jk, p)
+    assert lambda_psq(6, 8, 3) == s68_table()[3][1]
 
 
 def test_trace_examples():

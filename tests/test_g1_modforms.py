@@ -1,13 +1,10 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+from siegelforms.cohom import motive_trace
 from siegelforms.exact_arith import QuadElem, primes_upto
 from siegelforms.g1_modforms import (
     DimTooLarge,
@@ -26,7 +23,6 @@ from siegelforms.g1_modforms import (
     lambda_value_at,
     lambda_values,
     mat_trace,
-    motive_trace,
 )
 
 
@@ -240,13 +236,11 @@ def test_eigenform_json():
     assert js["a_p"]["2"] == {"disc": 144169, "a": "540", "b": "12"}
 
 
-def test_form_invariants_survive_optimized_mode():
+def test_form_invariants_survive_optimized_mode(run_optimized):
     # each basis and eigenform check raises FormInvariantError under python -O
-    script = """
+    proc = run_optimized("""
 from fractions import Fraction
 from siegelforms import g1_modforms as g1
-if __debug__:
-    raise SystemExit("not running under -O")
 def fails(compute):
     try:
         compute()
@@ -265,15 +259,7 @@ fails(lambda: g1.eigenforms(24))
 g1.char_poly_2x2 = lambda mat: (Fraction(1), Fraction(-1))  # disc 5
 g1.squarefree_part = lambda n: (n, 2)
 fails(lambda: g1.eigenforms(24))
-"""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+""")
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert proc.stdout.splitlines() == [
         "rank 1 != dim 2 at k=24",

@@ -226,3 +226,34 @@ def test_require_full_coverage():
     partial = check_congruence(12, 7, 24, 73, p_max=37)
     with pytest.raises(MissingEigenvalue):
         require_full_coverage(partial)
+
+
+def test_reference_checks_survive_optimized_mode(run_optimized):
+    # a tampered published a(p), and a rational quartic factor with an
+    # irrational part in the CSV, are rejected under python -O too
+    proc = run_optimized("""
+from siegelforms import g2data, harder
+real_a22 = harder.published_a22()
+harder.published_a22 = lambda: {**real_a22, 2: real_a22[2] + 1}
+try:
+    harder.verify_reference_row()
+except harder.EigenvalueMismatch as exc:
+    print(exc)
+real_csv = g2data._read_csv
+def tampered(name):
+    rows = real_csv(name)
+    if name == "quartic_factors.csv":
+        rows[0]["b1"] = "1"
+    return rows
+g2data._read_csv = tampered
+g2data.quartic_factors.cache_clear()
+try:
+    g2data.quartic_factors()
+except ValueError as exc:
+    print(exc)
+""")
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.splitlines() == [
+        "published a(2) disagrees with the basis",
+        "rational quartic factor on S_{18,7} has b1 = 1",
+    ]

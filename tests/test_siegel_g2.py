@@ -285,3 +285,20 @@ def test_chi10_diagonal_z2_leading_data():
         return sum(r * r * c10.get(n, r, m) for r in range(-b - 1, b + 2) if r * r <= 4 * n * m)
     assert z2(1, 1) == 2
     assert z2(1, 2) == z2(2, 1) == -48  # 2 * (-24): tau(2) scale, symmetric
+
+
+def test_fourier_jacobi_consistency_survives_optimized_mode(run_optimized):
+    # a table whose values are not class functions is rejected under -O too
+    proc = run_optimized("""
+from fractions import Fraction
+from siegelforms import siegel_g2
+class Skewed(siegel_g2.SiegelCoeffTable):
+    def get(self, n, r, m):
+        return Fraction(r)  # [1, -2, 1] and [0, 0, 1] are one class
+try:
+    siegel_g2.fourier_jacobi(Skewed(10, 4, 1))
+except ValueError as exc:
+    print(exc)
+""")
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.splitlines() == ["coefficient class (0, 0) inconsistent"]

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -61,6 +61,8 @@ def _require(ok, message: str) -> None:
 
 
 _cache_dir: Path | None = None
+# every census read or computed since the last set_cache_dir, by (kind, q)
+_censuses: dict[tuple[str, int], EllCensus | G2Census] = {}
 
 
 def set_cache_dir(path: str | os.PathLike | None) -> None:
@@ -70,8 +72,7 @@ def set_cache_dir(path: str | os.PathLike | None) -> None:
     _cache_dir = Path(path) if path is not None else None
     if _cache_dir is not None:
         _cache_dir.mkdir(parents=True, exist_ok=True)
-    for memo in _MEMOIZED:
-        memo.cache_clear()
+    _censuses.clear()
 
 
 def _field(q: int) -> Fq:
@@ -180,6 +181,9 @@ class EllCensus:
     counts: dict[int, int]  # Frobenius trace -> number of models
     group_order: int
     model_count: int
+    # tables derived from counts (cohom's moment tables; on G2Census too),
+    # kept as long as the census is; dataclasses.replace starts them empty
+    _moment_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def masses(self) -> dict[int, Fraction]:
@@ -201,6 +205,7 @@ class G2Census:
     counts: dict[tuple[int, int], int]
     group_order: int
     model_count: int
+    _moment_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def masses(self) -> dict[tuple[int, int], Fraction]:
@@ -300,7 +305,6 @@ def _ell_census_compute(q: int) -> EllCensus:
     return _ell_monic(q)
 
 
-@lru_cache(maxsize=None)
 def ell_census(q: int) -> EllCensus:
     """Elliptic census over F_q, read from the cache directory or computed
     and written there."""
@@ -502,15 +506,10 @@ def _validate_g2(census: G2Census) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def g2_census(q: int) -> G2Census:
     """Genus-2 census over F_q, read from the cache directory or computed
     (resuming from checkpoints) and written there."""
     return _cached("g2", q, _g2_census_compute)
-
-
-# set_cache_dir clears these; held here, as the names may be rebound to wrappers
-_MEMOIZED = (ell_census, g2_census)
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +684,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _cached(kind: str, q: int, compute):
-    census = _load_cache(kind, q)
+    census = _censuses.get((kind, q))
     if census is None:
-        census = compute(q)
-        _save_cache(kind, q, census)
+        census = _load_cache(kind, q)
+        if census is None:
+            census = compute(q)
+            _save_cache(kind, q, census)
+        # threads that raced here all go on with the first census stored
+        census = _censuses.setdefault((kind, q), census)
     return census
 
 

@@ -104,10 +104,13 @@ def cmd_igusa(args) -> int:
 
 
 def cmd_g1(args) -> int:
+    from .exact_arith import is_prime
     from .g1_modforms import congruence_prime_scan, critical_ratios, dim_S, eigenforms, hecke_T
 
     r = args.weight
-    if args.hecke:
+    if args.hecke is not None:
+        if not is_prime(args.hecke):
+            raise ConfigError(f"--hecke {args.hecke} is not a prime")
         mat = hecke_T(r, args.hecke)
         _emit(args, {"weight": r, "p": args.hecke, "matrix": [[str(x) for x in row] for row in mat]})
         return 0
@@ -132,6 +135,7 @@ def cmd_g1(args) -> int:
 
 
 def cmd_satake(args) -> int:
+    from .exact_arith import is_prime
     from .hecke_satake import ALL_IDENTITIES, newton_slopes, spin_factor, verify_identity
 
     if args.verify_all:
@@ -140,6 +144,8 @@ def cmd_satake(args) -> int:
         return 0 if all(results.values()) else 1
     if args.spin:
         j, k, p, lam, lam2 = args.spin
+        if not is_prime(p):
+            raise ConfigError(f"--spin P = {p} is not a prime")
         factor = spin_factor(j, k, lam, lam2, p)
         payload = factor.to_json()
         if args.slopes:
@@ -150,6 +156,7 @@ def cmd_satake(args) -> int:
 
 
 def cmd_harder(args) -> int:
+    from .g1_modforms import dim_S
     from .harder import check_congruence, run_table
 
     if args.all:
@@ -167,6 +174,8 @@ def cmd_harder(args) -> int:
         return 0 if ok else 1
     if args.row:
         r, j, k, ell = args.row
+        if dim_S(r) not in (1, 2):
+            raise ConfigError(f"--row R = {r}: dim S_{r} = {dim_S(r)}, the rows need 1 or 2")
         res = check_congruence(j, k, r, ell, args.pmax)
         _emit(args, res.to_json(), cite="published congruence verification")
         if res.untestable:
@@ -210,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("g1", help="elliptic modular form data", parents=[common])
     g.add_argument("--weight", type=int, required=True)
-    g.add_argument("--hecke", type=int, default=0, help="print the T(p) matrix")
+    g.add_argument("--hecke", type=int, help="print the T(p) matrix")
     g.add_argument("--ratios", action="store_true")
     g.add_argument("--congruence-primes", action="store_true", dest="congruence_primes")
     g.set_defaults(func=cmd_g1)
@@ -241,13 +250,15 @@ def main(argv: list[str] | None = None) -> int:
 
             set_cache_dir(cache_dir)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - map domain errors to exit codes
         from .census import CacheError, FieldTooLarge
-        from .cohom import MissingCensus
+        from .cohom import DimNotOne, MissingCensus, NotRegular
+        from .g1_modforms import DimTooLarge
 
+        # an input outside the domain of the computation it asks for
+        if isinstance(exc, (ConfigError, NotRegular, DimNotOne, DimTooLarge)):
+            print(f"config error: {exc}", file=sys.stderr)
+            return 3
         if isinstance(exc, (FieldTooLarge, MissingCensus, CacheError)):
             print(f"census unavailable: {exc}", file=sys.stderr)
             return 2

@@ -12,10 +12,11 @@ terms (a, b, c) of _schar_terms(l, m, q), with p_n = a1^n + a2^n the power
 sums of the Frobenius pair (and p_0 read as 1).  A sector's weighted sum
 over its classes is therefore sum c M[b][a-b], where the moment
 M[b][n] = sum w e^b p_n of the sector does not depend on (l, m).
-ec_full_A2 reads each sector from such a table, built once per census
-object and extended by whole antidiagonals 2b + n when a larger weight
-needs them; sp_char stays as the per-class oracle the tables are tested
-against.
+ec_full_A2 reads each sector from such a table, held by the census object
+it was built from; a weight the table does not reach rebuilds it whole at
+twice its degree (or at the degree needed, if more), so rising weights
+cost O(log degree) builds.  sp_char stays as the per-class oracle the
+tables are tested against.
 
 Subtracting the rank-boundary (Eisenstein) part and the conjectural
 endoscopic part converts that Euler characteristic into the trace of T(p)
@@ -29,7 +30,6 @@ the conjectured one; reports carry that flag.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -136,61 +136,42 @@ def _require_censuses(q: int):
         raise MissingCensus(str(exc)) from exc
 
 
-class _Moments:
-    """M[b][n] = sum over classes (t1, e) of weight w of w e^b p_n(t1, e),
-    p_0 read as 1, for every 2b + n <= degree; rows[b] holds M[b][.]."""
-
-    def __init__(self, classes: dict[tuple[int, int], int]):
-        # grouped by e: the O(degree^2) update runs once per distinct e
-        self.by_e: dict[int, list[tuple[int, int]]] = {}
-        for (t1, e), w in classes.items():
-            self.by_e.setdefault(e, []).append((t1, w))
-        self.rows: list[list[int]] = []
-        self.degree = -1
-
-    def extend(self, degree: int) -> None:
-        """Add the antidiagonals 2b + n = self.degree + 1 .. degree."""
-        old = self.degree
-        if degree <= old:
-            return
-        rows = self.rows
-        for b, row in enumerate(rows):
-            row.extend([0] * (degree - 2 * b + 1 - len(row)))
-        while 2 * len(rows) <= degree:
-            rows.append([0] * (degree - 2 * len(rows) + 1))
-        for e, members in self.by_e.items():
-            # s[n] = sum over the classes with this e of w p_n(t1, e)
-            s = [0] * (degree + 1)
-            for t1, w in members:
-                p_prev, p = 2, t1
-                s[0] += w
-                for n in range(1, degree + 1):
-                    s[n] += w * p
-                    p_prev, p = p, t1 * p - e * p_prev
-            eb = 1
-            for b, row in enumerate(rows):
-                lo = max(0, old + 1 - 2 * b)
-                row[lo:] = [x + eb * y for x, y in zip(row[lo:], s[lo:])]
-                eb *= e
-        self.degree = degree
-
-
-# one table per (sector, census object); an entry leaves with its census,
-# so a recomputed or reloaded census starts a fresh table
-_MOMENTS: dict[tuple, tuple[weakref.ref, _Moments]] = {}
+def _moments(classes: dict[tuple[int, int], int], degree: int) -> list[list[int]]:
+    """rows[b][n] = sum over classes (t1, e) of weight w of w e^b p_n(t1, e),
+    p_0 read as 1, for every 2b + n <= degree."""
+    # grouped by e: the O(degree^2) update runs once per distinct e
+    by_e: dict[int, list[tuple[int, int]]] = {}
+    for (t1, e), w in classes.items():
+        by_e.setdefault(e, []).append((t1, w))
+    rows = [[0] * (degree - 2 * b + 1) for b in range(degree // 2 + 1)]
+    for e, members in by_e.items():
+        # s[n] = sum over the classes with this e of w p_n(t1, e)
+        s = [0] * (degree + 1)
+        for t1, w in members:
+            p_prev, p = 2, t1
+            s[0] += w
+            for n in range(1, degree + 1):
+                s[n] += w * p
+                p_prev, p = p, t1 * p - e * p_prev
+        eb = 1
+        for row in rows:
+            row[:] = [x + eb * y for x, y in zip(row, s)]
+            eb *= e
+    return rows
 
 
 def _sector_sum(classes, census, terms) -> int:
     """sum of w sp_char over the {(t1, e): w} = classes(census) of one
-    sector, read from that sector's moment table."""
-    key = (classes, id(census))
-    entry = _MOMENTS.get(key)
-    if entry is None or entry[0]() is not census:
-        owner = weakref.ref(census, lambda _, key=key: _MOMENTS.pop(key, None))
-        entry = _MOMENTS[key] = (owner, _Moments(classes(census)))
-    table = entry[1]
-    table.extend(max((a + b for a, b, _ in terms), default=0))
-    rows = table.rows
+    sector, read from that sector's moment table on the census."""
+    need = max((a + b for a, b, _ in terms), default=0)
+    tables = census._moment_tables
+    built = tables.get(classes)
+    if built is None or built[0] < need:
+        # replaced whole, never grown in place: threads sharing the census
+        # only ever read whole tables
+        degree = max(need, 2 * built[0]) if built else need
+        built = tables[classes] = (degree, _moments(classes(census), degree))
+    rows = built[1]
     return sum(c * rows[b][a - b] for a, b, c in terms)
 
 

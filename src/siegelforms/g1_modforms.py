@@ -299,7 +299,7 @@ def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
         f = basis[0]
         ap = {p: f[p] for p in ps}
         return [EigenformG1(k, 1, "plus", list(f.coeffs), ap)]
-    t, det = char_poly_2x2(hecke_T(k, 2))
+    t, det = char_poly_2x2(hecke_T(k, 2, prec))  # on the basis already built
     disc = t * t - 4 * det
     if disc <= 0:
         raise FormInvariantError("T(2) must have real distinct eigenvalues")

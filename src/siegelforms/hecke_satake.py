@@ -16,6 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .exact_arith import is_prime
 from .g1_modforms import dim_S
 
 
@@ -627,7 +628,9 @@ def eigen_from_params(params: SatakeParams):
 
 def newton_slopes(factor: EulerFactor, p: int) -> list[Fraction]:
     """Slopes (with multiplicity) of the lower Newton polygon of the factor
-    at p; integer coefficients required."""
+    at p; p prime and integer coefficients required."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     coeffs = []
     for c in factor.coeffs:
         c = Fraction(c)

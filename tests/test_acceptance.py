@@ -15,6 +15,7 @@ from siegelforms.census import (
     _g2_census_compute,
     ell_census,
     g2_census,
+    set_cache_dir,
     sigma_weighted,
 )
 from siegelforms.cohom import ec_full_A2, lambda_psq, trace_T_Sjk, sp_char
@@ -60,7 +61,7 @@ def report(num: int, took: float, detail: str) -> None:
 
 
 def test_criterion_01_elliptic_census():
-    ell_census.cache_clear()
+    set_cache_dir(None)
     t0 = time.time()
     for q in (2, 3, 4, 5, 7, 9, 11, 13, 25, 49):
         assert ell_census(q).mass_sum() == q
@@ -91,7 +92,7 @@ def test_criterion_02_sigma_table_and_closure():
 
 
 def test_criterion_03_genus2_eigenvalues():
-    g2_census.cache_clear()
+    set_cache_dir(None)
     t0 = time.time()
     expected = {
         (6, 8): (-27000, 2843100, -107822000),

@@ -267,24 +267,20 @@ def test_g2_census_vs_reference_points():
 def test_cache_round_trip(tmp_path):
     set_cache_dir(tmp_path)
     try:
-        ell_census.cache_clear()
-        g2_census.cache_clear()
         a = g2_census(3)
         files = list(tmp_path.glob("g2_q3_*.json"))
         assert len(files) == 1
         payload = json.loads(files[0].read_text())
         assert payload["version"] == CACHE_VERSION
         assert payload["kind"] == "g2"
-        g2_census.cache_clear()
+        set_cache_dir(tmp_path)
         b = g2_census(3)  # now read from disk
         assert a.counts == b.counts and a.masses == b.masses
         e1 = ell_census(5)
-        ell_census.cache_clear()
+        set_cache_dir(tmp_path)
         assert ell_census(5).masses == e1.masses
     finally:
         set_cache_dir(None)
-        ell_census.cache_clear()
-        g2_census.cache_clear()
 
 
 def test_g2_checkpoint_resume(tmp_path, monkeypatch):
@@ -445,8 +441,6 @@ def test_fresh_censuses_reproduce_golden_cache(tmp_path):
         for q in qs
     }
     set_cache_dir(tmp_path)
-    ell_census.cache_clear()
-    g2_census.cache_clear()
     try:
         for q in (11, 13):
             g2_census(q)
@@ -456,8 +450,6 @@ def test_fresh_censuses_reproduce_golden_cache(tmp_path):
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
     finally:
         set_cache_dir(None)
-        ell_census.cache_clear()
-        g2_census.cache_clear()
 
 
 def _monic_form(q, d, index):

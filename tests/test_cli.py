@@ -121,6 +121,30 @@ def test_trace_T_Sjk_rejects_non_prime():
         trace_T_Sjk(6, 8, 9)
 
 
+@pytest.mark.parametrize("p", ["1", "4", "0"])
+def test_satake_spin_rejects_non_prime(capsys, p):
+    code, out, err = run(capsys, "satake", "--spin", "6", "8", p, "0", "-57344", "--slopes")
+    assert code == 3
+    assert "not a prime" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--j", "1", "--k", "8", "--p", "3"),  # outside the regular range
+        ("trace", "--j", "2", "--k", "10", "--p", "3", "--psq"),  # dim S_{2,10} = 0
+        ("g1", "--weight", "12", "--hecke", "4"),  # T(m) needs a prime m
+        ("g1", "--weight", "12", "--hecke", "0"),
+        ("g1", "--weight", "36", "--ratios"),  # dim S_36 = 3
+        ("harder", "--row", "13", "4", "10", "41"),  # dim S_13 = 0
+    ],
+)
+def test_invalid_option_value_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("config error: ") and out == ""
+
+
 def test_g1_zero_space_exit_code(capsys):
     code, _, err = run(capsys, "g1", "--weight", "13")
     assert code == 3
@@ -160,11 +184,10 @@ def test_corrupt_cache_exit_code(tmp_path, capsys):
 def test_cache_dir_flag(tmp_path, capsys):
     from siegelforms import census
 
-    census.ell_census.cache_clear()  # force the disk layer to be exercised
+    census.set_cache_dir(None)  # force the disk layer to be exercised
     try:
         code, _, _ = run(capsys, "--cache-dir", str(tmp_path), "census", "--genus", "1", "--q", "5")
         assert code == 0
         assert list(tmp_path.glob("ell_q5_*.json"))
     finally:
         census.set_cache_dir(None)
-        census.ell_census.cache_clear()

@@ -2,6 +2,8 @@ import cmath
 import dataclasses
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -143,17 +145,71 @@ def test_moment_tables_follow_the_census_objects(golden_cache, monkeypatch):
     q = 11
     jac, prod = ec_full_A2(11, 5, q)
     golden = census.g2_census(q)
-    forgetters = [lambda: census.set_cache_dir(golden_cache), census.g2_census.cache_clear]
     # a census with other counts replaces the golden one; the tables must follow
-    for factor, forget in zip((2, 3), forgetters):
+    for factor in (2, 3):
         scaled = dataclasses.replace(
             golden, counts={key: factor * c for key, c in golden.counts.items()}
         )
         (golden_cache / "g2_q11_v1.json").unlink()
         monkeypatch.setattr(census, "_g2_census_compute", lambda _q, c=scaled: c)
-        forget()
+        census.set_cache_dir(golden_cache)
         assert census.g2_census(q) is scaled
         assert ec_full_A2(11, 5, q) == (factor * jac, prod), factor
+
+
+def test_moment_tables_are_safe_to_share_across_threads(golden_cache, monkeypatch):
+    q = 13
+    # rising weights make every thread outgrow the tables the others read
+    pairs = sorted(
+        ((l, m) for l in range(0, 48, 3) for m in range(0, l + 1, 7)), key=sum
+    )
+    censuses = cohom._require_censuses(q)
+    want = [ec_full_A2(l, m, q) for l, m in pairs]
+    fresh = tuple(dataclasses.replace(c) for c in censuses)
+    monkeypatch.setattr(cohom, "_require_censuses", lambda _q: fresh)
+    got, errors = {}, []
+
+    def run(i):
+        try:
+            got[i] = [ec_full_A2(l, m, q) for l, m in pairs]
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [got[i] == want for i in range(3)] == [True] * 3
+
+
+def test_rising_weights_rebuild_tables_log_many_times(golden_cache, monkeypatch):
+    g2c, e1, e2 = (dataclasses.replace(c) for c in cohom._require_censuses(13))
+    builds = []
+    moments = cohom._moments
+    monkeypatch.setattr(
+        cohom, "_moments", lambda classes, degree: builds.append(degree) or moments(classes, degree)
+    )
+    for classes, c in (
+        (cohom._jacobians, g2c),
+        (cohom._untwisted_products, e1),
+        (cohom._twisted_products, e2),
+    ):
+        direct = moments(classes(c), 52)
+        builds.clear()
+        for degree in range(53):
+            # one term per row b on the antidiagonal 2b + n = degree
+            terms = tuple((degree - b, b, 1) for b in range(degree // 2 + 1))
+            want = sum(direct[b][degree - 2 * b] for b in range(degree // 2 + 1))
+            assert cohom._sector_sum(classes, c, terms) == want, (classes, degree)
+        assert len(builds) <= 8, (classes, builds)  # ceil(log2(52)) + 2
 
 
 def test_trivial_system_counts_moduli_points():

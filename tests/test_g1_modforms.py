@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from siegelforms import g1_modforms
 from siegelforms.cohom import motive_trace
 from siegelforms.exact_arith import QuadElem, primes_upto
 from siegelforms.g1_modforms import (
@@ -102,6 +103,19 @@ def test_eigenforms_dim2_field():
     assert fp.embedding_choice == "plus"
     with pytest.raises(DimTooLarge):
         eigenforms(36)
+
+
+def test_eigenforms_build_one_basis(monkeypatch):
+    # hecke_T(k, 2) on a two-dimensional space reads the basis eigenforms holds
+    keys = []
+    basis = g1_modforms.basis_S
+    monkeypatch.setattr(
+        g1_modforms, "basis_S", lambda k, prec=40: keys.append((k, prec)) or basis(k, prec)
+    )
+    for k, prec in ((18, 128), (24, 128), (28, 140)):
+        keys.clear()
+        eigenforms(k, prec)
+        assert set(keys) == {(k, prec)}, k
 
 
 def test_hecke_multiplicativity():

@@ -150,6 +150,9 @@ def test_newton_slopes_trivial():
         newton_slopes(EulerFactor([Fraction(0), Fraction(1)], 5, 1), 5)
     with pytest.raises(ValueError):
         newton_slopes(EulerFactor([Fraction(1, 2), Fraction(1)], 5, 1), 5)
+    for p in (1, 4, 0):
+        with pytest.raises(ValueError, match="not a prime"):
+            newton_slopes(f, p)
 
 
 def test_standard_factor_eisenstein():

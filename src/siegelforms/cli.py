@@ -80,6 +80,8 @@ def cmd_trace(args) -> int:
 def cmd_igusa(args) -> int:
     from .siegel_g2 import chi10, chi12, eisenstein_g2
 
+    if args.max_disc < 0:
+        raise ConfigError(f"--max-disc {args.max_disc} is negative")
     # products of the tables reach the singular classes [0,0,c] with
     # c <= (max_disc + 1) // 4
     size = (args.max_disc, max(8, (args.max_disc + 1) // 4))

@@ -148,20 +148,31 @@ def gen_bernoulli(r: int, D: int) -> Fraction:
     """Generalized Bernoulli number B_{r,chi_D} for a fundamental discriminant D.
 
     B_{r,chi} = |D|^(r-1) sum_{a mod |D|} chi_D(a) B_r(a/|D|); realizes
-    L(1-r, chi_D) = -B_{r,chi_D}/r.  For D = 1 this reduces to B_r with
-    B_1 = -1/2 (the a = 0 term carries the trivial character).
+    L(1-r, chi_D) = -B_{r,chi_D}/r.  For D = 1 this is B_r with B_1 = -1/2.
+    Expanding B_r(x) = sum_k C(r,k) B_k x^(r-k) gives
+    B_{r,chi} = sum_k C(r,k) B_k m^(k-1) S_{r-k} with the integer power
+    sums S_j = sum_{a < m} chi_D(a) a^j, m = |D|.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
+    if D == 1:
+        return bernoulli(r)
     m = abs(D)
-    total = Fraction(0)
-    for a in range(m):
-        chi = kronecker(D, a) if m > 1 else 1
+    sums = [0] * (r + 1)
+    for a in range(1, m):
+        chi = kronecker(D, a)
         if chi:
-            total += chi * bernoulli_poly(r, Fraction(a, m))
-    return m ** (r - 1) * total
+            power = chi
+            for j in range(r + 1):
+                sums[j] += power
+                power *= a
+    return sum(
+        (math.comb(r, k) * bernoulli(k) * Fraction(m) ** (k - 1) * sums[r - k]
+         for k in range(r + 1)),
+        Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------

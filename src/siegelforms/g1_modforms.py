@@ -4,6 +4,10 @@ Everything is built from the Eisenstein generators e4, e6 and the
 discriminant cusp form; Hecke operators act on an echelonized monomial
 basis of the cusp space.  Critical values of completed L-functions are
 evaluated with the incomplete-gamma series and rationalized.
+
+Coefficients are Fractions, but a product is convolved in integers: each
+factor is written as integer numerators over the lcm of its denominators,
+so the only Fractions built are the output coefficients n / (da * db).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import mpmath as mp
 
@@ -92,22 +97,19 @@ class QExpansion:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         prec = min(self.prec, other.prec)
-        out = [Fraction(0)] * prec
-        for i in range(min(self.prec, prec)):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(min(other.prec, prec - i)):
-                out[i + j] += a * other.coeffs[j]
-        return QExpansion(self.weight + other.weight, out)
+        na, da = _integral(self.coeffs[:prec])
+        nb, db = _integral(other.coeffs[:prec])
+        rb = nb[::-1]  # rb[prec - 1 - n:] is nb[n], nb[n - 1], ..., nb[0]
+        d = da * db
+        return QExpansion(
+            self.weight + other.weight,
+            [Fraction(sum(map(mul, na, rb[prec - 1 - n:])), d) for n in range(prec)],
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QExpansion":
-        out = QExpansion(0, [Fraction(1)], self.prec)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _powers(self, n)[n]
 
     def scale(self, c) -> "QExpansion":
         c = Fraction(c)
@@ -119,6 +121,12 @@ class QExpansion:
     def __repr__(self):
         head = ", ".join(rat_str(c) for c in self.coeffs[:6])
         return f"QExpansion(weight={self.weight}, prec={self.prec}, [{head}...])"
+
+
+def _integral(coeffs: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm d of the denominators: c = n / d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def eisenstein_e(k: int, prec: int) -> QExpansion:
@@ -139,6 +147,14 @@ def delta(prec: int) -> QExpansion:
     return (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728))
 
 
+def _powers(f: QExpansion, n: int) -> list[QExpansion]:
+    """[f^0, f^1, ..., f^n] (at least through f^1)."""
+    out = [QExpansion(0, [1], f.prec), f]
+    while len(out) <= n:
+        out.append(out[-1] * f)
+    return out
+
+
 def dim_M(k: int) -> int:
     if k < 0 or k % 2 != 0:
         return 0
@@ -155,25 +171,28 @@ def dim_S(k: int) -> int:
 def basis_S(k: int, prec: int = 40) -> tuple[QExpansion, ...]:
     """Echelonized basis of S_k(Gamma_1) from monomials Delta^c e4^a e6^b.
 
-    Monomial order is lexicographic in (c, a, b); dependent monomials are
-    pruned during row reduction, leaving forms with a(n) = delta_{n,i} for
-    n <= dim.
+    One monomial per c >= 1 with 4a + 6b = k - 12c and b <= 1; their
+    leading terms q^c make them a basis, and row reduction turns it into
+    the unique one with a(n) = delta_{n,i} for n <= dim.  Each power of
+    Delta, e4 and e6 is computed once, on a ladder shared by the monomials.
     """
     if k % 2 != 0:
         return ()
     mons = []
     for c in range(1, k // 12 + 1):
         rem = k - 12 * c
-        for a in range(rem // 4 + 1):
-            if (rem - 4 * a) % 6 == 0:
-                mons.append((c, a, (rem - 4 * a) // 6))
-    mons.sort()
+        b = rem % 4 // 2  # e6 carries the weight 2 mod 4
+        if rem >= 6 * b:
+            mons.append((c, (rem - 6 * b) // 4, b))
     if not mons:
         return ()
-    e4 = eisenstein_e(4, prec)
+    dl = _powers(delta(prec), mons[-1][0])
+    e4 = _powers(eisenstein_e(4, prec), max(a for _, a, _ in mons))
     e6 = eisenstein_e(6, prec)
-    dl = delta(prec)
-    rows = [(dl ** c * e4 ** a * e6 ** b).coeffs for (c, a, b) in mons]
+    rows = []
+    for c, a, b in mons:
+        f = dl[c] * e4[a]
+        rows.append((f * e6 if b else f).coeffs)
     # Gauss-Jordan; pivots march through q^1, q^2, ...
     pivots = []
     r = 0

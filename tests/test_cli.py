@@ -64,6 +64,10 @@ def test_igusa_table(capsys):
     assert code == 0
     payload = json.loads(out)
     assert [1, 0, 1, "30240"] in payload["coeffs"]
+    # max_disc 0 keeps only the singular classes [0,0,c], c <= 8
+    code, out, _ = run(capsys, "igusa", "--form", "E4", "--max-disc", "0", "--json")
+    assert code == 0
+    assert [row[:3] for row in json.loads(out)["coeffs"]] == [[0, 0, c] for c in range(9)]
 
 
 def test_harder_row(capsys):
@@ -137,6 +141,7 @@ def test_satake_spin_rejects_non_prime(capsys, p):
         ("g1", "--weight", "12", "--hecke", "0"),
         ("g1", "--weight", "36", "--ratios"),  # dim S_36 = 3
         ("harder", "--row", "13", "4", "10", "41"),  # dim S_13 = 0
+        ("igusa", "--form", "E4", "--max-disc", "-3"),
     ],
 )
 def test_invalid_option_value_exit_code(capsys, argv):

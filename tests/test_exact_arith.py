@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from siegelforms.exact_arith import (
     rational_reconstruct,
     squarefree_part,
 )
+from siegelforms.siegel_g2 import chi10, chi12
 
 
 def bernoulli_oracle(n):
@@ -61,6 +64,34 @@ def test_gen_bernoulli_direct_sum_oracle():
     oracle_m4 = 16 * (b3_poly(Fraction(1, 4)) - b3_poly(Fraction(3, 4)))
     assert gen_bernoulli(3, -4) == oracle_m4 == Fraction(3, 2)
     assert gen_bernoulli(1, 1) == Fraction(-1, 2)
+
+
+def test_gen_bernoulli_matches_residue_sum():
+    # the power-sum form against m^(r-1) sum_a chi(a) B_r(a/m), a mod m
+    discs = [D for D in range(-100, 101) if is_fundamental_discriminant(D)]
+    assert 1 in discs and len(discs) == 62
+    for D in discs:
+        m = abs(D)
+        chi = [kronecker(D, a) if m > 1 else 1 for a in range(m)]
+        for r in range(1, 13):
+            oracle = m ** (r - 1) * sum(
+                (c * bernoulli_poly(r, Fraction(a, m)) for a, c in enumerate(chi) if c),
+                Fraction(0),
+            )
+            assert gen_bernoulli(r, D) == oracle, (r, D)
+
+
+def test_gen_bernoulli_feeds_frozen_siegel_tables():
+    # chi10 and chi12 get their Eisenstein coefficients from Cohen's
+    # function, i.e. from gen_bernoulli; digests of the tables at
+    # max_disc 100 as the residue-sum implementation computed them
+    frozen = {
+        chi10: "d90be16bb30cb9ad3f72ee7d1a1fd948c460861d32ec741e4add744f01ee3c38",
+        chi12: "b6e0999dfa98fdf65780d0787523b8f02fabee60718bcf7791d25e218cca094b",
+    }
+    for form, digest in frozen.items():
+        rows = json.dumps(form(100, 25).to_json_rows(), separators=(",", ":"))
+        assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
 
 def test_gen_bernoulli_rejects_non_fundamental():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelforms import g1_modforms
 from siegelforms.cohom import motive_trace
@@ -55,6 +57,37 @@ def test_qexpansion_truncation_bookkeeping():
     assert (a + eisenstein_e(4, 7)).prec == 5
     with pytest.raises(ValueError):
         _ = a + b
+
+
+def naive_product(a, b):
+    prec = min(len(a), len(b))
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)) for n in range(prec)]
+
+
+rationals = st.fractions(min_value=-60, max_value=60, max_denominator=30)
+series = st.one_of(
+    st.tuples(st.integers(0, 5), st.lists(rationals, max_size=14)).map(
+        lambda t: [Fraction(0)] * t[0] + t[1]  # leading zeros
+    ),
+    st.integers(0, 12).map(lambda n: [Fraction(0)] * n),  # the zero series
+)
+
+
+@given(series, series, st.integers(0, 30), st.integers(0, 30))
+@settings(max_examples=150)
+def test_product_matches_naive_convolution(a, b, wa, wb):
+    got = QExpansion(wa, a) * QExpansion(wb, b)
+    assert got.weight == wa + wb
+    assert got.coeffs == naive_product(a, b)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_basis_is_integral_and_truncates():
+    # the echelonized (Miller) basis of S_k has integer coefficients
+    for k in range(61):
+        assert all(c.denominator == 1 for f in basis_S(k, 60) for c in f.coeffs), k
+    top = basis_S(36, 128)
+    assert tuple(QExpansion(36, f.coeffs[:50]) for f in top) == basis_S(36, 50)
 
 
 def test_dims_match_computed_basis():

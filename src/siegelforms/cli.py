@@ -82,6 +82,8 @@ def cmd_igusa(args) -> int:
 
     if args.max_disc < 0:
         raise ConfigError(f"--max-disc {args.max_disc} is negative")
+    if args.form in ("chi10", "chi12") and args.max_disc < 3:
+        raise ConfigError(f"--max-disc {args.max_disc}: {args.form} is normalized by a([1,1,1]) of disc 3")
     # products of the tables reach the singular classes [0,0,c] with
     # c <= (max_disc + 1) // 4
     size = (args.max_disc, max(8, (args.max_disc + 1) // 4))
@@ -158,6 +160,7 @@ def cmd_satake(args) -> int:
 
 
 def cmd_harder(args) -> int:
+    from .exact_arith import is_prime
     from .g1_modforms import dim_S
     from .harder import check_congruence, run_table
 
@@ -178,6 +181,8 @@ def cmd_harder(args) -> int:
         r, j, k, ell = args.row
         if dim_S(r) not in (1, 2):
             raise ConfigError(f"--row R = {r}: dim S_{r} = {dim_S(r)}, the rows need 1 or 2")
+        if not is_prime(ell):
+            raise ConfigError(f"--row L = {ell} is not a prime")
         res = check_congruence(j, k, r, ell, args.pmax)
         _emit(args, res.to_json(), cite="published congruence verification")
         if res.untestable:
@@ -255,10 +260,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - map domain errors to exit codes
         from .census import CacheError, FieldTooLarge
         from .cohom import DimNotOne, MissingCensus, NotRegular
-        from .g1_modforms import DimTooLarge
+        from .g1_modforms import DimTooLarge, PrecisionLoss
 
         # an input outside the domain of the computation it asks for
-        if isinstance(exc, (ConfigError, NotRegular, DimNotOne, DimTooLarge)):
+        if isinstance(exc, (ConfigError, NotRegular, DimNotOne, DimTooLarge, PrecisionLoss)):
             print(f"config error: {exc}", file=sys.stderr)
             return 3
         if isinstance(exc, (FieldTooLarge, MissingCensus, CacheError)):

@@ -329,8 +329,12 @@ def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
         raise FormInvariantError(f"{disc} != {D} * ({s})^2")
     out = []
     for tag, sign in (("plus", 1), ("minus", -1)):
-        lam2 = QuadElem(D, t / 2, sign * s / 2)
-        coeffs = [basis[0][n] + lam2 * basis[1][n] for n in range(prec)]
+        # basis[0] + lam2 basis[1] with lam2 = (t + sign s sqrt(D)) / 2
+        half_t, half_s = t / 2, sign * s / 2
+        coeffs = [
+            QuadElem(D, b0 + half_t * b1, half_s * b1)
+            for b0, b1 in zip(basis[0].coeffs, basis[1].coeffs)
+        ]
         ap = {p: coeffs[p] for p in ps}
         out.append(EigenformG1(k, D, tag, coeffs, ap))
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohom import trace_T_Sjk
-from .exact_arith import QuadElem, primes_upto
+from .exact_arith import QuadElem, is_prime, primes_upto
 from .g1_modforms import dim_S, eigenforms
 from .g2data import congruence_rows, published_a22, published_lambdas, quartic_factors
 
@@ -261,6 +261,8 @@ def check_congruence(
     For quadratic a(p) or lambda(p) the test is ell | Norm(lambda - a - c)
     with the norm taken in the composite field via resultants.
     """
+    if not is_prime(ell):
+        raise ValueError(f"ell = {ell} is not a prime")
     if dim_S(r) not in (1, 2):
         raise ValueError(f"dim S_{r} = {dim_S(r)} out of supported range")
     if dim_sjk is None:

@@ -1,9 +1,9 @@
 """Symbolic local Hecke algebra for genus 1 and 2 over a formal prime.
 
-Spherical images live in the Laurent ring Q(P)[u_i^+-, v_i^+-]; keeping the
-prime formal means the algebra identities are proved as rational-function
-identities rather than checked prime by prime.  Numeric Satake parameters
-substitute at the end.
+Spherical images live in the Laurent ring Q[P^+-, u_i^+-, v_i^+-], with the
+prime P one more variable; keeping it formal means the algebra identities
+are proved as polynomial identities rather than checked prime by prime.
+Numeric Satake parameters, and P = p, substitute at the end.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 import numpy as np
 
@@ -21,100 +22,28 @@ from .g1_modforms import dim_S
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in the formal prime P
-
-
-class LaurentP:
-    """Laurent polynomial in P with rational coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[int, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[e] = c
-
-    @staticmethod
-    def const(c) -> "LaurentP":
-        return LaurentP({0: Fraction(c)})
-
-    @staticmethod
-    def power(e: int, c=1) -> "LaurentP":
-        return LaurentP({e: Fraction(c)})
-
-    def __add__(self, other):
-        other = other if isinstance(other, LaurentP) else LaurentP.const(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentP(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentP({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = other if isinstance(other, LaurentP) else LaurentP.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = other if isinstance(other, LaurentP) else LaurentP.const(other)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentP(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = other if isinstance(other, LaurentP) else LaurentP.const(other)
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def subs(self, p: int) -> Fraction:
-        return sum((c * Fraction(p) ** e for e, c in self.terms.items()), Fraction(0))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*P^{e}" for e, c in sorted(self.terms.items()))
-
-
-# ---------------------------------------------------------------------------
 # elements of the Hecke algebra image
 
 
 class SatakeElement:
-    """Laurent polynomial in u_1..u_g, v_1..v_g over Q(P).
+    """Laurent polynomial in P, u_1..u_g, v_1..v_g over Q.
 
-    Monomial keys are exponent tuples (a_1..a_g, d_1..d_g).  All elements
-    arising as spherical images satisfy a_i + d_i = c independent of i (the
-    similitude exponent), which is what makes numeric substitution by
-    Satake parameters (alpha_0, alpha_i) well defined.
+    Monomial keys are exponent tuples (a_1..a_g, d_1..d_g, e), e the power
+    of the formal prime P.  All elements arising as spherical images satisfy
+    a_i + d_i = c independent of i (the similitude exponent), which is what
+    makes numeric substitution by Satake parameters (alpha_0, alpha_i) well
+    defined.
     """
 
     __slots__ = ("g", "terms")
 
     def __init__(self, g: int, terms=None):
         self.g = g
-        self.terms: dict[tuple, LaurentP] = {}
+        self.terms: dict[tuple, Fraction] = {}
         if terms:
             for k, c in terms.items():
-                if not isinstance(c, LaurentP):
-                    c = LaurentP.const(c)
                 if c:
-                    self.terms[k] = c
+                    self.terms[k] = Fraction(c)
 
     @staticmethod
     def zero(g: int) -> "SatakeElement":
@@ -122,36 +51,29 @@ class SatakeElement:
 
     @staticmethod
     def one(g: int) -> "SatakeElement":
-        return SatakeElement(g, {(0,) * (2 * g): LaurentP.const(1)})
+        return SatakeElement.prime_power(g, 0)
+
+    @staticmethod
+    def prime_power(g: int, e: int, c=1) -> "SatakeElement":
+        """The constant c P^e."""
+        return SatakeElement(g, {(0,) * (2 * g) + (e,): c})
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
+            out[k] = out.get(k, 0) + c
         return SatakeElement(self.g, out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + SatakeElement(self.g, {k: -c for k, c in other.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentP)):
-            return self.scale(other)
-        out: dict[tuple, LaurentP] = {}
+        out: dict[tuple, Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                c = c1 * c2
-                s = out.get(k)
-                out[k] = c if s is None else s + c
+                k = tuple(map(add, k1, k2))
+                out[k] = out.get(k, 0) + c1 * c2
         return SatakeElement(self.g, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "SatakeElement":
-        if not isinstance(c, LaurentP):
-            c = LaurentP.const(c)
-        return SatakeElement(self.g, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "SatakeElement":
         out = SatakeElement.one(self.g)
@@ -170,24 +92,21 @@ class SatakeElement:
     # action on Satake parameters (alpha_0 -> alpha_0 alpha_i,
     # alpha_i -> 1/alpha_i).
 
+    def _swapped(self, *pairs) -> "SatakeElement":
+        """The element with the key positions of each pair exchanged."""
+        order = list(range(2 * self.g + 1))
+        for i, j in pairs:
+            order[i], order[j] = order[j], order[i]
+        return SatakeElement(
+            self.g, {tuple(k[s] for s in order): c for k, c in self.terms.items()}
+        )
+
     def weyl_swap(self, i: int) -> "SatakeElement":
-        g = self.g
-        out = {}
-        for k, c in self.terms.items():
-            kk = list(k)
-            kk[i], kk[g + i] = kk[g + i], kk[i]
-            out[tuple(kk)] = c
-        return SatakeElement(g, out)
+        return self._swapped((i, self.g + i))
 
     def weyl_transpose(self, i: int, j: int) -> "SatakeElement":
         g = self.g
-        out = {}
-        for k, c in self.terms.items():
-            kk = list(k)
-            kk[i], kk[j] = kk[j], kk[i]
-            kk[g + i], kk[g + j] = kk[g + j], kk[g + i]
-            out[tuple(kk)] = c
-        return SatakeElement(g, out)
+        return self._swapped((i, j), (g + i, g + j))
 
     def is_weyl_invariant(self) -> bool:
         for i in range(self.g):
@@ -199,7 +118,8 @@ class SatakeElement:
         return True
 
     def substitute(self, alpha0, alphas, p: int):
-        """Value at Satake parameters: u_i/v_i -> alpha_i, v_1..v_g -> alpha_0."""
+        """Value at P = p and the Satake parameters: u_i/v_i -> alpha_i,
+        v_1..v_g -> alpha_0."""
         g = self.g
         total = 0
         for k, c in self.terms.items():
@@ -207,7 +127,7 @@ class SatakeElement:
             if len(cs) != 1:
                 raise ValueError("monomial has inconsistent similitude exponent")
             c0 = cs.pop()
-            val = c.subs(p) * alpha0 ** c0
+            val = c * Fraction(p) ** k[-1] * alpha0 ** c0
             for i in range(g):
                 val = val * alphas[i] ** k[i]
             total = total + val
@@ -217,20 +137,16 @@ class SatakeElement:
         return f"SatakeElement(g={self.g}, {len(self.terms)} terms)"
 
 
+def _uv_key(g: int, S) -> tuple:
+    """Key of the monomial prod_{i in S} u_i prod_{i not in S} v_i."""
+    return tuple(int(i in S) for i in range(g)) + tuple(int(i not in S) for i in range(g)) + (0,)
+
+
 def phi(g: int, i: int) -> SatakeElement:
     """Image (v_1..v_g) sigma_i(u_1/v_1, ..., u_g/v_g)."""
     if not 0 <= i <= g:
         raise ValueError("need 0 <= i <= g")
-    terms = {}
-    for S in combinations(range(g), i):
-        k = [0] * (2 * g)
-        for idx in range(g):
-            if idx in S:
-                k[idx] = 1
-            else:
-                k[g + idx] = 1
-        terms[tuple(k)] = LaurentP.const(1)
-    return SatakeElement(g, terms)
+    return SatakeElement(g, {_uv_key(g, S): 1 for S in combinations(range(g), i)})
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +195,9 @@ def _rank_mod_p(A: np.ndarray, p: int) -> int:
     return rank
 
 
-def _m_poly(h: int, i: int) -> LaurentP:
-    """m_h(i) as a polynomial in the formal prime (h <= 2)."""
+def _m_poly(h: int, i: int) -> dict[int, int]:
+    """m_h(i) as a polynomial in the formal prime, {exponent: coefficient}
+    (h <= 2)."""
     table = {
         (0, 0): {0: 1},
         (1, 0): {1: 1, 0: -1},
@@ -289,9 +206,7 @@ def _m_poly(h: int, i: int) -> LaurentP:
         (2, 1): {2: 1, 0: -1},
         (2, 2): {0: 1},
     }
-    if (h, i) not in table:
-        return LaurentP()
-    return LaurentP({e: Fraction(c) for e, c in table[(h, i)].items()})
+    return table.get((h, i), {})
 
 
 @lru_cache(maxsize=None)
@@ -319,16 +234,22 @@ def satake_T0_extension(g: int) -> SatakeElement:
 def _satake_Ti_formula(g: int, i: int) -> SatakeElement:
     out = SatakeElement.zero(g)
     for j in range(g + 1):
-        for k in range(g + 1):
-            if j + i > k:
-                continue
+        for k in range(j + i, g + 1):
             h = k - j
-            mpoly = _m_poly(h, i)
-            if not mpoly:
-                continue
-            coeff = mpoly * LaurentP.power(-math.comb(h + 1, 2))
-            out = out + (phi(g, j) * phi(g, k)).scale(coeff)
+            for e, c in _m_poly(h, i).items():
+                coeff = SatakeElement.prime_power(g, e - math.comb(h + 1, 2), c)
+                out = out + phi(g, j) * phi(g, k) * coeff
     return out
+
+
+def _square_tail(g: int) -> SatakeElement:
+    """T(p)^2 - T_0(p^2): the T_i(p^2), i >= 1, times their classical
+    degree coefficients P + 1 and P^3 + P^2 + P + 1."""
+    P = SatakeElement.prime_power
+    tail = satake_Ti(g, 1) * (P(g, 1) + P(g, 0))
+    if g == 2:
+        tail = tail + satake_Ti(2, 2) * (P(2, 3) + P(2, 2) + P(2, 1) + P(2, 0))
+    return tail
 
 
 @lru_cache(maxsize=None)
@@ -342,15 +263,7 @@ def satake_Ti(g: int, i: int) -> SatakeElement:
         raise ValueError("need 0 <= i <= g")
     if i > 0:
         return _satake_Ti_formula(g, i)
-    P = LaurentP.power
-    sq = satake_Tp(g) * satake_Tp(g)
-    if g == 1:
-        return sq - satake_Ti(1, 1).scale(P(1) + P(0))
-    return (
-        sq
-        - satake_Ti(2, 1).scale(P(1) + P(0))
-        - satake_Ti(2, 2).scale(P(3) + P(2) + P(1) + P(0))
-    )
+    return satake_Tp(g) * satake_Tp(g) - _square_tail(g)
 
 
 def satake_Tpsq(g: int) -> SatakeElement:
@@ -369,17 +282,9 @@ def _quartic_phi0_coeffs() -> list[SatakeElement]:
     """Coefficients (X^0..X^4) of prod over subsets I of {1,2} of
     (X - prod_{i in I} u_i prod_{i not in I} v_i), for g = 2."""
     g = 2
-    roots = []
-    for S in ((), (0,), (1,), (0, 1)):
-        k = [0] * 4
-        for idx in range(2):
-            if idx in S:
-                k[idx] = 1
-            else:
-                k[2 + idx] = 1
-        roots.append(SatakeElement(g, {tuple(k): LaurentP.const(1)}))
     coeffs = [SatakeElement.one(g)]  # polynomial 1, lowest degree first
-    for r in roots:
+    for S in ((), (0,), (1,), (0, 1)):
+        r = SatakeElement(g, {_uv_key(g, S): 1})
         new = [SatakeElement.zero(g) for _ in range(len(coeffs) + 1)]
         for d, c in enumerate(coeffs):
             new[d + 1] = new[d + 1] + c
@@ -395,13 +300,14 @@ def _hecke_quartic_images() -> list[SatakeElement]:
     T = satake_Tp(g)
     T1 = satake_Ti(g, 1)
     T2 = satake_Ti(g, 2)
-    P = LaurentP.power
-    c0 = (T2 * T2).scale(P(6))
-    c1 = (T * T2).scale(P(3, -1))
-    c2 = T1.scale(P(1)) + T2.scale(P(3) + P(1))
-    c3 = T.scale(-1)
-    c4 = SatakeElement.one(g)
-    return [c0, c1, c2, c3, c4]
+    P = SatakeElement.prime_power
+    return [
+        T2 * T2 * P(g, 6),
+        T * T2 * P(g, 3, -1),
+        T1 * P(g, 1) + T2 * (P(g, 3) + P(g, 1)),
+        T * P(g, 0, -1),
+        SatakeElement.one(g),
+    ]
 
 
 def _hecke_quartic_rewritten() -> list[SatakeElement]:
@@ -409,44 +315,29 @@ def _hecke_quartic_rewritten() -> list[SatakeElement]:
     T(p^2)."""
     g = 2
     T = satake_Tp(g)
-    T2 = satake_Ti(g, 2)
-    Tsq = satake_Tpsq(g)
-    P = LaurentP.power
-    c0 = (T2 * T2).scale(P(6))
-    c1 = (T * T2).scale(P(3, -1))
-    c2 = T * T - Tsq - T2.scale(P(2))
-    c3 = T.scale(-1)
-    c4 = SatakeElement.one(g)
-    return [c0, c1, c2, c3, c4]
+    c = _hecke_quartic_images()
+    c[2] = T * T - satake_Tpsq(g) - satake_Ti(g, 2) * SatakeElement.prime_power(g, 2)
+    return c
 
 
 def verify_identity(name: str) -> bool:
     """Check one of the genus-2 Hecke-algebra identities as an exact
-    rational-function identity over Q(P)."""
+    Laurent-polynomial identity in the formal prime P."""
     g = 2
     if name == "square_relation":
-        P = LaurentP.power
         # at g = 1 the relation is independently checkable: the printed
         # T_0(p^2) image comes from the corank-count formula
-        lhs1 = satake_Tp(1) * satake_Tp(1)
-        rhs1 = satake_T0_extension(1) + satake_Ti(1, 1).scale(P(1) + P(0))
-        if lhs1 != rhs1:
+        if satake_Tp(1) * satake_Tp(1) != satake_T0_extension(1) + _square_tail(1):
             return False
         # at g = 2 the relation pins the T_0(p^2) image; check that the
         # pinned image has the structure of a double-coset image
         t0 = satake_Ti(2, 0)
         if not t0.is_weyl_invariant():
             return False
-        lead = t0.terms.get((0, 0, 2, 2))
-        if lead != LaurentP.const(1):
+        # the v_1^2 v_2^2 coefficient, as a polynomial in P, is exactly 1
+        if {k[-1]: c for k, c in t0.terms.items() if k[:-1] == (0, 0, 2, 2)} != {0: 1}:
             return False
-        lhs = satake_Tp(g) * satake_Tp(g)
-        rhs = (
-            t0
-            + satake_Ti(g, 1).scale(P(1) + P(0))
-            + satake_Ti(g, 2).scale(P(3) + P(2) + P(1) + P(0))
-        )
-        return lhs == rhs
+        return satake_Tp(g) * satake_Tp(g) == t0 + _square_tail(g)
     if name == "quartic_phi0":
         prod_coeffs = _quartic_phi0_coeffs()
         if prod_coeffs != _hecke_quartic_images():
@@ -467,7 +358,7 @@ def verify_identity(name: str) -> bool:
         a1, a2 = c[3], c[2]
         # inverse power series to order 2: 1 - a1 z + (a1^2 - a2) z^2
         inv2 = a1 * a1 - a2
-        z2 = inv2 - satake_Ti(g, 2).scale(LaurentP.power(2))
+        z2 = inv2 - satake_Ti(g, 2) * SatakeElement.prime_power(g, 2)
         return z2 == satake_Tpsq(g)
     raise ValueError(f"unknown identity {name!r}")
 

@@ -142,6 +142,11 @@ def test_satake_spin_rejects_non_prime(capsys, p):
         ("g1", "--weight", "36", "--ratios"),  # dim S_36 = 3
         ("harder", "--row", "13", "4", "10", "41"),  # dim S_13 = 0
         ("igusa", "--form", "E4", "--max-disc", "-3"),
+        ("harder", "--row", "22", "4", "10", "0"),  # L must be a prime
+        ("harder", "--row", "22", "4", "10", "1"),
+        ("igusa", "--form", "chi10", "--max-disc", "0"),  # a([1,1,1]) has disc 3
+        ("igusa", "--form", "chi12", "--max-disc", "2"),
+        ("g1", "--weight", "12", "--ratios", "--precision-bits", "20000"),  # beyond the stored coefficients
     ],
 )
 def test_invalid_option_value_exit_code(capsys, argv):

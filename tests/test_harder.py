@@ -139,6 +139,12 @@ def test_check_congruence_wrong_modulus():
     assert res.verdict is False
 
 
+@pytest.mark.parametrize("ell", [0, 1, 4])
+def test_check_congruence_rejects_non_prime_modulus(ell):
+    with pytest.raises(ValueError, match="not a prime"):
+        check_congruence(4, 10, 22, ell, p_max=37)
+
+
 def test_check_congruence_next_prime_flips():
     # non-vacuity: for each verified census row, the next prime above ell
     # fails at some p <= 7

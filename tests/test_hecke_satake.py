@@ -6,7 +6,7 @@ from siegelforms.exact_arith import QuadElem
 from siegelforms.hecke_satake import (
     ALL_IDENTITIES,
     EulerFactor,
-    LaurentP,
+    SatakeElement,
     SatakeParams,
     eigen_from_params,
     m_count,
@@ -33,13 +33,13 @@ def test_all_identities():
 
 
 def test_printed_images_g2():
-    P = LaurentP.power
-    assert satake_Ti(2, 2) == (phi(2, 0) * phi(2, 2)).scale(P(-3))
+    P = SatakeElement.prime_power
+    assert satake_Ti(2, 2) == phi(2, 0) * phi(2, 2) * P(2, -3)
     t1 = satake_Ti(2, 1)
     expect = (
-        (phi(2, 0) * phi(2, 1)).scale(P(-1))
-        + (phi(2, 0) * phi(2, 2)).scale(LaurentP({-1: 1, -3: -1}))
-        + (phi(2, 1) * phi(2, 2)).scale(P(-1))
+        phi(2, 0) * phi(2, 1) * P(2, -1)
+        + phi(2, 0) * phi(2, 2) * (P(2, -1) + P(2, -3, -1))
+        + phi(2, 1) * phi(2, 2) * P(2, -1)
     )
     assert t1 == expect
     assert satake_Tp(2) == phi(2, 0) + phi(2, 1) + phi(2, 2)
@@ -47,7 +47,8 @@ def test_printed_images_g2():
 
 def test_printed_image_g1_T0():
     p0, p1 = phi(1, 0), phi(1, 1)
-    printed = p0 * p0 + (p0 * p1).scale(LaurentP({0: 1, -1: -1})) + p1 * p1
+    P = SatakeElement.prime_power
+    printed = p0 * p0 + p0 * p1 * (P(1, 0) + P(1, -1, -1)) + p1 * p1
     assert satake_Ti(1, 0) == printed
     # the corank-count formula extended to i = 0 matches at genus 1 ...
     assert satake_T0_extension(1) == printed
@@ -66,7 +67,7 @@ def test_weyl_invariance_of_images():
         for el in [satake_Tp(g)] + [satake_Ti(g, i) for i in range(g + 1)]:
             assert el.is_weyl_invariant()
     # a non-invariant element for contrast
-    assert not phi(2, 1).weyl_swap(0).__eq__(phi(2, 1)) or True
+    assert phi(2, 1).weyl_swap(0) != phi(2, 1)
     u1v2 = phi(2, 0) * phi(2, 1)
     assert u1v2.is_weyl_invariant() is False
 
@@ -83,7 +84,7 @@ def test_m_count_brute_force():
             total = sum(m_count(h, i, p) for i in range(h + 1))
             assert total == p ** (h * (h + 1) // 2)
             for i in range(h + 1):
-                assert m_count(h, i, p) == _m_poly(h, i).subs(p)
+                assert m_count(h, i, p) == sum(c * p ** e for e, c in _m_poly(h, i).items())
     # h = 3 supported by brute force; sanity: counts partition the space
     assert sum(m_count(3, i, 3) for i in range(4)) == 3 ** 6
 

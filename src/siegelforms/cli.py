@@ -19,6 +19,13 @@ class ConfigError(Exception):
     pass
 
 
+def _check_jk(option: str, j: int, k: int) -> None:
+    # S_{j,k}(Gamma_2) = 0 for odd j, since -1_4 acts on it by (-1)^j, and
+    # the motivic weight w = j + 2k - 3 must be positive
+    if j < 0 or j % 2 or j + 2 * k - 3 < 1:
+        raise ConfigError(f"{option} (J, K) = ({j}, {k}): need even J >= 0 and J + 2K - 3 >= 1")
+
+
 def _emit(args, payload: dict, cite: str | None = None) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -84,8 +91,9 @@ def cmd_igusa(args) -> int:
         raise ConfigError(f"--max-disc {args.max_disc} is negative")
     if args.form in ("chi10", "chi12") and args.max_disc < 3:
         raise ConfigError(f"--max-disc {args.max_disc}: {args.form} is normalized by a([1,1,1]) of disc 3")
-    # products of the tables reach the singular classes [0,0,c] with
-    # c <= (max_disc + 1) // 4
+    # the singular classes [0,0,c] are stored up to c = max(8, (max_disc + 1) // 4),
+    # the c a product of two tables of this max_disc reaches; the rule fixes
+    # which rows --json prints
     size = (args.max_disc, max(8, (args.max_disc + 1) // 4))
     builders = {
         "E4": lambda: eisenstein_g2(4, *size),
@@ -150,6 +158,7 @@ def cmd_satake(args) -> int:
         j, k, p, lam, lam2 = args.spin
         if not is_prime(p):
             raise ConfigError(f"--spin P = {p} is not a prime")
+        _check_jk("--spin", j, k)
         factor = spin_factor(j, k, lam, lam2, p)
         payload = factor.to_json()
         if args.slopes:
@@ -164,6 +173,8 @@ def cmd_harder(args) -> int:
     from .g1_modforms import dim_S
     from .harder import check_congruence, run_table
 
+    if args.pmax < 2:
+        raise ConfigError(f"--pmax {args.pmax} is below the smallest prime")
     if args.all:
         results = run_table(args.pmax)
         payload = {"results": [r.to_json() for r in results]}
@@ -183,6 +194,7 @@ def cmd_harder(args) -> int:
             raise ConfigError(f"--row R = {r}: dim S_{r} = {dim_S(r)}, the rows need 1 or 2")
         if not is_prime(ell):
             raise ConfigError(f"--row L = {ell} is not a prime")
+        _check_jk("--row", j, k)
         res = check_congruence(j, k, r, ell, args.pmax)
         _emit(args, res.to_json(), cite="published congruence verification")
         if res.untestable:

@@ -183,7 +183,6 @@ def eigen_records(
     k: int,
     dim_sjk: int,
     p_max: int,
-    sources: tuple[str, ...] = ("census", "published_table"),
 ) -> dict[int, list[EigenRecord]]:
     """Available lambda(p) records for p <= p_max, keyed by p.  A key maps
     to several records only for the published quartic factors (candidate
@@ -194,16 +193,10 @@ def eigen_records(
     for p in primes_upto(p_max):
         recs: list[EigenRecord] = []
         census_val = None
-        if (
-            "census" in sources
-            and dim_sjk == 1
-            and p in CENSUS_PRIMES
-            and j >= 2
-            and k >= 4
-        ):
+        if dim_sjk == 1 and p in CENSUS_PRIMES and j >= 2 and k >= 4:
             census_val = _census_lambda(j, k, p)
             recs.append(EigenRecord(j, k, p, census_val, "census"))
-        if "published_table" in sources and p in table:
+        if p in table:
             tab_val = Fraction(table[p])
             if census_val is not None and tab_val != census_val:
                 raise EigenvalueMismatch(
@@ -212,7 +205,7 @@ def eigen_records(
                 )
             if census_val is None:
                 recs.append(EigenRecord(j, k, p, tab_val, "published_table"))
-        if "published_table" in sources and p == 2 and quartics and not recs:
+        if p == 2 and quartics and not recs:
             seen = set()
             for factor in quartics:
                 lam = -factor[1] if isinstance(factor[1], QuadElem) else Fraction(-factor[1])
@@ -252,7 +245,6 @@ def check_congruence(
     r: int,
     ell: int,
     p_max: int = 37,
-    sources: tuple[str, ...] = ("census", "published_table"),
     dim_sjk: int | None = None,
 ) -> CongruenceResult:
     """Test lambda(p) = p^(k-2) + a(p) + p^(j+k-1) mod ell for every prime
@@ -268,7 +260,7 @@ def check_congruence(
     if dim_sjk is None:
         dim_sjk = _resolve_dim_sjk(j, k, r)
     f = eigenforms(r)[0]
-    records = eigen_records(j, k, dim_sjk, p_max, sources)
+    records = eigen_records(j, k, dim_sjk, p_max)
     result = CongruenceResult(r, j, k, ell)
     result.missing = [p for p in primes_upto(p_max) if p not in records]
     if not records:
@@ -295,10 +287,7 @@ def check_congruence(
     return result
 
 
-def run_table(
-    p_max: int = 37,
-    sources: tuple[str, ...] = ("census", "published_table"),
-) -> list[CongruenceResult]:
+def run_table(p_max: int = 37) -> list[CongruenceResult]:
     """One CongruenceResult per bundled table row with a listed congruence
     prime; rows with no reachable eigenvalue data come back untestable."""
     results = []
@@ -306,10 +295,7 @@ def run_table(
         if not row.primes:
             continue
         for ell in row.primes:
-            res = check_congruence(
-                row.j, row.k, row.r, ell, p_max, sources, dim_sjk=row.dim_sjk
-            )
-            results.append(res)
+            results.append(check_congruence(row.j, row.k, row.r, ell, p_max, dim_sjk=row.dim_sjk))
     results.sort(key=lambda res: (res.r, res.j, res.k, res.ell))
     return results
 

@@ -322,7 +322,15 @@ def _hecke_quartic_rewritten() -> list[SatakeElement]:
 
 def verify_identity(name: str) -> bool:
     """Check one of the genus-2 Hecke-algebra identities as an exact
-    Laurent-polynomial identity in the formal prime P."""
+    Laurent-polynomial identity in the formal prime P.
+
+    The T_0(p^2) image is pinned by the square relation T(p)^2 = sum of the
+    T_i(p^2) with their degree coefficients, so "quartic_rewrite" and
+    "series_consistency" hold by construction for any T_1(p^2), T_2(p^2)
+    images, as does the last comparison of "square_relation" at g = 2.  A
+    wrong T_i(p^2) image shows up in "quartic_phi0", which compares with a
+    product over the Satake parameters, and in the structure checks of
+    "square_relation"."""
     g = 2
     if name == "square_relation":
         # at g = 1 the relation is independently checkable: the printed
@@ -423,8 +431,11 @@ def poly_mul(a: list, b: list) -> list:
 
 def spin_factor(j: int, k: int, lam_p, lam_psq, p: int) -> EulerFactor:
     """Degree-4 spin Euler factor of an eigenform of S_{j,k}, motivic
-    weight w = j + 2k - 3."""
+    weight w = j + 2k - 3.  Needs even j >= 0 (S_{j,k} = 0 for odd j) and
+    w >= 1."""
     w = j + 2 * k - 3
+    if j < 0 or j % 2 or w < 1:
+        raise ValueError(f"no spin factor on S_{{{j},{k}}}: need even j >= 0 and j + 2k - 3 >= 1")
     lam_p = Fraction(lam_p)
     lam_psq = Fraction(lam_psq)
     pw = Fraction(p) ** w

@@ -1,7 +1,9 @@
 """Exact genus-2 Fourier expansions for classical (scalar) Siegel modular
-forms: Eisenstein series through Cohen's function, the cusp forms of weight
-10 and 12, the Siegel operator, diagonal restriction, Fourier-Jacobi
-coefficients, and the Maass lift machinery.
+forms: Cohen's function, the Siegel operator, diagonal restriction,
+Fourier-Jacobi coefficients and the Maass lift.  The Eisenstein series E_k
+and the cusp forms chi_10 and chi_12 are all Maass lifts of index-1 Jacobi
+forms (Eichler-Zagier, The Theory of Jacobi Forms): E_k of the Jacobi
+Eisenstein series E_{k,1}, chi_k of E_{k-4} E_{4,1} - E_{k-6} E_{6,1}.
 
 Coefficients are indexed by half-integral matrices [n, r, m]; only one
 representative per GL(2, Z)-class is stored (reduced to 0 <= r <= n <= m)
@@ -214,7 +216,7 @@ def _reduced_classes(max_disc: int, sing_max: int) -> tuple[tuple[int, int, int]
 
 
 # ---------------------------------------------------------------------------
-# Cohen's function and the Eisenstein series
+# Cohen's function and the lifted forms
 
 
 def cohen_H(r: int, N: int) -> Fraction:
@@ -241,67 +243,55 @@ def cohen_H(r: int, N: int) -> Fraction:
     return lval * corr
 
 
+def _jacobi_eisenstein(k: int, max_D: int) -> JacobiFormQ:
+    """The index-1 Jacobi Eisenstein series E_{k,1}: c(D) = H(k-1, D) / H(k-1, 0)."""
+    h0 = cohen_H(k - 1, 0)
+    return JacobiFormQ(
+        k, 1, {(D, D % 2): cohen_H(k - 1, D) / h0 for D in range(max_D + 1) if D % 4 in (0, 3)}
+    )
+
+
 def eisenstein_g2(k: int, max_disc: int = 20, sing_max: int = 8) -> SiegelCoeffTable:
-    """Genus-2 Siegel Eisenstein series with constant term 1; nonzero
-    coefficients are 2/(zeta(1-k) zeta(3-2k)) sum_{d | (n,r,m)} d^(k-1)
-    H(k-1, 4 det N / d^2)."""
+    """Genus-2 Siegel Eisenstein series with constant term 1: 2/zeta(1-k)
+    times the Maass lift of E_{k,1}, so that the nonzero coefficients are
+    2/(zeta(1-k) zeta(3-2k)) sum_{d | (n,r,m)} d^(k-1) H(k-1, 4 det N / d^2)."""
     if k % 2 or k < 4:
         raise ValueError("weight must be even and >= 4")
-    const = 2 / (zeta_neg(k) * zeta_neg(2 * k - 2))
-    tab = SiegelCoeffTable(k, max_disc, sing_max)
-    for n, r, m in _reduced_classes(max_disc, sing_max):
-        if (n, r, m) == (0, 0, 0):
-            tab.coeffs[(n, r, m)] = Fraction(1)
-            continue
-        g = math.gcd(n, math.gcd(r, m))
-        disc = 4 * n * m - r * r
-        total = Fraction(0)
-        for d in divisors(g):
-            total += d ** (k - 1) * cohen_H(k - 1, disc // (d * d))
-        tab.coeffs[(n, r, m)] = const * total
-    return tab
+    return maass_lift(_jacobi_eisenstein(k, max_disc), max_disc, sing_max).scale(2 / zeta_neg(k))
 
 
-def _normalize_cusp(diff: SiegelCoeffTable) -> SiegelCoeffTable:
-    pivot = diff.get(1, 1, 1)
+def _lifted_cusp_form(k: int, max_disc: int, sing_max: int) -> SiegelCoeffTable:
+    """The Maass lift of E_{k-4} E_{4,1} - E_{k-6} E_{6,1}, scaled so that
+    a([1,1,1]) = 1.  The Jacobi form is cuspidal (c(0) = 1 - 1), and a
+    genus-1 factor f = sum a(i) q^i acts on index-1 coefficients as
+    c(D) -> sum_i a(i) c(D - 4i)."""
+    prec = max_disc // 4 + 1
+    f4, f6 = eisenstein_e(k - 4, prec), eisenstein_e(k - 6, prec)
+    e41, e61 = _jacobi_eisenstein(4, max_disc), _jacobi_eisenstein(6, max_disc)
+    coeffs = {
+        (D, s): sum(f4[i] * e41.c_D(D - 4 * i) - f6[i] * e61.c_D(D - 4 * i) for i in range(D // 4 + 1))
+        for D, s in e41.coeffs
+    }
+    lift = maass_lift(JacobiFormQ(k, 1, coeffs), max_disc, sing_max)
+    pivot = lift.get(1, 1, 1)
     if pivot == 0:
         raise DegenerateNormalization("a([1,1,1]) vanished")
-    return diff.scale(1 / pivot)
+    return lift.scale(1 / pivot)
 
 
 @lru_cache(maxsize=None)
 def chi10(max_disc: int = 20, sing_max: int = 8) -> SiegelCoeffTable:
-    """The weight-10 cusp form E4 E6 - E10, scaled so a([1,1,1]) = 1.
-
-    Cuspidality is automatic: Phi maps the difference to e4 e6 - e10 = 0
-    because M_10(Gamma_1) is one-dimensional.
-    """
-    e4 = eisenstein_g2(4, max_disc, sing_max)
-    e6 = eisenstein_g2(6, max_disc, sing_max)
-    return _normalize_cusp(e4 * e6 - eisenstein_g2(10, max_disc, sing_max))
+    """The weight-10 cusp form, the lift of E_6 E_{4,1} - E_4 E_{6,1},
+    scaled so a([1,1,1]) = 1."""
+    return _lifted_cusp_form(10, max_disc, sing_max)
 
 
 @lru_cache(maxsize=None)
 def chi12(max_disc: int = 20, sing_max: int = 8) -> SiegelCoeffTable:
-    """The weight-12 cusp form, scaled so a([1,1,1]) = 1.
-
-    M_12(Gamma_1) is two-dimensional, so E6^2 - E12 alone is not cuspidal;
-    the cusp form is the combination of E4^3, E6^2 and E12 killed by the
-    Siegel operator, with the two coefficients solved from the genus-1
-    images (the classical 441 E4^3 + 250 E6^2 - 691 E12 up to scale).
-    """
-    e4_1 = eisenstein_e(4, 3)
-    e6_1 = eisenstein_e(6, 3)
-    e12_1 = eisenstein_e(12, 3)
-    f1, f2 = e4_1 ** 3, e6_1 ** 2
-    # a f1 + b f2 = e12 at q^0 and q^1 kills the Siegel image of E12 - ...
-    det = f1[0] * f2[1] - f1[1] * f2[0]
-    a = (e12_1[0] * f2[1] - e12_1[1] * f2[0]) / det
-    b = (f1[0] * e12_1[1] - f1[1] * e12_1[0]) / det
-    e4 = eisenstein_g2(4, max_disc, sing_max)
-    e6 = eisenstein_g2(6, max_disc, sing_max)
-    comb = (e4 * e4 * e4).scale(a) + (e6 * e6).scale(b)
-    return _normalize_cusp(comb - eisenstein_g2(12, max_disc, sing_max))
+    """The weight-12 cusp form, the lift of E_8 E_{4,1} - E_6 E_{6,1},
+    scaled so a([1,1,1]) = 1 (the classical 441 E4^3 + 250 E6^2 - 691 E12
+    up to scale)."""
+    return _lifted_cusp_form(12, max_disc, sing_max)
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +390,19 @@ class JacobiFormQ:
 def fourier_jacobi(F: SiegelCoeffTable, m: int = 1) -> JacobiFormQ:
     """Index-m Fourier-Jacobi coefficient: c(n, r) = a([n, r, m]).
 
-    Consistency of c across (n, r) with the same class invariant is checked
-    while the table is read off.
+    Every invariant (D, r mod 2m) has a representative with |r| <= m, so
+    the rows n <= (max_disc + m^2) / 4m hold every invariant the table
+    covers.  Consistency of c across the (n, r) read with the same
+    invariant is checked while the table is read off.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     coeffs: dict[tuple[int, int], Fraction] = {}
-    n = 0
-    while True:
-        row_done = True
+    for n in range((F.max_disc + m * m) // (4 * m) + 1):
         for r in range(-2 * _isqrt(m * n) - 2 * m, 2 * _isqrt(m * n) + 2 * m + 1):
             D = 4 * m * n - r * r
             if D < 0 or not F.covers(n, r, m):
                 continue
-            row_done = False
             key = (D, r % (2 * m))
             val = F.get(n, r, m)
             if key in coeffs:
@@ -419,9 +410,6 @@ def fourier_jacobi(F: SiegelCoeffTable, m: int = 1) -> JacobiFormQ:
                     raise ValueError(f"coefficient class {key} inconsistent")
             else:
                 coeffs[key] = val
-        if row_done and 4 * m * n > F.max_disc:
-            break
-        n += 1
     return JacobiFormQ(F.weight, m, coeffs)
 
 
@@ -454,16 +442,14 @@ def V_l(phi: JacobiFormQ, l: int) -> JacobiFormQ:
 
 def maass_lift(phi: JacobiFormQ, max_disc: int = 20, sing_max: int = 8) -> SiegelCoeffTable:
     """Siegel form with a([n,r,m]) = sum_{d | (n,r,m)} d^(k-1)
-    c((4mn - r^2)/d^2); defined here for cuspidal input (c(0) = 0)."""
+    c((4mn - r^2)/d^2) and constant term -B_k/(2k) c(0) = zeta(1-k)/2 c(0)."""
     if phi.index != 1:
         raise ValueError("maass_lift takes an index-1 form")
-    if phi.c_D(0) != 0:
-        raise ValueError("constant term of the lift undefined for c(0) != 0")
     k = phi.weight
     tab = SiegelCoeffTable(k, max_disc, sing_max)
     for n, r, m in _reduced_classes(max_disc, sing_max):
         if (n, r, m) == (0, 0, 0):
-            tab.coeffs[(n, r, m)] = Fraction(0)
+            tab.coeffs[(n, r, m)] = zeta_neg(k) / 2 * phi.c_D(0)
             continue
         g = math.gcd(n, math.gcd(r, m))
         disc = 4 * n * m - r * r
@@ -475,19 +461,8 @@ def maass_lift(phi: JacobiFormQ, max_disc: int = 20, sing_max: int = 8) -> Siege
 
 
 def maass_check(F: SiegelCoeffTable) -> bool:
-    """Does every stored coefficient satisfy a([n,r,m]) =
-    sum_{d | (n,r,m)} d^(k-1) a([1, r/d, nm/d^2])?"""
-    k = F.weight
-    for (n, r, m), val in F.coeffs.items():
-        if (n, r, m) == (0, 0, 0):
-            continue
-        g = math.gcd(n, math.gcd(r, m))
-        total = Fraction(0)
-        for d in divisors(g):
-            total += d ** (k - 1) * F.get(1, r // d, (n * m) // (d * d))
-        if total != val:
-            return False
-    return True
+    """Is F the Maass lift of its index-1 Fourier-Jacobi coefficient?"""
+    return maass_lift(fourier_jacobi(F), F.max_disc, F.sing_max).coeffs == F.coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,13 @@ def test_satake_spin_rejects_non_prime(capsys, p):
         ("igusa", "--form", "chi10", "--max-disc", "0"),  # a([1,1,1]) has disc 3
         ("igusa", "--form", "chi12", "--max-disc", "2"),
         ("g1", "--weight", "12", "--ratios", "--precision-bits", "20000"),  # beyond the stored coefficients
+        ("satake", "--spin", "0", "0", "2", "0", "0", "--slopes"),  # motivic weight -3
+        ("satake", "--spin", "-6", "8", "2", "0", "0"),  # negative J
+        ("satake", "--spin", "5", "8", "2", "0", "0"),  # S_{J,K} = 0 for odd J
+        ("harder", "--row", "22", "-4", "10", "41"),
+        ("harder", "--row", "22", "5", "10", "41"),
+        ("harder", "--all", "--pmax", "1"),  # no prime to test
+        ("harder", "--row", "22", "4", "10", "41", "--pmax", "-5"),
     ],
 )
 def test_invalid_option_value_exit_code(capsys, argv):
@@ -162,7 +169,7 @@ def test_g1_zero_space_exit_code(capsys):
 
 
 def test_igusa_large_table(capsys):
-    # the singular classes a product reaches grow with max_disc: [0,0,9] at 40
+    # the stored singular classes grow with max_disc: [0,0,9] at 40
     tables = {}
     for max_disc in ("20", "40"):
         code, out, _ = run(capsys, "igusa", "--form", "chi10", "--max-disc", max_disc, "--json")

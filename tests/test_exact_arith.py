@@ -25,7 +25,7 @@ from siegelforms.exact_arith import (
     rational_reconstruct,
     squarefree_part,
 )
-from siegelforms.siegel_g2 import chi10, chi12
+from siegelforms.siegel_g2 import chi10, chi12, eisenstein_g2
 
 
 def bernoulli_oracle(n):
@@ -82,12 +82,17 @@ def test_gen_bernoulli_matches_residue_sum():
 
 
 def test_gen_bernoulli_feeds_frozen_siegel_tables():
-    # chi10 and chi12 get their Eisenstein coefficients from Cohen's
+    # chi10, chi12 and E_k get their Eisenstein coefficients from Cohen's
     # function, i.e. from gen_bernoulli; digests of the tables at
-    # max_disc 100 as the residue-sum implementation computed them
+    # max_disc 100 as the residue-sum implementation computed them, and of
+    # E_k as its direct divisor sum over Cohen's function computed them
     frozen = {
         chi10: "d90be16bb30cb9ad3f72ee7d1a1fd948c460861d32ec741e4add744f01ee3c38",
         chi12: "b6e0999dfa98fdf65780d0787523b8f02fabee60718bcf7791d25e218cca094b",
+        lambda *size: eisenstein_g2(4, *size): "455368283a0c813d6c7f30ed45604ffe2d7f366dafc4d8aa6f312dd92818bda4",
+        lambda *size: eisenstein_g2(6, *size): "5c86570dd6076b53eb0398661d2d4a0548c684f850aff2980600ba80eb8f88f3",
+        lambda *size: eisenstein_g2(10, *size): "d09ac9dcb58f6ee6666b383ed0056c8d424a87c252d434f9848215851d31167e",
+        lambda *size: eisenstein_g2(12, *size): "213cb2a931debcf8fa21ddcff60138b6588ce2172266d6fe0e6cdd034f5fd380",
     }
     for form, digest in frozen.items():
         rows = json.dumps(form(100, 25).to_json_rows(), separators=(",", ":"))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from siegelforms import hecke_satake
 from siegelforms.exact_arith import QuadElem
 from siegelforms.hecke_satake import (
     ALL_IDENTITIES,
@@ -30,6 +31,30 @@ def test_all_identities():
         assert verify_identity(name), name
     with pytest.raises(ValueError):
         verify_identity("nonsense")
+
+
+def test_quartic_phi0_catches_a_wrong_T1_image(monkeypatch):
+    # quartic_rewrite and series_consistency hold for any T_1(p^2) image
+    # once T_0(p^2) is pinned by the square relation; quartic_phi0 does not
+    wrong = phi(2, 1) * phi(2, 1)
+    monkeypatch.setattr(
+        hecke_satake, "satake_Ti", lambda g, i: satake_Ti(g, i) + wrong if (g, i) == (2, 1) else satake_Ti(g, i)
+    )
+    # satake_Ti(2, 0) memoizes a T_0 built from the module's satake_Ti(2, 1)
+    satake_Ti.cache_clear()
+    try:
+        assert not verify_identity("quartic_phi0")
+        assert not verify_identity("square_relation")
+    finally:
+        monkeypatch.undo()
+        satake_Ti.cache_clear()
+    assert all(verify_identity(name) for name in ALL_IDENTITIES)
+
+
+def test_spin_factor_rejects_empty_spaces():
+    for j, k in ((5, 8), (-6, 8), (0, 0)):  # odd j, negative j, weight -3
+        with pytest.raises(ValueError):
+            spin_factor(j, k, 0, 0, 2)
 
 
 def test_printed_images_g2():

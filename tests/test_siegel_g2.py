@@ -222,10 +222,21 @@ def test_maass_check():
     assert not maass_check(perturbed)
 
 
-def test_maass_lift_rejects_nonzero_constant():
-    fj = fourier_jacobi(eisenstein_g2(4))
+def test_maass_lift_round_trip_eisenstein():
+    # the constant term of the lift is -B_k/(2k) c(0)
+    assert maass_lift(fourier_jacobi(eisenstein_g2(4))).coeffs == eisenstein_g2(4).coeffs
+
+
+def test_fourier_jacobi_reads_only_the_rows_it_needs():
+    table = chi10(100, 25).scale(1)
+    calls = []
+    covers = table.covers
+    table.covers = lambda n, r, m: calls.append((n, r, m)) or covers(n, r, m)
+    fj = fourier_jacobi(table)
+    assert len(calls) < 1000
+    assert set(fj.coeffs) == {(D, D % 2) for D in range(101) if D % 4 in (0, 3)}
     with pytest.raises(ValueError):
-        maass_lift(fj)
+        fourier_jacobi(table, 0)
 
 
 def test_jacobi_class_invariance_guard():

@@ -19,6 +19,19 @@ points at once, with the F_p-coordinates of g(x) packed into one number
 below the table size, and one gather maps that number to chi(g(x)).  Over
 F_{q^2} only one point per Frobenius-conjugate pair is evaluated: the
 coefficients live in F_q, so chi(g(x^q)) = chi(g(x)).
+
+The monic-model censuses (genus 2, and elliptic through _ell_monic)
+evaluate one model per orbit of the translation x -> x + t and weight it
+by the orbit size (_translation_reps).  The translation permutes F_q and
+F_{q^2}, so it keeps S1, S2, squarefreeness and the point at infinity;
+on g = x^d + sum c_i x^i it sends c_{d-1} to c_{d-1} + d t and c_{d-2}
+to c_{d-2} + (d-1) c_{d-1} t + C(d,2) t^2.
+For p not dividing d every orbit is free and holds exactly one model
+with c_{d-1} = 0: the indices [0, q^(d-1)), weight q.  For p | d (p odd,
+so C(d,2) = 0 in F_q) c_{d-1} is invariant; an orbit with c_{d-1} = c != 0
+is free and holds exactly one model with c_{d-2} = 0: the indices
+[c q^(d-1), c q^(d-1) + q^(d-2)), weight q, while the slab c_{d-1} = 0,
+[0, q^(d-1)), is kept whole with weight 1.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from .exact_arith import Fq, finite_field, rat_str
 
 CACHE_VERSION = 1
 
-MAX_Q_G2 = 13  # hard cap: beyond this the naive enumeration is out of scope
+MAX_Q_G2 = 17  # hard cap: beyond this the enumeration is out of scope
 
 
 class FieldTooLarge(Exception):
@@ -221,15 +234,24 @@ class G2Census:
 
 
 def _ell_monic(q: int) -> EllCensus:
-    """y^2 = g(x) with g a squarefree monic cubic, odd q.  For p >= 5 the
-    cubic is depressed (no x^2 term) and the group has order q - 1; in
-    characteristic 3 all cubics are kept and it has order q(q - 1)."""
-    depressed = finite_field(q).p != 3
-    size = q * q if depressed else q ** 3
+    """y^2 = g(x) with g a squarefree monic cubic, odd q, one cubic per
+    translation orbit (_translation_reps).  For p >= 5 that is the depressed
+    cubic (no x^2 term), counted once over a group of order q - 1.  In
+    characteristic 3 the x^2 coefficient c is invariant: for c != 0 the
+    cubic with no x term stands for its q translates, the cubics with c = 0
+    are all kept with weight 1, and the group has order q(q - 1)."""
+    reps = _translation_reps(q, 3)
+    if finite_field(q).p != 3:
+        group = q - 1
+        reps = [(lo, hi, 1) for lo, hi, _ in reps]
+    else:
+        group = q * (q - 1)
+    idx = np.concatenate([np.arange(lo, hi) for lo, hi, _ in reps])
+    weights = np.concatenate([np.full(hi - lo, w) for lo, hi, w in reps])
     # evaluate first: a field too large for the point map fails before the bitmap
-    sums = _char_sums(q, 3, 1, np.arange(size))
-    group = q - 1 if depressed else q * (q - 1)
-    return _ell_from_traces(q, -sums[~_nonsquarefree_bitmap(q, 3)[:size]], group)
+    sums = _char_sums(q, 3, 1, idx)
+    keep = ~_nonsquarefree_bitmap(q, 3)[idx]
+    return _ell_from_traces(q, -sums[keep], group, weights[keep])
 
 
 def _ell_full(q: int) -> EllCensus:
@@ -279,12 +301,14 @@ def _ell_full(q: int) -> EllCensus:
     return _ell_from_traces(q, traces, group_order=q ** 3 * (q - 1))
 
 
-def _ell_from_traces(q: int, traces: np.ndarray, group_order: int) -> EllCensus:
+def _ell_from_traces(q: int, traces: np.ndarray, group_order: int, weights=None) -> EllCensus:
+    """Census of models with these traces, each counted weights[i] times
+    (once without weights)."""
     bound = 2 * int(np.sqrt(q)) + 1
     offset = bound
-    cnt = np.bincount(traces + offset, minlength=2 * bound + 1)
+    cnt = np.bincount(traces + offset, weights, minlength=2 * bound + 1).astype(np.int64)
     counts = {int(t - offset): int(c) for t, c in enumerate(cnt) if c}
-    census = EllCensus(q, counts, group_order, int(traces.size))
+    census = EllCensus(q, counts, group_order, int(cnt.sum()))
     _validate_ell(census)
     return census
 
@@ -374,22 +398,35 @@ def _nonsquarefree_bitmap(q: int, d: int) -> np.ndarray:
     return bitmap
 
 
+def _translation_reps(q: int, d: int) -> list[tuple[int, int, int]]:
+    """(lo, hi, weight): model-index ranges holding one monic degree-d model
+    per orbit of x -> x + t over odd q, weight the number of models each
+    stands for (see the module docstring)."""
+    top = q ** (d - 1)  # the place of c_{d-1} in a model index
+    if d % finite_field(q).p:
+        return [(0, top, q)]
+    return [(0, top, 1)] + [(c * top, c * top + top // q, q) for c in range(1, q)]
+
+
 def _g2_chunks(q: int, d: int, chunk_order: str = "ascending"):
-    total = q ** d
+    """(chunk_id, lo, hi, weight) for chunks of the _translation_reps ranges."""
     chunk = 1 << 19
-    ranges = [
-        (i, lo, min(lo + chunk, total))
-        for i, lo in enumerate(range(0, total, chunk))
+    pieces = [
+        (lo, min(lo + chunk, hi), weight)
+        for start, hi, weight in _translation_reps(q, d)
+        for lo in range(start, hi, chunk)
     ]
+    ranges = [(i, *piece) for i, piece in enumerate(pieces)]
     return ranges[::-1] if chunk_order == "reversed" else ranges
 
 
 def _g2_pass(q: int, d: int, chunk_order: str = "ascending", skip=None):
-    """Yield (chunk_id, S1, S2chi) integer arrays over squarefree monic
-    degree-d polynomials; chunks listed in `skip` are not recomputed."""
+    """Yield (chunk_id, S1, S2chi, weight) over the squarefree monic
+    degree-d models of each chunk, integer arrays and the chunk's weight;
+    chunks listed in `skip` are not recomputed."""
     bitmap = _nonsquarefree_bitmap(q, d)
     at_infinity = int(d == 6)  # the point [1:0], where F is the leading coefficient 1
-    for cid, lo, hi in _g2_chunks(q, d, chunk_order):
+    for cid, lo, hi, weight in _g2_chunks(q, d, chunk_order):
         if skip and (d, cid) in skip:
             continue
         idx = lo + np.flatnonzero(~bitmap[lo:hi])
@@ -397,10 +434,12 @@ def _g2_pass(q: int, d: int, chunk_order: str = "ascending", skip=None):
             continue
         S1 = _char_sums(q, d, 1, idx) + at_infinity
         S2 = _char_sums(q, d, 2, idx) + at_infinity
-        yield cid, S1, S2
+        yield cid, S1, S2, weight
 
 
-def _chunk_stats(q: int, S1, S2) -> tuple[dict[tuple[int, int], int], int]:
+def _chunk_stats(q: int, S1, S2, weight: int = 1) -> tuple[dict[tuple[int, int], int], int]:
+    """(t1, e) histogram over both twists of the models of one chunk, and
+    the number of models, each model counted `weight` times."""
     counts: dict[tuple[int, int], int] = {}
     ssum = S1.astype(np.int64) ** 2 + S2 - 4 * q
     _require(not np.any(ssum & 1), "parity of t1^2 - (a1^2+a2^2) broken")
@@ -411,8 +450,8 @@ def _chunk_stats(q: int, S1, S2) -> tuple[dict[tuple[int, int], int], int]:
         for kk, cc in zip(uniq.tolist(), cnt.tolist()):
             t = kk // (4 * q * q + 1) - 2 * q
             ee = kk % (4 * q * q + 1) - 2 * q * q
-            counts[(t, ee)] = counts.get((t, ee), 0) + cc
-    return counts, len(S1)
+            counts[(t, ee)] = counts.get((t, ee), 0) + weight * cc
+    return counts, weight * len(S1)
 
 
 def _merge_counts(total: dict, part: dict) -> None:
@@ -422,8 +461,10 @@ def _merge_counts(total: dict, part: dict) -> None:
 
 def _partials(q: int) -> dict[tuple[int, int], tuple[Path, dict]]:
     """Checkpoint file and key of every chunk (d, cid), none without a cache
-    directory.  The key is q, d, the model-index range [lo, hi) and
-    CACHE_VERSION; a checkpoint is used only for the chunk its key names."""
+    directory.  The key is q, d, the model-index range [lo, hi), the
+    enumeration ("reps": one model per translation orbit, counts weighted)
+    and CACHE_VERSION; a checkpoint is used only for the chunk its key
+    names."""
     if _cache_dir is None:
         return {}
     pdir = _cache_dir / "partial"
@@ -431,10 +472,10 @@ def _partials(q: int) -> dict[tuple[int, int], tuple[Path, dict]]:
     return {
         (d, cid): (
             pdir / f"g2_q{q}_d{d}_c{cid}_v{CACHE_VERSION}.json",
-            {"q": q, "d": d, "lo": lo, "hi": hi, "version": CACHE_VERSION},
+            {"q": q, "d": d, "lo": lo, "hi": hi, "reps": "translation", "version": CACHE_VERSION},
         )
         for d in (6, 5)
-        for cid, lo, hi in _g2_chunks(q, d)
+        for cid, lo, hi, _ in _g2_chunks(q, d)
     }
 
 
@@ -453,7 +494,8 @@ def _read_partial(path: Path, key: dict):
 
 def _g2_census_compute(q: int, chunk_order: str = "ascending") -> G2Census:
     """Merge _chunk_stats over every chunk of squarefree monic sextics and
-    quintics.  With a cache directory each finished chunk is checkpointed,
+    quintics, one per translation orbit and weighted by the orbit size.
+    With a cache directory each finished chunk is checkpointed,
     a matching checkpoint of an interrupted run replaces recomputing, and
     all checkpoints are removed once the merged census has been checked."""
     if q > MAX_Q_G2:
@@ -471,8 +513,8 @@ def _g2_census_compute(q: int, chunk_order: str = "ascending") -> G2Census:
             model_count += saved[1]
             done.add(chunk)
     for d in (6, 5):
-        for cid, S1, S2 in _g2_pass(q, d, chunk_order, skip=done):
-            part, models = _chunk_stats(q, S1, S2)
+        for cid, S1, S2, weight in _g2_pass(q, d, chunk_order, skip=done):
+            part, models = _chunk_stats(q, S1, S2, weight)
             _merge_counts(counts, part)
             model_count += models
             if (d, cid) in partials:

@@ -143,48 +143,6 @@ class SiegelCoeffTable:
         out.coeffs = {k: c * v for k, v in self.coeffs.items()}
         return out
 
-    def _combine(self, other: "SiegelCoeffTable", sign: int) -> "SiegelCoeffTable":
-        if self.weight != other.weight:
-            raise ValueError("weights differ")
-        out = SiegelCoeffTable(
-            self.weight,
-            min(self.max_disc, other.max_disc),
-            min(self.sing_max, other.sing_max),
-        )
-        for key in set(self.coeffs) & set(other.coeffs):
-            if out.covers(*key):
-                out.coeffs[key] = self.coeffs[key] + sign * other.coeffs[key]
-        return out
-
-    def __add__(self, other: "SiegelCoeffTable") -> "SiegelCoeffTable":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "SiegelCoeffTable") -> "SiegelCoeffTable":
-        return self._combine(other, -1)
-
-    def __mul__(self, other: "SiegelCoeffTable") -> "SiegelCoeffTable":
-        """Product expansion; target classes limited to what the factors'
-        stored boxes can certify."""
-        out = SiegelCoeffTable(
-            self.weight + other.weight,
-            min(self.max_disc, other.max_disc),
-            min(self.sing_max, other.sing_max),
-        )
-        for n, r, m in _reduced_classes(out.max_disc, out.sing_max):
-            total = Fraction(0)
-            for n1 in range(n + 1):
-                for m1 in range(m + 1):
-                    n2, m2 = n - n1, m - m1
-                    # r1 range: both halves positive semi-definite
-                    b1 = _isqrt(4 * n1 * m1)
-                    for r1 in range(-b1, b1 + 1):
-                        r2 = r - r1
-                        if r2 * r2 > 4 * n2 * m2:
-                            continue
-                        total += self.get(n1, r1, m1) * other.get(n2, r2, m2)
-            out.coeffs[(n, r, m)] = total
-        return out
-
     def to_json_rows(self) -> list:
         return [
             [n, r, m, rat_str(self.coeffs[(n, r, m)])]

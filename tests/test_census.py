@@ -17,6 +17,8 @@ from siegelforms.census import (
     G2Census,
     SexticForm,
     _char_sums,
+    _chunk_stats,
+    _ell_from_traces,
     _ell_full,
     _ell_monic,
     _g2_census_compute,
@@ -24,6 +26,7 @@ from siegelforms.census import (
     _g2_pass,
     _nonsquarefree_bitmap,
     _poly_mul,
+    _translation_reps,
     cheb_second_kind,
     count_points_g2,
     ell_census,
@@ -236,7 +239,7 @@ def test_g2_polynomiality_in_q():
 
 def test_g2_rejects_unsupported():
     with pytest.raises(FieldTooLarge):
-        _g2_census_compute(17)
+        _g2_census_compute(19)
     with pytest.raises(FieldTooLarge):
         _g2_census_compute(4)
 
@@ -292,24 +295,32 @@ def test_g2_checkpoint_resume(tmp_path, monkeypatch):
     set_cache_dir(tmp_path)
     try:
         truth = _g2_census_compute(3)
-        # precompute the single degree-6 chunk and store it as a checkpoint
-        (cid, S1, S2) = next(iter(_g2_pass(3, 6)))
-        part, models = _chunk_stats(3, S1, S2)
-        (_, lo, hi), = _g2_chunks(3, 6)
+        # precompute a degree-6 chunk of weight 3 and store it as a checkpoint
+        cid, S1, S2, weight = next(c for c in _g2_pass(3, 6) if c[3] > 1)
+        part, models = _chunk_stats(3, S1, S2, weight)
+        (lo, hi), = [(lo, hi) for c, lo, hi, _ in _g2_chunks(3, 6) if c == cid]
+        chunks = len(_g2_chunks(3, 6)) + len(_g2_chunks(3, 5))
         pdir = tmp_path / "partial"
         path = pdir / f"g2_q3_d6_c{cid}_v{CACHE_VERSION}.json"
-        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "version": CACHE_VERSION}
+        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "reps": "translation", "version": CACHE_VERSION}
         stats_calls = []
         monkeypatch.setattr(
             census_mod, "_chunk_stats", lambda *a: stats_calls.append(a) or _chunk_stats(*a)
         )
-        for stale, recomputed in (({}, 1), ({"hi": hi - 1}, 2), ({"version": 0}, 2)):
+        # reps None: no "reps" field, as in a checkpoint of the full enumeration
+        for stale, recomputed in (
+            ({}, chunks - 1),
+            ({"hi": hi - 1}, chunks),
+            ({"version": 0}, chunks),
+            ({"reps": None}, chunks),
+        ):
             payload = {
                 **key,
                 **stale,
                 "key_counts": [[t, e, c] for (t, e), c in part.items()],
                 "models": models,
             }
+            payload = {k: v for k, v in payload.items() if v is not None}
             path.write_text(_json.dumps(payload))
             stats_calls.clear()
             resumed = _g2_census_compute(3)
@@ -328,9 +339,9 @@ def test_bad_checkpoint_is_recomputed_or_removed(tmp_path):
     set_cache_dir(tmp_path)
     try:
         truth = _g2_census_compute(3)
-        (_, lo, hi), = _g2_chunks(3, 6)
+        (_, lo, hi, _), *_ = _g2_chunks(3, 6)
         path = tmp_path / "partial" / f"g2_q3_d6_c0_v{CACHE_VERSION}.json"
-        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "version": CACHE_VERSION}
+        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "reps": "translation", "version": CACHE_VERSION}
         for text in ("{not json", "[1, 2]", json.dumps({**key, "key_counts": [["x", 0, 1]]})):
             path.write_text(text)
             assert _g2_census_compute(3).counts == truth.counts
@@ -462,9 +473,9 @@ def _monic_form(q, d, index):
 def test_g2_pass_matches_point_counter(q, d):
     # per-model (S1, S2) from the census kernel against the naive counter
     bitmap = _nonsquarefree_bitmap(q, d)
-    chunks = {cid: (lo, hi) for cid, lo, hi in _g2_chunks(q, d)}
+    chunks = {cid: (lo, hi) for cid, lo, hi, _ in _g2_chunks(q, d)}
     idx, s1, s2 = [], [], []
-    for cid, S1, S2 in _g2_pass(q, d):
+    for cid, S1, S2, _ in _g2_pass(q, d):
         lo, hi = chunks[cid]
         idx.append(lo + np.flatnonzero(~bitmap[lo:hi]))
         s1.append(S1)
@@ -476,6 +487,66 @@ def test_g2_pass_matches_point_counter(q, d):
         assert squarefree_sextic(form, q)
         assert s1[pos] == count_points_g2(form, q, 1) - q - 1
         assert s2[pos] == count_points_g2(form, q, 2) - q * q - 1
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11))
+@pytest.mark.parametrize("d", (5, 6))
+def test_translation_reps_match_full_enumeration(q, d):
+    # slow oracle: the (t1, e) histogram of every squarefree monic model,
+    # against the weighted histogram of one model per translation orbit
+    at_infinity = int(d == 6)
+    idx = np.flatnonzero(~_nonsquarefree_bitmap(q, d))
+    full = _chunk_stats(
+        q, _char_sums(q, d, 1, idx) + at_infinity, _char_sums(q, d, 2, idx) + at_infinity
+    )
+    counts, models = {}, 0
+    for _, S1, S2, weight in _g2_pass(q, d):
+        part, n = _chunk_stats(q, S1, S2, weight)
+        for key, c in part.items():
+            counts[key] = counts.get(key, 0) + c
+        models += n
+    assert (counts, models) == full
+    assert sum(hi - lo for lo, hi, _ in _translation_reps(q, d)) < q ** d
+
+
+def test_char3_cubics_match_full_enumeration():
+    # the q = 81 census from one cubic per translation orbit, against all
+    # squarefree monic cubics over a group of the same order q(q - 1)
+    q = 81
+    idx = np.flatnonzero(~_nonsquarefree_bitmap(q, 3))
+    full = _ell_from_traces(q, -_char_sums(q, 3, 1, idx), q * (q - 1))
+    fast = _ell_monic(q)
+    assert (fast.counts, fast.model_count, fast.group_order) == (
+        full.counts, full.model_count, full.group_order
+    )
+
+
+@pytest.mark.parametrize("q, d", [(3, 3), (3, 5), (3, 6), (5, 5), (5, 6), (7, 3), (9, 3)])
+def test_translation_reps_meet_each_orbit_once(q, d):
+    # every orbit of x -> x + t on monic degree-d models carries reps whose
+    # weights add up to its size
+    F = finite_field(q)
+
+    def index(g):
+        return sum(c * q ** i for i, c in enumerate(g[:d]))
+
+    def translate(g, t):  # Horner in the polynomial ring: h = h (x + t) + c
+        h = (0,)
+        for c in reversed(g):
+            h = _poly_mul(F, h, (t, 1))
+            h = (F.add(h[0], c),) + h[1:]
+        return h
+
+    weights = {}
+    for lo, hi, weight in _translation_reps(q, d):
+        for i in range(lo, hi):
+            g = [i // q ** j % q for j in range(d)] + [1]
+            orbit = frozenset(index(translate(g, t)) for t in range(q))
+            weights[orbit] = weights.get(orbit, 0) + weight
+    # distinct orbits are disjoint, so these sizes adding up to q^d means
+    # that every model's orbit was met
+    assert sum(len(orbit) for orbit in weights) == q ** d
+    assert all(w == len(orbit) for orbit, w in weights.items())
 
 
 @settings(max_examples=200, deadline=None)

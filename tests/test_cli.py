@@ -87,7 +87,7 @@ def test_config_errors(capsys):
 
 
 def test_missing_census_exit_code(capsys):
-    code, _, err = run(capsys, "census", "--genus", "2", "--q", "17")
+    code, _, err = run(capsys, "census", "--genus", "2", "--q", "19")
     assert code == 2
     assert "census unavailable" in err
     code, _, err = run(capsys, "census", "--genus", "2", "--q", "8")
@@ -99,9 +99,9 @@ def test_genus2_cap_is_shared(capsys):
     # census and trace build the same genus-2 censuses and stop at the same q
     code, out, _ = run(capsys, "census", "--genus", "2", "--q", "11")
     assert code == 0 and "mass: 1331" in out
-    code, _, err = run(capsys, "trace", "--j", "6", "--k", "8", "--p", "17")
+    code, _, err = run(capsys, "trace", "--j", "6", "--k", "8", "--p", "19")
     assert code == 2
-    assert "capped at q <= 13" in err
+    assert "capped at q <= 17" in err
 
 
 @pytest.mark.parametrize("q", ["8", "27", "1", "0"])

@@ -250,7 +250,7 @@ def test_traces_never_build_a_basis(golden_cache, monkeypatch):
     tables = published_lambdas()
     # S[k] feeds both corrections on S_{28,4}, the endoscopic one on
     # S_{18,5} and the Eisenstein one on S_{8,8} and S_{12,6}
-    for p in (11, 13):
+    for p in (11, 13, 17):
         for jk in ((4, 10), (18, 5), (28, 4), (8, 8), (12, 6)):
             assert trace_T_Sjk(*jk, p).result == tables[jk][p], (jk, p)
     assert lambda_psq(6, 8, 3) == s68_table()[3][1]
@@ -344,7 +344,7 @@ def test_eigenvalues_big_primes():
     from siegelforms.g2data import published_lambdas
 
     tables = published_lambdas()
-    for p in (11, 13):
+    for p in (11, 13, 17):
         for jk in ((4, 10), (18, 5), (28, 4), (8, 8), (12, 6)):
             want = tables[jk].get(p)
             assert want is not None
@@ -352,3 +352,4 @@ def test_eigenvalues_big_primes():
     # beyond the published S_{6,8} run; frozen from this pipeline
     assert trace_T_Sjk(6, 8, 11).result == 3760397784
     assert trace_T_Sjk(6, 8, 13).result == 9952079500
+    assert trace_T_Sjk(6, 8, 17).result == 243132070500

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from siegelforms.siegel_g2 import (
     JacobiFormQ,
     SiegelCoeffTable,
     V_l,
+    _reduced_classes,
     chi10,
     chi12,
     cohen_H,
@@ -265,15 +267,44 @@ def test_hilbert_series_and_dims():
         hilbert_series("mixed", 10)
 
 
+def _product(f, g):
+    """f * g on the classes both factors' stored boxes certify."""
+    out = SiegelCoeffTable(
+        f.weight + g.weight, min(f.max_disc, g.max_disc), min(f.sing_max, g.sing_max)
+    )
+    for n, r, m in _reduced_classes(out.max_disc, out.sing_max):
+        total = Fraction(0)
+        for n1 in range(n + 1):
+            for m1 in range(m + 1):
+                n2, m2 = n - n1, m - m1
+                # r1 range: both halves positive semi-definite
+                b1 = math.isqrt(4 * n1 * m1)
+                for r1 in range(-b1, b1 + 1):
+                    r2 = r - r1
+                    if r2 * r2 <= 4 * n2 * m2:
+                        total += f.get(n1, r1, m1) * g.get(n2, r2, m2)
+        out.coeffs[(n, r, m)] = total
+    return out
+
+
+def _combination(terms):
+    """sum of c * F over the (c, F) in terms, on the classes every F stores."""
+    assert len({F.weight for _, F in terms}) == 1
+    keys = set.intersection(*(set(F.coeffs) for _, F in terms))
+    return {key: sum(c * F.coeffs[key] for c, F in terms) for key in keys}
+
+
 def test_chi12_is_the_classical_combination():
     # 441 E4^3 + 250 E6^2 - 691 E12, rescaled to a([1,1,1]) = 1
     e4 = eisenstein_g2(4, 8, 4)
     e6 = eisenstein_g2(6, 8, 4)
     e12 = eisenstein_g2(12, 8, 4)
-    comb = (e4 * e4 * e4).scale(441) + (e6 * e6).scale(250) - e12.scale(691)
-    pivot = comb.get(1, 1, 1)
+    comb = _combination(
+        [(441, _product(_product(e4, e4), e4)), (250, _product(e6, e6)), (-691, e12)]
+    )
+    pivot = comb[reduce_form(1, 1, 1)]
     c12 = chi12()
-    for key, val in comb.coeffs.items():
+    for key, val in comb.items():
         assert val == pivot * c12.coeffs[key]
 
 

@@ -10,15 +10,32 @@ quadratic twist by lambda flips the sign of the trace term and leaves the
 F_{q^2} data alone, so each monic model stands for (q-1)/2 models per twist
 class.
 
-In odd characteristic every point count goes through one kernel, the point
-map.  A monic model g = x^d + sum c_i x^i over F_q is indexed by
-sum c_i q^i, so the base-p digits D of its index are the F_p-coordinates of
-its coefficients, and g(x) is an F_p-affine function of D for each fixed
-point x.  One float32 matmul D @ W + w0 evaluates a block of models at all
-points at once, with the F_p-coordinates of g(x) packed into one number
-below the table size, and one gather maps that number to chi(g(x)).  Over
-F_{q^2} only one point per Frobenius-conjugate pair is evaluated: the
-coefficients live in F_q, so chi(g(x^q)) = chi(g(x)).
+Every census runs on one engine, F_p-affine maps of the base-p digits D of
+a model index.  A monic g = x^d + sum c_i x^i over F_q has index
+sum c_i q^i, so D holds the F_p-coordinates of its coefficients, and a
+quantity F_p-affine in them is D @ W + w0 mod p, w0 its value at index 0
+and row j of W its value at index p^j minus w0 (_affine_map).
+- Points, odd q: g(x) for each fixed x.  One float32 matmul evaluates a
+  block of models at all points, the coordinates of g(x) packed into one
+  number that one gather maps to chi(g(x)).  Over F_{q^2} one point per
+  Frobenius-conjugate pair is enough: chi(g(x^q)) = chi(g(x)).
+- Squarefree marks: for each monic h of degree 1 to d/2 the lower
+  coefficients of h^2 m, m monic.  Irreducible or not, h^2 | g makes g
+  non-squarefree.
+- Characteristic 2 (q = 2, 4, 16): models y^2 + h y = f, h = a1 x + a3,
+  f = x^3 + a2 x^2 + a4 x + a6, over a group of order q^3 (q - 1).  For
+  fixed (a1, a3) a point x has 1 point over it if h(x) = 0, else 2 or 0 as
+  Tr(f(x)/h(x)^2) is 0 or 1; the model is singular iff h = 0, or a1 != 0
+  and a1^2 f(x0) + (x0^2 + a4)^2 = 0 at x0 = a3/a1, where both partial
+  derivatives vanish.  Both are F_2-affine in the bits of (a2, a4, a6).
+
+In odd characteristic the elliptic censuses count monic cubics, y^2 = g(x).
+For q = 3 and 9 the files count five-coefficient models
+y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over q^3 (q - 1); for each
+(a1, a3), completing the square maps (a2, a4, a6) one-to-one onto the
+monic cubics and keeps points and discriminant, so each cubic counts q^2
+times there.  q = 81 counts each cubic once over q (q - 1), and p >= 5 each
+depressed cubic once over q - 1; the masses agree.
 
 The monic-model censuses (genus 2, and elliptic through _ell_monic)
 evaluate one model per orbit of the translation x -> x + t and weight it
@@ -82,9 +99,10 @@ def set_cache_dir(path: str | os.PathLike | None) -> None:
     """Read and write censuses under path (None: keep them in memory only);
     censuses already computed are forgotten, so the next call uses path."""
     global _cache_dir
-    _cache_dir = Path(path) if path is not None else None
-    if _cache_dir is not None:
-        _cache_dir.mkdir(parents=True, exist_ok=True)
+    path = Path(path) if path is not None else None
+    if path is not None:
+        path.mkdir(parents=True, exist_ok=True)
+    _cache_dir = path
     _censuses.clear()
 
 
@@ -97,32 +115,59 @@ def _field(q: int) -> Fq:
 
 
 # ---------------------------------------------------------------------------
-# numpy arithmetic tables
+# F_p-affine digit maps
+
+
+def _coords(y: int, p: int, m: int) -> list[int]:
+    """The m F_p-coordinates of the field element y: its base-p digits."""
+    return [y // p ** b % p for b in range(m)]
+
+
+def _digit_matrix(idx: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The n base-p digits of each index, one row per index."""
+    return idx[:, None] // p ** np.arange(n, dtype=np.int64) % p
+
+
+def _monic(q: int, d: int, index: int) -> tuple[int, ...]:
+    """The monic degree-d polynomial over F_q of index sum c_i q^i,
+    coefficients lowest-first including the leading 1."""
+    return tuple(index // q ** i % q for i in range(d)) + (1,)
+
+
+def _affine_map(p: int, n: int, f) -> tuple[np.ndarray, np.ndarray]:
+    """(W, w0) with f(i) = (D @ W + w0) mod p for every index i below p^n,
+    D the base-p digits of i, when f maps indices F_p-affinely to lists of
+    F_p-coordinates: w0 = f(0) and row j of W is f(p^j) - f(0)."""
+    w0 = np.array(f(0), dtype=np.int64)
+    W = np.array([f(p ** j) for j in range(n)], dtype=np.int64).reshape(n, len(w0))
+    return (W - w0) % p, w0
 
 
 @lru_cache(maxsize=None)
-def _tables(q: int):
-    """(mul, add, neg, chi, inv) numpy tables for F_q."""
-    F = finite_field(q)
-    mul = np.empty((q, q), dtype=np.int32)
-    add = np.empty((q, q), dtype=np.int32)
-    for x in range(q):
-        for y in range(q):
-            mul[x, y] = F.mul(x, y)
-            add[x, y] = F.add(x, y)
-    neg = np.array([F.neg(x) for x in range(q)], dtype=np.int32)
-    chi = np.array([F.chi(x) for x in range(q)], dtype=np.int8)
-    inv = np.array([0] + [F.inv(x) for x in range(1, q)], dtype=np.int32)
-    return mul, add, neg, chi, inv
+def _value_map(q: int, d: int, ext: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, C0): the F_p-coordinates of g(x_j) for a monic degree-d model g
+    are (D @ C[:, j] + C0[j]) mod p, x_j running over one point per
+    Frobenius orbit of F_{q^ext}: F_q, then for ext = 2 the smaller element
+    of each conjugate pair."""
+    p, E = finite_field(q).p, finite_field(q ** ext)
+    k = round(math.log(q, p))  # F_p-coordinates per F_q coefficient
+    points = list(range(q))
+    if ext == 2:
+        points += [x for x in range(q, q * q) if x < E.pow(x, q)]
+    pows = [[E.pow(x, i) for i in range(d + 1)] for x in points]
 
+    def values(index):
+        out = []
+        for xi in pows:
+            y = xi[d]
+            for c, x_i in zip(_monic(q, d, index), xi[:d]):
+                if c:  # one coefficient is nonzero at each digit basis vector
+                    y = E.add(y, E.mul(c, x_i))
+            out += _coords(y, p, k * ext)
+        return out
 
-def _digits(idx: np.ndarray, q: int, n: int) -> np.ndarray:
-    out = np.empty((len(idx), n), dtype=np.int32)
-    rem = idx.copy()
-    for i in range(n):
-        out[:, i] = rem % q
-        rem //= q
-    return out
+    C, C0 = _affine_map(p, d * k, values)
+    return C.reshape(d * k, len(pows), k * ext), C0.reshape(len(pows), k * ext)
 
 
 # entries (models x points) evaluated by one matmul
@@ -140,21 +185,8 @@ def _point_map(q: int, d: int, ext: int):
     sum over all of F_{q^ext}.
     """
     p, E = finite_field(q).p, finite_field(q ** ext)
-    k = round(math.log(q, p))  # F_p-coordinates per F_q coefficient
-    m = k * ext
-    points = list(range(q))
-    if ext == 2:
-        points += [x for x in range(q, q * q) if x < E.pow(x, q)]
-
-    def coords(y):
-        return [y // p ** b % p for b in range(m)]
-
-    # digit i*k + a of a model index is the coordinate of c_i on p^a in F_q
-    pows = [[E.pow(x, i) for i in range(d + 1)] for x in points]
-    C = np.array(
-        [[coords(E.mul(p ** a, xi[i])) for xi in pows] for i in range(d) for a in range(k)]
-    )
-    C0 = np.array([coords(xi[d]) for xi in pows])
+    C, C0 = _value_map(q, d, ext)
+    m = C.shape[2]
     B = int(((p - 1) * C.sum(axis=0) + C0).max()) + 1
     if B ** m >= 1 << 24:  # float32 represents integers exactly below 2^24
         raise FieldTooLarge(f"point map over F_{q ** ext} needs {B}^{m} table entries")
@@ -164,7 +196,7 @@ def _point_map(q: int, d: int, ext: int):
     for b in range(m):
         code = np.add.outer((np.arange(B) % p * p ** b).astype(code.dtype), code).ravel()
     chi = np.array([E.chi(y) for y in range(q ** ext)], dtype=np.int8)
-    weights = np.where(np.arange(len(points)) < q, 1, 2).astype(np.float32)
+    weights = np.where(np.arange(len(C0)) < q, 1, 2).astype(np.float32)
     return (C @ place).astype(np.float32), (C0 @ place).astype(np.float32), chi[code], weights
 
 
@@ -173,11 +205,10 @@ def _char_sums(q: int, d: int, ext: int, idx: np.ndarray) -> np.ndarray:
     with index sum c_i q^i in idx."""
     W, w0, table, weights = _point_map(q, d, ext)
     p = finite_field(q).p
-    place = p ** np.arange(len(W), dtype=np.int64)
     rows = max(1, _BLOCK // len(w0))
     out = np.empty(len(idx), dtype=np.int32)
     for lo in range(0, len(idx), rows):
-        D = (idx[lo : lo + rows, None] // place % p).astype(np.float32)
+        D = _digit_matrix(idx[lo : lo + rows], p, len(W)).astype(np.float32)
         out[lo : lo + rows] = table[(D @ W + w0).astype(np.int32)] @ weights
     return out
 
@@ -235,17 +266,18 @@ class G2Census:
 
 def _ell_monic(q: int) -> EllCensus:
     """y^2 = g(x) with g a squarefree monic cubic, odd q, one cubic per
-    translation orbit (_translation_reps).  For p >= 5 that is the depressed
-    cubic (no x^2 term), counted once over a group of order q - 1.  In
+    translation orbit (_translation_reps), in the units of the module
+    docstring.  For p >= 5 that is the depressed cubic (no x^2 term).  In
     characteristic 3 the x^2 coefficient c is invariant: for c != 0 the
-    cubic with no x term stands for its q translates, the cubics with c = 0
-    are all kept with weight 1, and the group has order q(q - 1)."""
+    cubic with no x term stands for its q translates, and the cubics with
+    c = 0 are all kept with weight 1."""
     reps = _translation_reps(q, 3)
     if finite_field(q).p != 3:
-        group = q - 1
-        reps = [(lo, hi, 1) for lo, hi, _ in reps]
-    else:
+        reps, group = [(lo, hi, 1) for lo, hi, _ in reps], q - 1
+    elif q > 9:
         group = q * (q - 1)
+    else:
+        reps, group = [(lo, hi, w * q * q) for lo, hi, w in reps], q ** 3 * (q - 1)
     idx = np.concatenate([np.arange(lo, hi) for lo, hi, _ in reps])
     weights = np.concatenate([np.full(hi - lo, w) for lo, hi, w in reps])
     # evaluate first: a field too large for the point map fails before the bitmap
@@ -254,51 +286,43 @@ def _ell_monic(q: int) -> EllCensus:
     return _ell_from_traces(q, -sums[keep], group, weights[keep])
 
 
-def _ell_full(q: int) -> EllCensus:
-    """Five-coefficient Weierstrass model; group order q^3 (q-1)."""
-    mul, add, neg, chi, inv = _tables(q)
+def _ell_char2(q: int) -> EllCensus:
+    """Five-coefficient models over q = 2^k, group order q^3 (q - 1), one
+    F_2-affine map per (a1, a3) (module docstring).  A model's index is
+    that of its monic cubic f = x^3 + a2 x^2 + a4 x + a6."""
     F = finite_field(q)
-    p = F.p
-    idx = np.arange(q ** 5, dtype=np.int64)
-    dig = _digits(idx, q, 5)
-    a1, a2, a3, a4, a6 = (dig[:, i] for i in range(5))
-    # b-invariants with universal integer constants reduced into the field
-    b2 = add[mul[a1, a1], mul[a2, 4 % p]]
-    b4 = add[mul[a4, 2 % p], mul[a1, a3]]
-    b6 = add[mul[a3, a3], mul[a6, 4 % p]]
-    b8 = add[
-        add[mul[mul[a1, a1], a6], mul[mul[a2, a6], 4 % p]],
-        add[
-            add[neg[mul[mul[a1, a3], a4]], mul[a2, mul[a3, a3]]],
-            neg[mul[a4, a4]],
-        ],
-    ]
-    # disc = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6
-    disc = add[
-        add[neg[mul[mul[b2, b2], b8]], neg[mul[mul[b4, mul[b4, b4]], 8 % p]]],
-        add[mul[mul[b6, b6], (-27) % p], mul[mul[b2, mul[b4, b6]], 9 % p]],
-    ]
-    good = disc != 0
-    a1, a2, a3, a4, a6 = a1[good], a2[good], a3[good], a4[good], a6[good]
-    n_aff = np.zeros(len(a1), dtype=np.int32)
-    if p == 2:
-        tr = np.array([F.trace_to_prime(x) for x in range(q)], dtype=np.int8)
-        for x in range(q):
-            x2, x3 = F.mul(x, x), F.pow(x, 3)
-            h = add[mul[a1, x], a3]
-            v = add[add[mul[a2, x2], mul[a4, x]], add[a6, x3]]
-            u = mul[v, inv[mul[h, h]]]
-            sol = np.where(h == 0, 1, 2 * (tr[u] == 0).astype(np.int32))
-            n_aff += sol
-    else:
-        for x in range(q):
-            x2, x3 = F.mul(x, x), F.pow(x, 3)
-            h = add[mul[a1, x], a3]
-            v = add[add[mul[a2, x2], mul[a4, x]], add[a6, x3]]
-            w = add[mul[v, 4 % p], mul[h, h]]
-            n_aff += 1 + chi[w]
-    traces = q - n_aff  # t = q + 1 - (1 + n_aff)
-    return _ell_from_traces(q, traces, group_order=q ** 3 * (q - 1))
+    k = q.bit_length() - 1
+    D = _digit_matrix(np.arange(q ** 3), 2, 3 * k).astype(np.float32)
+    C, C0 = _value_map(q, 3, 1)  # coordinates of f(x) at every x in F_q
+    a4_sq, _ = _affine_map(2, 3 * k, lambda i: _coords(F.pow(i // q % q, 2), 2, k))
+    # Tr(c u) = coords(c) . tau[u] mod 2
+    tau = np.array([[F.trace_to_prime(F.mul(1 << b, u)) for b in range(k)] for u in range(q)])
+    inv_sq = [0] + [F.inv(F.mul(u, u)) for u in range(1, q)]
+    traces = []
+    for a1 in range(q):
+        # multiplication by a1^2 on coordinates
+        a1_sq, _ = _affine_map(2, k, lambda y: _coords(F.mul(F.pow(a1, 2), y), 2, k))
+        a1x = [F.mul(a1, x) for x in range(q)]
+        a1_inv = F.inv(a1) if a1 else 0
+        for a3 in range(q):
+            h = [F.add(a1x[x], a3) for x in range(q)]
+            xs = [x for x in range(q) if h[x]]
+            if not xs:
+                continue  # h = 0: every model is singular
+            t = tau[[inv_sq[h[x]] for x in xs]]
+            # columns: Tr(f(x)/h(x)^2) at each x in xs, then a1^2 f(x0) + (x0^2 + a4)^2
+            W = [np.einsum("nxb,xb->nx", C[:, xs], t)]
+            w0 = [np.einsum("xb,xb->x", C0[xs], t)]
+            if a1:
+                x0 = F.mul(a3, a1_inv)
+                W.append(C[:, x0] @ a1_sq + a4_sq)
+                w0.append(C0[x0] @ a1_sq + _coords(F.pow(x0, 4), 2, k))
+            Y = (D @ np.hstack(W).astype(np.float32) + np.concatenate(w0)).astype(np.int32) & 1
+            if a1:
+                Y = Y[Y[:, len(xs):].any(axis=1)]
+            # 1 point where h(x) = 0, 2 or 0 elsewhere: t = q - #affine points
+            traces.append(2 * Y[:, : len(xs)].sum(axis=1) - len(xs))
+    return _ell_from_traces(q, np.concatenate(traces), q ** 3 * (q - 1))
 
 
 def _ell_from_traces(q: int, traces: np.ndarray, group_order: int, weights=None) -> EllCensus:
@@ -320,12 +344,8 @@ def _validate_ell(census: EllCensus) -> None:
 
 
 def _ell_census_compute(q: int) -> EllCensus:
-    p = _field(q).p  # q is p, p^2 or p^4, so at most 16 in characteristic 2
-    if p == 2 or p == 3 and q <= 9:
-        return _ell_full(q)
-    # q = 81 arises as the twisted-sector field of the F_9 census; the
-    # five-coefficient space is out of reach there, but the monic cubic
-    # model gives the same masses (cross-checked at q = 3, 5, 7, 9).
+    if _field(q).p == 2:  # q is p, p^2 or p^4, so 2, 4 or 16
+        return _ell_char2(q)
     return _ell_monic(q)
 
 
@@ -339,62 +359,38 @@ def ell_census(q: int) -> EllCensus:
 # genus-2 census
 
 
-def _monic_irreducibles(q: int, e: int) -> list[tuple[int, ...]]:
-    """Monic irreducible polynomials of degree e <= 3 over F_q, coefficient
-    tuples lowest-first including the leading 1."""
-    F = finite_field(q)
-    if e == 1:
-        return [(F.neg(a), 1) for a in range(q)]
-    polys = []
-    for idx in range(q ** e):
-        coeffs = tuple((idx // q ** i) % q for i in range(e)) + (1,)
-        # degree 2 or 3: irreducible iff no root
-        if all(_poly_eval(F, coeffs, x) != 0 for x in range(q)):
-            polys.append(coeffs)
-    return polys
-
-
-def _poly_eval(F: Fq, coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def _poly_mul(F: Fq, a, b) -> tuple[int, ...]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+        for j, bj in enumerate(b):
+            if ai and bj:  # the marks multiply sparse and monic polynomials
+                out[i + j] = F.add(out[i + j], bj if ai == 1 else F.mul(ai, bj))
     return tuple(out)
 
 
 def _nonsquarefree_bitmap(q: int, d: int) -> np.ndarray:
     """Bitmap over monic degree-d polynomials (indexed by sum c_i q^i of the
-    lower coefficients) marking every g divisible by the square of an
-    irreducible."""
+    lower coefficients) marking every g = h^2 m with h monic of degree
+    1 to d/2: for each h one affine map of the digits of the monic m."""
     F = finite_field(q)
-    mul, add, _, _, _ = _tables(q)
+    p = F.p
+    k = round(math.log(q, p))
+    place = p ** np.arange(d * k, dtype=np.int64)
     bitmap = np.zeros(q ** d, dtype=bool)
-    powers = q ** np.arange(d, dtype=np.int64)
     for e in range(1, d // 2 + 1):
-        h2s = [_poly_mul(F, h, h) for h in _monic_irreducibles(q, e)]
         dm = d - 2 * e
-        m_idx = np.arange(q ** dm, dtype=np.int64)
-        m_dig = np.hstack([_digits(m_idx, q, dm), np.ones((len(m_idx), 1), np.int32)])
-        for h2 in h2s:
-            g = np.zeros((len(m_idx), d), dtype=np.int32)
-            for u, hu in enumerate(h2):
-                if hu == 0:
-                    continue
-                for v in range(dm + 1):
-                    j = u + v
-                    if j >= d:
-                        continue
-                    g[:, j] = add[g[:, j], mul[m_dig[:, v], hu]]
-            idx = g.astype(np.int64) @ powers
-            bitmap[idx] = True
+        D = _digit_matrix(np.arange(q ** dm), p, dm * k)
+
+        def lower(h2, index):  # coordinates of c_0 .. c_{d-1} of h^2 m
+            g = _poly_mul(F, _monic(q, dm, index), h2)
+            return [y for c in g[:d] for y in _coords(c, p, k)]
+
+        squares = (_poly_mul(F, h, h) for h in (_monic(q, e, i) for i in range(q ** e)))
+        maps = [_affine_map(p, dm * k, lambda index, h2=h2: lower(h2, index)) for h2 in squares]
+        W, w0 = (np.stack(a) for a in zip(*maps))
+        step = max(1, _BLOCK // (len(D) * d * k))
+        for lo in range(0, len(W), step):
+            bitmap[(D @ W[lo : lo + step] + w0[lo : lo + step, None]) % p @ place] = True
     return bitmap
 
 
@@ -408,7 +404,7 @@ def _translation_reps(q: int, d: int) -> list[tuple[int, int, int]]:
     return [(0, top, 1)] + [(c * top, c * top + top // q, q) for c in range(1, q)]
 
 
-def _g2_chunks(q: int, d: int, chunk_order: str = "ascending"):
+def _g2_chunks(q: int, d: int):
     """(chunk_id, lo, hi, weight) for chunks of the _translation_reps ranges."""
     chunk = 1 << 19
     pieces = [
@@ -416,17 +412,16 @@ def _g2_chunks(q: int, d: int, chunk_order: str = "ascending"):
         for start, hi, weight in _translation_reps(q, d)
         for lo in range(start, hi, chunk)
     ]
-    ranges = [(i, *piece) for i, piece in enumerate(pieces)]
-    return ranges[::-1] if chunk_order == "reversed" else ranges
+    return [(i, *piece) for i, piece in enumerate(pieces)]
 
 
-def _g2_pass(q: int, d: int, chunk_order: str = "ascending", skip=None):
+def _g2_pass(q: int, d: int, skip=None):
     """Yield (chunk_id, S1, S2chi, weight) over the squarefree monic
     degree-d models of each chunk, integer arrays and the chunk's weight;
     chunks listed in `skip` are not recomputed."""
     bitmap = _nonsquarefree_bitmap(q, d)
     at_infinity = int(d == 6)  # the point [1:0], where F is the leading coefficient 1
-    for cid, lo, hi, weight in _g2_chunks(q, d, chunk_order):
+    for cid, lo, hi, weight in _g2_chunks(q, d):
         if skip and (d, cid) in skip:
             continue
         idx = lo + np.flatnonzero(~bitmap[lo:hi])
@@ -492,7 +487,7 @@ def _read_partial(path: Path, key: dict):
         return None
 
 
-def _g2_census_compute(q: int, chunk_order: str = "ascending") -> G2Census:
+def _g2_census_compute(q: int) -> G2Census:
     """Merge _chunk_stats over every chunk of squarefree monic sextics and
     quintics, one per translation orbit and weighted by the orbit size.
     With a cache directory each finished chunk is checkpointed,
@@ -513,7 +508,7 @@ def _g2_census_compute(q: int, chunk_order: str = "ascending") -> G2Census:
             model_count += saved[1]
             done.add(chunk)
     for d in (6, 5):
-        for cid, S1, S2, weight in _g2_pass(q, d, chunk_order, skip=done):
+        for cid, S1, S2, weight in _g2_pass(q, d, skip=done):
             part, models = _chunk_stats(q, S1, S2, weight)
             _merge_counts(counts, part)
             model_count += models
@@ -626,6 +621,36 @@ def count_points_g2(F: SexticForm, q: int, ext: int = 1) -> int:
         total += 1 + E.chi(acc)
     total += 1 + E.chi(F.coeffs[6])  # the point [1:0]
     return total
+
+
+def count_points_ell(a: tuple[int, int, int, int, int], q: int) -> int | None:
+    """#E(F_q) for y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, with
+    a = (a1, a2, a3, a4, a6), by testing every (x, y) in F_q x F_q and adding
+    the point at infinity; None when the discriminant
+    -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6 vanishes (a singular model)."""
+    F = finite_field(q)
+    a1, a2, a3, a4, a6 = a
+
+    def poly(*terms):  # sum of c * x * y * ... over the terms (c, x, y, ...)
+        acc = 0
+        for c, *xs in terms:
+            term = c % F.p
+            for x in xs:
+                term = F.mul(term, x)
+            acc = F.add(acc, term)
+        return acc
+
+    b2 = poly((1, a1, a1), (4, a2))
+    b4 = poly((2, a4), (1, a1, a3))
+    b6 = poly((1, a3, a3), (4, a6))
+    b8 = poly((1, a1, a1, a6), (4, a2, a6), (-1, a1, a3, a4), (1, a2, a3, a3), (-1, a4, a4))
+    if poly((-1, b2, b2, b8), (-8, b4, b4, b4), (-27, b6, b6), (9, b2, b4, b6)) == 0:
+        return None
+    points = 1
+    for x in F.elements():
+        rhs = poly((1, x, x, x), (1, a2, x, x), (1, a4, x), (1, a6))
+        points += sum(poly((1, y, y), (1, a1, x, y), (1, a3, y)) == rhs for y in F.elements())
+    return points
 
 
 def g2_census_direct_masses(q: int) -> tuple[dict[tuple[int, int], Fraction], int]:

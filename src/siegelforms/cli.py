@@ -267,7 +267,10 @@ def main(argv: list[str] | None = None) -> int:
         if cache_dir:
             from .census import set_cache_dir
 
-            set_cache_dir(cache_dir)
+            try:
+                set_cache_dir(cache_dir)
+            except OSError as exc:
+                raise ConfigError(f"cache directory {cache_dir}: {exc.strerror}") from exc
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - map domain errors to exit codes
         from .census import CacheError, FieldTooLarge

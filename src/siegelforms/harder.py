@@ -35,7 +35,7 @@ class EigenvalueMismatch(Exception):
 @dataclass(frozen=True)
 class EigenRecord:
     """One Hecke eigenvalue lambda(p) for S_{j,k}(Gamma_2) with provenance
-    census | published_table | sk_lift."""
+    census | published_table."""
 
     j: int
     k: int

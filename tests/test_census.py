@@ -19,15 +19,17 @@ from siegelforms.census import (
     _char_sums,
     _chunk_stats,
     _ell_from_traces,
-    _ell_full,
     _ell_monic,
     _g2_census_compute,
     _g2_chunks,
     _g2_pass,
+    _merge_counts,
     _nonsquarefree_bitmap,
+    _poly_gcd,
     _poly_mul,
     _translation_reps,
     cheb_second_kind,
+    count_points_ell,
     count_points_g2,
     ell_census,
     g2_census,
@@ -97,10 +99,31 @@ def test_j_class_mass_is_one():
         assert len(masses) == q
 
 
-def test_char3_reduced_model_agrees_with_full():
-    # masses are model-independent; raw counts differ by the group orders
-    for q in (3, 5, 7, 9):
-        assert _ell_monic(q).masses == _ell_full(q).masses
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_ell_census_matches_weierstrass_reference(q):
+    # every five-coefficient model, counted one by one; q = 2, 3 and 4 keep
+    # the five-coefficient units, q = 5 counts depressed cubics (same masses)
+    counts = {}
+    for index in range(q ** 5):
+        points = count_points_ell(tuple(index // q ** i % q for i in range(5)), q)
+        if points is not None:
+            counts[q + 1 - points] = counts.get(q + 1 - points, 0) + 1
+    group = q ** 3 * (q - 1)
+    census = ell_census(q)
+    if q < 5:
+        assert (census.counts, census.group_order, census.model_count) == (
+            counts, group, sum(counts.values())
+        )
+    assert census.masses == {t: Fraction(c, group) for t, c in counts.items()}
+
+
+def test_weierstrass_reference_examples():
+    # y^2 + y = x^3 - x over F_2 (conductor 37) has 5 points; y^2 = x^3 is
+    # the cusp and y^2 = x^3 + x^2 the node in every characteristic
+    assert count_points_ell((0, 0, 1, 1, 0), 2) == 5
+    for q in (2, 3, 4, 5):
+        assert count_points_ell((0, 0, 0, 0, 0), q) is None
+        assert count_points_ell((0, 1, 0, 0, 0), q) is None
 
 
 def test_sigma10_table():
@@ -224,11 +247,19 @@ def test_g2_real_weil_invariants():
             assert (4 * q + e) >= 0 and (4 * q + e) ** 2 >= 4 * q * t1 * t1
 
 
+def _merged(parts):
+    counts, models = {}, 0
+    for part, n in parts:
+        _merge_counts(counts, part)
+        models += n
+    return counts, models
+
+
 def test_g2_order_independence():
-    a = _g2_census_compute(5, "ascending")
-    b = _g2_census_compute(5, "reversed")
-    assert a.counts == b.counts
-    assert a.masses == b.masses
+    # p | d: the slab c_4 = 0 and one range per nonzero c_4, five chunks
+    parts = [_chunk_stats(5, S1, S2, w) for _, S1, S2, w in _g2_pass(5, 5)]
+    assert len(parts) == 5
+    assert _merged(parts[::-1]) == _merged(parts)
 
 
 def test_g2_polynomiality_in_q():
@@ -487,6 +518,37 @@ def test_g2_pass_matches_point_counter(q, d):
         assert squarefree_sextic(form, q)
         assert s1[pos] == count_points_g2(form, q, 1) - q - 1
         assert s2[pos] == count_points_g2(form, q, 2) - q * q - 1
+
+
+def _squarefree(F, g):
+    # g monic, lowest-first: squarefree iff g' != 0 and gcd(g, g') = 1
+    dg = [F.mul(c, i % F.p) for i, c in enumerate(g)][1:]
+    while dg and dg[-1] == 0:
+        dg.pop()
+    return bool(dg) and len(_poly_gcd(F, g, dg)) == 1
+
+
+@pytest.mark.parametrize(
+    "q, d", [(3, 3), (3, 5), (3, 6), (5, 3), (5, 5), (5, 6), (9, 3), (25, 3), (81, 3)]
+)
+def test_nonsquarefree_marks_match_gcd(q, d):
+    # both directions: every marked model has a repeated factor and every
+    # unmarked one has none; at q = 81 a random sample plus 300 squares
+    # (x + a)^2 (x + b)
+    F = finite_field(q)
+    bitmap = _nonsquarefree_bitmap(q, d)
+    assert bitmap.shape == (q ** d,)
+    if q < 81:
+        models = [[i // q ** j % q for j in range(d)] + [1] for i in range(q ** d)]
+    else:
+        rng = random.Random(q)
+        models = [[rng.randrange(q) for _ in range(d)] + [1] for _ in range(1000)]
+        for _ in range(300):
+            h = (rng.randrange(q), 1)
+            models.append(list(_poly_mul(F, _poly_mul(F, h, h), (rng.randrange(q), 1))))
+    for g in models:
+        index = sum(c * q ** i for i, c in enumerate(g[:d]))
+        assert bitmap[index] == (not _squarefree(F, g)), (q, d, g)
 
 
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11))

@@ -208,3 +208,48 @@ def test_cache_dir_flag(tmp_path, capsys):
         assert list(tmp_path.glob("ell_q5_*.json"))
     finally:
         census.set_cache_dir(None)
+
+
+# `census --genus 1 --json` and the cache file it writes, frozen from the
+# table-based five-coefficient engine these censuses were first built with
+FIVE_COEFFICIENT_CENSUSES = {
+    3: (162, "c16a0666337162caf0cc675fd8ab92d61a34d1b1be8a7c5e5423feed1fd11eee"),
+    9: (52488, "73dcd504aa1d6f90a2c0cff1bf81780c92d6a9ed503a9a97d9e4f30c1916bc7e"),
+    16: (983040, "2d65268b92cf06cc786565e665d5d94f5ed6dba3322e935900afce0d60409aba"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(FIVE_COEFFICIENT_CENSUSES))
+def test_five_coefficient_census_bytes(q, tmp_path, capsys):
+    import hashlib
+
+    from siegelforms import census
+
+    model_count, digest = FIVE_COEFFICIENT_CENSUSES[q]
+    try:
+        code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "census", "--genus", "1", "--q", str(q), "--json")
+        assert code == 0
+        assert out == f'{{"kind":"ell","mass":"{q}","model_count":{model_count},"q":{q}}}\n'
+        written = (tmp_path / f"ell_q{q}_v1.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
+    finally:
+        census.set_cache_dir(None)
+
+
+@pytest.mark.parametrize("via_env", (False, True))
+def test_cache_dir_naming_a_file_is_a_config_error(via_env, tmp_path, capsys, monkeypatch):
+    from siegelforms import census
+
+    path = tmp_path / "not_a_directory"
+    path.write_text("")
+    argv = ["census", "--genus", "1", "--q", "3"]
+    if via_env:
+        monkeypatch.setenv("SIEGELFORMS_CACHE_DIR", str(path))
+    else:
+        argv = ["--cache-dir", str(path)] + argv
+    try:
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "config error" in err and "not_a_directory" in err
+    finally:
+        census.set_cache_dir(None)

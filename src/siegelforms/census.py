@@ -21,13 +21,15 @@ and row j of W its value at index p^j minus w0 (_affine_map).
   Frobenius-conjugate pair is enough: chi(g(x^q)) = chi(g(x)).
 - Squarefree marks: for each monic h of degree 1 to d/2 the lower
   coefficients of h^2 m, m monic.  Irreducible or not, h^2 | g makes g
-  non-squarefree.
+  non-squarefree.  Only the ranges the census reads are marked (below).
 - Characteristic 2 (q = 2, 4, 16): models y^2 + h y = f, h = a1 x + a3,
   f = x^3 + a2 x^2 + a4 x + a6, over a group of order q^3 (q - 1).  For
   fixed (a1, a3) a point x has 1 point over it if h(x) = 0, else 2 or 0 as
   Tr(f(x)/h(x)^2) is 0 or 1; the model is singular iff h = 0, or a1 != 0
   and a1^2 f(x0) + (x0^2 + a4)^2 = 0 at x0 = a3/a1, where both partial
   derivatives vanish.  Both are F_2-affine in the bits of (a2, a4, a6).
+The field arithmetic that builds these maps (exact_arith.Fq) multiplies and
+adds in F_{p^2} and F_{p^4} through log, antilog and Zech log tables.
 
 In odd characteristic the elliptic censuses count monic cubics, y^2 = g(x).
 For q = 3 and 9 the files count five-coefficient models
@@ -38,17 +40,34 @@ times there.  q = 81 counts each cubic once over q (q - 1), and p >= 5 each
 depressed cubic once over q - 1; the masses agree.
 
 The monic-model censuses (genus 2, and elliptic through _ell_monic)
-evaluate one model per orbit of the translation x -> x + t and weight it
-by the orbit size (_translation_reps).  The translation permutes F_q and
-F_{q^2}, so it keeps S1, S2, squarefreeness and the point at infinity;
-on g = x^d + sum c_i x^i it sends c_{d-1} to c_{d-1} + d t and c_{d-2}
-to c_{d-2} + (d-1) c_{d-1} t + C(d,2) t^2.
-For p not dividing d every orbit is free and holds exactly one model
-with c_{d-1} = 0: the indices [0, q^(d-1)), weight q.  For p | d (p odd,
-so C(d,2) = 0 in F_q) c_{d-1} is invariant; an orbit with c_{d-1} = c != 0
-is free and holds exactly one model with c_{d-2} = 0: the indices
-[c q^(d-1), c q^(d-1) + q^(d-2)), weight q, while the slab c_{d-1} = 0,
-[0, q^(d-1)), is kept whole with weight 1.
+evaluate one model per orbit of the affine maps x -> a x + t and weight it
+by the number of models it stands for (_orbit_reps).  On a monic g of
+degree d the map sends g to a^-d g(a x + t).  It permutes F_q and F_{q^2},
+so it keeps S2, squarefreeness and the point at infinity, and S1 up to the
+sign chi(a)^d: genus 2 lets a run over all of F_q^* (power 1), since its
+histogram counts both twists +-S1, the elliptic census over the squares
+a = u^2 (power 2: x -> u^2 x, y -> u^3 y keeps the points).
+- Translation sends c_{d-1} to c_{d-1} + d t and c_{d-2} to
+  c_{d-2} + (d-1) c_{d-1} t + C(d,2) t^2.  For p not dividing d every
+  orbit is free and holds exactly one model on the slab c_{d-1} = 0, which
+  stands for q models.  For p | d (p odd, so C(d,2) = 0) c_{d-1} is
+  invariant: an orbit with c_{d-1} = c != 0 is free and holds exactly one
+  model with c_{d-2} = 0, and the slab stands for itself (factor 1).
+- Scaling x -> a x sends c_{d-i} to a^-i c_{d-i} and keeps the slab.  Its
+  models other than x^d (never squarefree) fall into strata by their first
+  nonzero c_{d-i}, i >= 2; the a^i, a a power-th power, are the
+  (power i)-th powers, a subgroup with g = gcd(power i, q - 1) cosets
+  gamma^j (gamma a generator of F_q^*).  So the stratum with c_{d-i} =
+  gamma^j, j < g, and c_{d-1} .. c_{d-i+1} zero stands for the (q - 1)/g
+  values of c_{d-i} in its coset: one contiguous index range with weight
+  w (q - 1)/g, w = q for p not dividing d and w = 1 for p | d.
+- For p | d the lines c_{d-1} = gamma^j, c_{d-2} = 0, j < gcd(power, q - 1),
+  stand for the models with c_{d-1} != 0, weight q (q - 1)/gcd(power, q - 1).
+The squarefree marks cover the slab (q^(d-1) entries, built once and sliced
+by the strata) and each p | d line (q^(d-2)), never all q^d models: with
+the top coefficients fixed, h fixes the top coefficients of m as well
+(c_{d-1} = 2 h_{e-1} + m_{dm-1} on the slab), so each h marks q^(s-2e)
+models of a range with s free coefficients.
 """
 
 from __future__ import annotations
@@ -59,7 +78,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -266,24 +285,20 @@ class G2Census:
 
 def _ell_monic(q: int) -> EllCensus:
     """y^2 = g(x) with g a squarefree monic cubic, odd q, one cubic per
-    translation orbit (_translation_reps), in the units of the module
-    docstring.  For p >= 5 that is the depressed cubic (no x^2 term).  In
-    characteristic 3 the x^2 coefficient c is invariant: for c != 0 the
-    cubic with no x term stands for its q translates, and the cubics with
-    c = 0 are all kept with weight 1."""
-    reps = _translation_reps(q, 3)
+    orbit of x -> u^2 x + t (_orbit_reps with power 2: x -> u^2 x,
+    y -> u^3 y keeps the points), in the units of the module docstring.
+    For p >= 5 the representatives are depressed cubics (no x^2 term),
+    each counted once per model x^3 + A x + B it stands for: the weight
+    over q, as those units have no translation factor."""
+    idx, weights, squarefree = _rep_models(q, 3, 2)
+    idx, weights = idx[squarefree], weights[squarefree]
     if finite_field(q).p != 3:
-        reps, group = [(lo, hi, 1) for lo, hi, _ in reps], q - 1
+        weights, group = weights // q, q - 1
     elif q > 9:
         group = q * (q - 1)
     else:
-        reps, group = [(lo, hi, w * q * q) for lo, hi, w in reps], q ** 3 * (q - 1)
-    idx = np.concatenate([np.arange(lo, hi) for lo, hi, _ in reps])
-    weights = np.concatenate([np.full(hi - lo, w) for lo, hi, w in reps])
-    # evaluate first: a field too large for the point map fails before the bitmap
-    sums = _char_sums(q, 3, 1, idx)
-    keep = ~_nonsquarefree_bitmap(q, 3)[idx]
-    return _ell_from_traces(q, -sums[keep], group, weights[keep])
+        weights, group = weights * q * q, q ** 3 * (q - 1)
+    return _ell_from_traces(q, -_char_sums(q, 3, 1, idx), group, weights)
 
 
 def _ell_char2(q: int) -> EllCensus:
@@ -368,85 +383,162 @@ def _poly_mul(F: Fq, a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _nonsquarefree_bitmap(q: int, d: int) -> np.ndarray:
-    """Bitmap over monic degree-d polynomials (indexed by sum c_i q^i of the
-    lower coefficients) marking every g = h^2 m with h monic of degree
-    1 to d/2: for each h one affine map of the digits of the monic m."""
+def _square_factors(F: Fq, e: int, dm: int, top: tuple[int, ...]):
+    """(h^2, m_top) for each monic h of degree e such that h^2 m, m monic of
+    degree dm, can have the top coefficients `top`, m_top the coefficients
+    of m these fix; all three lowest first.  In x^-d h^2 m = U^2 V, U = x^-e h = 1 + u_1/x + ... and
+    V = x^-dm m = 1 + v_1/x + ..., the coefficient of x^-j is v_j + 2 u_j
+    plus terms of lower j: it fixes v_j for j <= dm, else u_j for j <= e,
+    else it is a condition on h.  The other u_j are searched."""
+    t = top[::-1]  # t[j - 1] = c_{d-j}
+    fixed = min(len(top), dm)  # v_1 .. v_fixed
+    solved = range(dm + 1, min(len(top), e) + 1)  # u_j fixed by c_{d-j}
+    searched = [j for j in range(1, e + 1) if j not in solved]
+    half = (F.p + 1) // 2  # 1/2 in F_p, odd p
+    for index in range(F.q ** len(searched)):
+        u, v = [1] + [0] * e, [1] + [0] * fixed  # highest first
+        for place, j in enumerate(searched):
+            u[j] = index // F.q ** place % F.q
+        for j in range(1, len(t) + 1):
+            u2 = _poly_mul(F, u, u)
+            rest = 0
+            for b in range(min(j, fixed) + 1):
+                rest = F.add(rest, F.mul(u2[j - b], v[b]))
+            diff = F.add(t[j - 1], F.neg(rest))
+            if j <= dm:
+                v[j] = diff
+            elif j <= e:
+                u[j] = F.mul(diff, half)
+            elif diff:
+                break
+        else:
+            yield _poly_mul(F, u, u)[::-1], tuple(v[::-1])
+
+
+def _nonsquarefree_bitmap(q: int, d: int, top: tuple[int, ...]) -> np.ndarray:
+    """Bitmap over the monic degree-d polynomials whose coefficients
+    c_s .. c_{d-1} are `top`, s = d - len(top), indexed by the sum c_i q^i
+    of their free coefficients c_0 .. c_{s-1}, marking every g = h^2 m with
+    h monic of degree 1 to d/2 (_square_factors).  `top` fixes the top
+    coefficients of m (for top = (0,), m_top = -2 h_{e-1}), so each h gives
+    one affine map of the digits of m's other coefficients, q^(s-2e) marks,
+    or one mark when none is left."""
     F = finite_field(q)
     p = F.p
     k = round(math.log(q, p))
-    place = p ** np.arange(d * k, dtype=np.int64)
-    bitmap = np.zeros(q ** d, dtype=bool)
+    s = d - len(top)
+    place = p ** np.arange(s * k, dtype=np.int64)
+    bitmap = np.zeros(q ** s, dtype=bool)
     for e in range(1, d // 2 + 1):
         dm = d - 2 * e
-        D = _digit_matrix(np.arange(q ** dm), p, dm * k)
+        free = max(dm - len(top), 0)  # coefficients of m that top leaves free
+        D = _digit_matrix(np.arange(q ** free), p, free * k)
 
-        def lower(h2, index):  # coordinates of c_0 .. c_{d-1} of h^2 m
-            g = _poly_mul(F, _monic(q, dm, index), h2)
-            return [y for c in g[:d] for y in _coords(c, p, k)]
+        def lower(h2, m_top, index):  # coordinates of c_0 .. c_{s-1} of h^2 m
+            g = _poly_mul(F, _monic(q, free, index)[:-1] + m_top, h2)
+            return [y for c in g[:s] for y in _coords(c, p, k)]
 
-        squares = (_poly_mul(F, h, h) for h in (_monic(q, e, i) for i in range(q ** e)))
-        maps = [_affine_map(p, dm * k, lambda index, h2=h2: lower(h2, index)) for h2 in squares]
+        maps = [
+            _affine_map(p, free * k, partial(lower, *factors))
+            for factors in _square_factors(F, e, dm, top)
+        ]
+        if not maps:
+            continue
         W, w0 = (np.stack(a) for a in zip(*maps))
-        step = max(1, _BLOCK // (len(D) * d * k))
+        step = max(1, _BLOCK // (len(D) * s * k))
         for lo in range(0, len(W), step):
             bitmap[(D @ W[lo : lo + step] + w0[lo : lo + step, None]) % p @ place] = True
     return bitmap
 
 
-def _translation_reps(q: int, d: int) -> list[tuple[int, int, int]]:
+def _orbit_reps(q: int, d: int, power: int) -> list[tuple[int, int, int]]:
     """(lo, hi, weight): model-index ranges holding one monic degree-d model
-    per orbit of x -> x + t over odd q, weight the number of models each
-    stands for (see the module docstring)."""
+    per orbit of x -> a x + t over odd q, a running over the power-th
+    powers in F_q^*, weight the number of models each stands for (see the
+    module docstring)."""
+    F = finite_field(q)
+    gamma = F.generator()
     top = q ** (d - 1)  # the place of c_{d-1} in a model index
-    if d % finite_field(q).p:
-        return [(0, top, q)]
-    return [(0, top, 1)] + [(c * top, c * top + top // q, q) for c in range(1, q)]
+    translation = 1 if d % F.p == 0 else q  # models a slab model stands for
+    reps = []
+    for i in range(2, d + 1):  # the slab c_{d-1} = 0, by first nonzero c_{d-i}
+        g, place = math.gcd(power * i, q - 1), q ** (d - i)
+        for j in range(g):
+            c = F.pow(gamma, j) * place
+            reps.append((c, c + place, translation * (q - 1) // g))
+    if d % F.p == 0:  # the lines c_{d-1} = gamma^j, c_{d-2} = 0
+        g = math.gcd(power, q - 1)
+        for j in range(g):
+            c = F.pow(gamma, j) * top
+            reps.append((c, c + top // q, q * (q - 1) // g))
+    return reps
 
 
-def _g2_chunks(q: int, d: int):
-    """(chunk_id, lo, hi, weight) for chunks of the _translation_reps ranges."""
-    chunk = 1 << 19
-    pieces = [
-        (lo, min(lo + chunk, hi), weight)
-        for start, hi, weight in _translation_reps(q, d)
-        for lo in range(start, hi, chunk)
-    ]
-    return [(i, *piece) for i, piece in enumerate(pieces)]
+def _rep_models(q: int, d: int, power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(idx, weights, squarefree): the model indices of the _orbit_reps
+    ranges in order, the weight of each, and whether it is squarefree.
+    Each range lies in the slab c_{d-1} = 0 or in one p | d line
+    c_{d-1} = c, c_{d-2} = 0, whose bitmap is built once."""
+    reps = _orbit_reps(q, d, power)
+    top = q ** (d - 1)
+    bitmaps, marks = {}, []
+    for lo, hi, _ in reps:
+        c = lo // top
+        key = (0, c) if c else (0,)
+        if key not in bitmaps:
+            bitmaps[key] = _nonsquarefree_bitmap(q, d, key)
+        marks.append(bitmaps[key][lo - c * top : hi - c * top])
+    idx = np.concatenate([np.arange(lo, hi) for lo, hi, _ in reps])
+    weights = np.concatenate([np.full(hi - lo, w) for lo, hi, w in reps])
+    return idx, weights, ~np.concatenate(marks)
+
+
+# representatives per genus-2 chunk
+_CHUNK = 1 << 19
+
+
+def _g2_chunks(q: int, d: int) -> list[tuple[int, int, int]]:
+    """(chunk_id, lo, hi): chunks [lo, hi) of the positions in the
+    _rep_models sequence of monic degree-d genus-2 models."""
+    n = sum(hi - lo for lo, hi, _ in _orbit_reps(q, d, 1))
+    return [(cid, lo, min(lo + _CHUNK, n)) for cid, lo in enumerate(range(0, n, _CHUNK))]
 
 
 def _g2_pass(q: int, d: int, skip=None):
-    """Yield (chunk_id, S1, S2chi, weight) over the squarefree monic
-    degree-d models of each chunk, integer arrays and the chunk's weight;
-    chunks listed in `skip` are not recomputed."""
-    bitmap = _nonsquarefree_bitmap(q, d)
+    """Yield (chunk_id, S1, S2chi, weight) over the squarefree models of
+    each chunk, integer arrays with one entry per model; chunks listed in
+    `skip` are not recomputed."""
+    idx, weights, squarefree = _rep_models(q, d, 1)
     at_infinity = int(d == 6)  # the point [1:0], where F is the leading coefficient 1
-    for cid, lo, hi, weight in _g2_chunks(q, d):
+    for cid, lo, hi in _g2_chunks(q, d):
         if skip and (d, cid) in skip:
             continue
-        idx = lo + np.flatnonzero(~bitmap[lo:hi])
-        if len(idx) == 0:
+        keep = lo + np.flatnonzero(squarefree[lo:hi])
+        if len(keep) == 0:
             continue
-        S1 = _char_sums(q, d, 1, idx) + at_infinity
-        S2 = _char_sums(q, d, 2, idx) + at_infinity
-        yield cid, S1, S2, weight
+        S1 = _char_sums(q, d, 1, idx[keep]) + at_infinity
+        S2 = _char_sums(q, d, 2, idx[keep]) + at_infinity
+        yield cid, S1, S2, weights[keep]
 
 
-def _chunk_stats(q: int, S1, S2, weight: int = 1) -> tuple[dict[tuple[int, int], int], int]:
+def _chunk_stats(q: int, S1, S2, weight=1) -> tuple[dict[tuple[int, int], int], int]:
     """(t1, e) histogram over both twists of the models of one chunk, and
-    the number of models, each model counted `weight` times."""
+    the number of models, model i counted weight[i] times (a number: the
+    same for all)."""
     counts: dict[tuple[int, int], int] = {}
+    weight = np.broadcast_to(weight, S1.shape)
     ssum = S1.astype(np.int64) ** 2 + S2 - 4 * q
     _require(not np.any(ssum & 1), "parity of t1^2 - (a1^2+a2^2) broken")
     e = ssum >> 1
     for t1 in (-S1, S1):
         keys = (t1.astype(np.int64) + 2 * q) * (4 * q * q + 1) + (e + 2 * q * q)
-        uniq, cnt = np.unique(keys, return_counts=True)
+        uniq, which = np.unique(keys, return_inverse=True)
+        cnt = np.bincount(which, weight).astype(np.int64)
         for kk, cc in zip(uniq.tolist(), cnt.tolist()):
             t = kk // (4 * q * q + 1) - 2 * q
             ee = kk % (4 * q * q + 1) - 2 * q * q
-            counts[(t, ee)] = counts.get((t, ee), 0) + weight * cc
-    return counts, weight * len(S1)
+            counts[(t, ee)] = counts.get((t, ee), 0) + cc
+    return counts, int(weight.sum())
 
 
 def _merge_counts(total: dict, part: dict) -> None:
@@ -456,10 +548,10 @@ def _merge_counts(total: dict, part: dict) -> None:
 
 def _partials(q: int) -> dict[tuple[int, int], tuple[Path, dict]]:
     """Checkpoint file and key of every chunk (d, cid), none without a cache
-    directory.  The key is q, d, the model-index range [lo, hi), the
-    enumeration ("reps": one model per translation orbit, counts weighted)
-    and CACHE_VERSION; a checkpoint is used only for the chunk its key
-    names."""
+    directory.  The key is q, d, the chunk's positions [lo, hi) in the
+    representative sequence, the enumeration that sequence comes from
+    ("reps": one model per affine orbit, counts weighted) and
+    CACHE_VERSION; a checkpoint is used only for the chunk its key names."""
     if _cache_dir is None:
         return {}
     pdir = _cache_dir / "partial"
@@ -467,10 +559,10 @@ def _partials(q: int) -> dict[tuple[int, int], tuple[Path, dict]]:
     return {
         (d, cid): (
             pdir / f"g2_q{q}_d{d}_c{cid}_v{CACHE_VERSION}.json",
-            {"q": q, "d": d, "lo": lo, "hi": hi, "reps": "translation", "version": CACHE_VERSION},
+            {"q": q, "d": d, "lo": lo, "hi": hi, "reps": "affine", "version": CACHE_VERSION},
         )
         for d in (6, 5)
-        for cid, lo, hi, _ in _g2_chunks(q, d)
+        for cid, lo, hi in _g2_chunks(q, d)
     }
 
 
@@ -489,7 +581,7 @@ def _read_partial(path: Path, key: dict):
 
 def _g2_census_compute(q: int) -> G2Census:
     """Merge _chunk_stats over every chunk of squarefree monic sextics and
-    quintics, one per translation orbit and weighted by the orbit size.
+    quintics, one per affine orbit and weighted by the orbit size.
     With a cache directory each finished chunk is checkpointed,
     a matching checkpoint of an interrupted run replaces recomputing, and
     all checkpoints are removed once the merged census has been checked."""

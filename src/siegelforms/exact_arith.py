@@ -451,6 +451,10 @@ class Fq:
     the lexicographically smallest pair making x^2 + A x + B irreducible
     over the base.  That choice is deterministic, so census caches built on
     top of these fields are reproducible.
+
+    An extension field adds and multiplies through log, antilog and Zech
+    log tables, built from the tower arithmetic on first use (not when the
+    field is made).
     """
 
     def __init__(self, p: int, base: "Fq | None" = None):
@@ -466,6 +470,7 @@ class Fq:
             self.q = base.q ** 2
             self.base = base
             self.modulus = self._find_modulus(base)
+        self._logs: tuple[list[int], list[int], list[int | None]] | None = None
 
     @staticmethod
     def _find_modulus(base: "Fq") -> tuple[int, int]:
@@ -483,6 +488,16 @@ class Fq:
     def add(self, x: int, y: int) -> int:
         if self.base is None:
             return (x + y) % self.p
+        if x == 0 or y == 0:
+            return x or y
+        log, exp, zech = self._logs or self._log_tables()
+        z = zech[log[y] - log[x]]  # log(1 + y/x); a negative index counts mod q - 1
+        return 0 if z is None else exp[log[x] + z]
+
+    def _tower_add(self, x: int, y: int) -> int:
+        """The sum from the base field's, coordinate by coordinate."""
+        if self.base is None:
+            return (x + y) % self.p
         b = self.base
         return b.add(x % b.q, y % b.q) + b.q * b.add(x // b.q, y // b.q)
 
@@ -495,11 +510,20 @@ class Fq:
     def mul(self, x: int, y: int) -> int:
         if self.base is None:
             return (x * y) % self.p
+        if x == 0 or y == 0:
+            return 0
+        log, exp, _ = self._logs or self._log_tables()
+        return exp[log[x] + log[y]]
+
+    def _tower_mul(self, x: int, y: int) -> int:
+        """The product from the base field's: (x0 + x1 t)(y0 + y1 t) with
+        t^2 = -B - A t."""
+        if self.base is None:
+            return (x * y) % self.p
         b = self.base
         x0, x1 = x % b.q, x // b.q
         y0, y1 = y % b.q, y // b.q
         A, B = self.modulus
-        # (x0 + x1 t)(y0 + y1 t) with t^2 = -B - A t
         z2 = b.mul(x1, y1)
         z1 = b.add(b.mul(x0, y1), b.mul(x1, y0))
         z0 = b.mul(x0, y0)
@@ -507,19 +531,39 @@ class Fq:
         hi = b.add(z1, b.neg(b.mul(A, z2)))
         return lo + b.q * hi
 
+    def _log_tables(self) -> tuple[list[int], list[int], list[int | None]]:
+        """(log, exp, zech) with exp[i] = g^i for i < 2(q - 1), log[g^i] = i
+        and g^zech[i] = 1 + g^i (None where that is 0), g the smallest
+        generator of F_q^*, from the tower arithmetic."""
+        if self._logs is None:
+            q = self.q
+            for g in range(1, q):
+                exp, y = [1], g
+                while y != 1:
+                    exp.append(y)
+                    y = self._tower_mul(y, g)
+                if len(exp) == q - 1:
+                    break
+            log = [0] * q
+            for i, y in enumerate(exp):
+                log[y] = i
+            zech = [log[y] if y else None for y in (self._tower_add(1, y) for y in exp)]
+            self._logs = (log, exp + exp, zech)
+        return self._logs
+
+    def generator(self) -> int:
+        """The smallest generator of the multiplicative group F_q^*."""
+        return self._log_tables()[1][1]
+
     def pow(self, x: int, n: int) -> int:
         if x == 0:
             if n < 0:
                 raise ZeroDivisionError
             return 1 if n == 0 else 0
-        n %= self.q - 1
-        out, base = 1, x
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        if self.base is None:
+            return pow(x, n % (self.p - 1), self.p)
+        log, exp, _ = self._logs or self._log_tables()
+        return exp[log[x] * n % (self.q - 1)]
 
     def inv(self, x: int) -> int:
         if x == 0:

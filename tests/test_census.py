@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,8 +17,10 @@ from siegelforms.census import (
     FieldTooLarge,
     G2Census,
     SexticForm,
+    _affine_map,
     _char_sums,
     _chunk_stats,
+    _coords,
     _ell_from_traces,
     _ell_monic,
     _g2_census_compute,
@@ -25,9 +28,9 @@ from siegelforms.census import (
     _g2_pass,
     _merge_counts,
     _nonsquarefree_bitmap,
+    _orbit_reps,
     _poly_gcd,
     _poly_mul,
-    _translation_reps,
     cheb_second_kind,
     count_points_ell,
     count_points_g2,
@@ -255,10 +258,13 @@ def _merged(parts):
     return counts, models
 
 
-def test_g2_order_independence():
-    # p | d: the slab c_4 = 0 and one range per nonzero c_4, five chunks
+def test_g2_order_independence(monkeypatch):
+    from siegelforms import census as census_mod
+
+    # the 421 representatives of the q = 5 quintics in chunks of 64
+    monkeypatch.setattr(census_mod, "_CHUNK", 64)
     parts = [_chunk_stats(5, S1, S2, w) for _, S1, S2, w in _g2_pass(5, 5)]
-    assert len(parts) == 5
+    assert len(parts) == 7
     assert _merged(parts[::-1]) == _merged(parts)
 
 
@@ -326,24 +332,26 @@ def test_g2_checkpoint_resume(tmp_path, monkeypatch):
     set_cache_dir(tmp_path)
     try:
         truth = _g2_census_compute(3)
-        # precompute a degree-6 chunk of weight 3 and store it as a checkpoint
-        cid, S1, S2, weight = next(c for c in _g2_pass(3, 6) if c[3] > 1)
+        # precompute the degree-6 chunk and store it as a checkpoint
+        (cid, S1, S2, weight), = _g2_pass(3, 6)
         part, models = _chunk_stats(3, S1, S2, weight)
-        (lo, hi), = [(lo, hi) for c, lo, hi, _ in _g2_chunks(3, 6) if c == cid]
+        (_, lo, hi), = _g2_chunks(3, 6)
         chunks = len(_g2_chunks(3, 6)) + len(_g2_chunks(3, 5))
         pdir = tmp_path / "partial"
         path = pdir / f"g2_q3_d6_c{cid}_v{CACHE_VERSION}.json"
-        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "reps": "translation", "version": CACHE_VERSION}
+        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "reps": "affine", "version": CACHE_VERSION}
         stats_calls = []
         monkeypatch.setattr(
             census_mod, "_chunk_stats", lambda *a: stats_calls.append(a) or _chunk_stats(*a)
         )
-        # reps None: no "reps" field, as in a checkpoint of the full enumeration
+        # reps None: no "reps" field, as in a checkpoint of the full enumeration;
+        # reps "translation": one model per orbit of x -> x + t only
         for stale, recomputed in (
             ({}, chunks - 1),
             ({"hi": hi - 1}, chunks),
             ({"version": 0}, chunks),
             ({"reps": None}, chunks),
+            ({"reps": "translation"}, chunks),
         ):
             payload = {
                 **key,
@@ -370,9 +378,9 @@ def test_bad_checkpoint_is_recomputed_or_removed(tmp_path):
     set_cache_dir(tmp_path)
     try:
         truth = _g2_census_compute(3)
-        (_, lo, hi, _), *_ = _g2_chunks(3, 6)
+        (_, lo, hi), *_ = _g2_chunks(3, 6)
         path = tmp_path / "partial" / f"g2_q3_d6_c0_v{CACHE_VERSION}.json"
-        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "reps": "translation", "version": CACHE_VERSION}
+        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "reps": "affine", "version": CACHE_VERSION}
         for text in ("{not json", "[1, 2]", json.dumps({**key, "key_counts": [["x", 0, 1]]})):
             path.write_text(text)
             assert _g2_census_compute(3).counts == truth.counts
@@ -502,13 +510,15 @@ def _monic_form(q, d, index):
 @pytest.mark.parametrize("q", (5, 9, 11))
 @pytest.mark.parametrize("d", (5, 6))
 def test_g2_pass_matches_point_counter(q, d):
-    # per-model (S1, S2) from the census kernel against the naive counter
-    bitmap = _nonsquarefree_bitmap(q, d)
-    chunks = {cid: (lo, hi) for cid, lo, hi, _ in _g2_chunks(q, d)}
+    # per-model (S1, S2) from the census kernel against the naive counter;
+    # a chunk's models are the representatives at its positions that a
+    # bitmap over all models leaves unmarked
+    bitmap = _nonsquarefree_bitmap(q, d, ())
+    reps = np.concatenate([np.arange(lo, hi) for lo, hi, _ in _orbit_reps(q, d, 1)])
+    chunks = {cid: reps[lo:hi] for cid, lo, hi in _g2_chunks(q, d)}
     idx, s1, s2 = [], [], []
     for cid, S1, S2, _ in _g2_pass(q, d):
-        lo, hi = chunks[cid]
-        idx.append(lo + np.flatnonzero(~bitmap[lo:hi]))
+        idx.append(chunks[cid][~bitmap[chunks[cid]]])
         s1.append(S1)
         s2.append(S2)
     idx, s1, s2 = np.concatenate(idx), np.concatenate(s1), np.concatenate(s2)
@@ -532,32 +542,29 @@ def _squarefree(F, g):
     "q, d", [(3, 3), (3, 5), (3, 6), (5, 3), (5, 5), (5, 6), (9, 3), (25, 3), (81, 3)]
 )
 def test_nonsquarefree_marks_match_gcd(q, d):
-    # both directions: every marked model has a repeated factor and every
-    # unmarked one has none; at q = 81 a random sample plus 300 squares
-    # (x + a)^2 (x + b)
+    # both directions, model by model: every marked model has a repeated
+    # factor and every unmarked one has none, on the slab c_{d-1} = 0, on
+    # each p | d line c_{d-1} = c, c_{d-2} = 0, and below q = 81 on all models
     F = finite_field(q)
-    bitmap = _nonsquarefree_bitmap(q, d)
-    assert bitmap.shape == (q ** d,)
+    tops = [(0,)] + [(0, c) for c in range(1, q) if d % F.p == 0]
     if q < 81:
-        models = [[i // q ** j % q for j in range(d)] + [1] for i in range(q ** d)]
-    else:
-        rng = random.Random(q)
-        models = [[rng.randrange(q) for _ in range(d)] + [1] for _ in range(1000)]
-        for _ in range(300):
-            h = (rng.randrange(q), 1)
-            models.append(list(_poly_mul(F, _poly_mul(F, h, h), (rng.randrange(q), 1))))
-    for g in models:
-        index = sum(c * q ** i for i, c in enumerate(g[:d]))
-        assert bitmap[index] == (not _squarefree(F, g)), (q, d, g)
+        tops.append(())
+    for top in tops:
+        s = d - len(top)
+        bitmap = _nonsquarefree_bitmap(q, d, top)
+        assert bitmap.shape == (q ** s,)
+        for index in range(q ** s):
+            g = [index // q ** j % q for j in range(s)] + list(top) + [1]
+            assert bitmap[index] == (not _squarefree(F, g)), (q, d, g)
 
 
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11))
 @pytest.mark.parametrize("d", (5, 6))
 def test_translation_reps_match_full_enumeration(q, d):
     # slow oracle: the (t1, e) histogram of every squarefree monic model,
-    # against the weighted histogram of one model per translation orbit
+    # against the weighted histogram of one model per affine orbit
     at_infinity = int(d == 6)
-    idx = np.flatnonzero(~_nonsquarefree_bitmap(q, d))
+    idx = np.flatnonzero(~_nonsquarefree_bitmap(q, d, ()))
     full = _chunk_stats(
         q, _char_sums(q, d, 1, idx) + at_infinity, _char_sums(q, d, 2, idx) + at_infinity
     )
@@ -568,14 +575,14 @@ def test_translation_reps_match_full_enumeration(q, d):
             counts[key] = counts.get(key, 0) + c
         models += n
     assert (counts, models) == full
-    assert sum(hi - lo for lo, hi, _ in _translation_reps(q, d)) < q ** d
+    assert sum(hi - lo for lo, hi, _ in _orbit_reps(q, d, 1)) < q ** d
 
 
 def test_char3_cubics_match_full_enumeration():
-    # the q = 81 census from one cubic per translation orbit, against all
+    # the q = 81 census from one cubic per affine orbit, against all
     # squarefree monic cubics over a group of the same order q(q - 1)
     q = 81
-    idx = np.flatnonzero(~_nonsquarefree_bitmap(q, 3))
+    idx = np.flatnonzero(~_nonsquarefree_bitmap(q, 3, ()))
     full = _ell_from_traces(q, -_char_sums(q, 3, 1, idx), q * (q - 1))
     fast = _ell_monic(q)
     assert (fast.counts, fast.model_count, fast.group_order) == (
@@ -583,32 +590,47 @@ def test_char3_cubics_match_full_enumeration():
     )
 
 
-@pytest.mark.parametrize("q, d", [(3, 3), (3, 5), (3, 6), (5, 5), (5, 6), (7, 3), (9, 3)])
+@pytest.mark.parametrize(
+    "q, d", [(3, 3), (3, 5), (3, 6), (5, 5), (5, 6), (7, 3), (7, 6), (9, 3), (9, 6), (13, 3)]
+)
 def test_translation_reps_meet_each_orbit_once(q, d):
-    # every orbit of x -> x + t on monic degree-d models carries reps whose
-    # weights add up to its size
+    # every orbit of g -> a^-d g(ax + t) on monic degree-d models carries
+    # representatives whose weights add up to its size; a runs over F_q^*
+    # for genus 2 and over the squares for the cubics (power 2).  The one
+    # exception is the orbit of x^d, index 0, in no stratum: its models
+    # (x + t)^d are not squarefree.  It is added with weight 0.
+    power = 2 if d == 3 else 1
     F = finite_field(q)
+    p = F.p
+    k = round(math.log(q, p))
+    reps = [(0, 1, 0)] + _orbit_reps(q, d, power)
+    idx = np.concatenate([np.arange(lo, hi) for lo, hi, _ in reps])
+    weights = np.concatenate([np.full(hi - lo, w) for lo, hi, w in reps])
+    D = idx[:, None] // p ** np.arange(d * k) % p
+    place = p ** np.arange(d * k)
 
-    def index(g):
-        return sum(c * q ** i for i, c in enumerate(g[:d]))
-
-    def translate(g, t):  # Horner in the polynomial ring: h = h (x + t) + c
+    def image(a, t, index):  # coordinates of a^-d g(ax + t), g of this index
         h = (0,)
-        for c in reversed(g):
-            h = _poly_mul(F, h, (t, 1))
+        for c in reversed([index // q ** i % q for i in range(d)] + [1]):
+            h = _poly_mul(F, h, (t, a))
             h = (F.add(h[0], c),) + h[1:]
-        return h
+        scale = F.inv(F.pow(a, d))
+        return [y for c in h[:d] for y in _coords(F.mul(scale, c), p, k)]
 
-    weights = {}
-    for lo, hi, weight in _translation_reps(q, d):
-        for i in range(lo, hi):
-            g = [i // q ** j % q for j in range(d)] + [1]
-            orbit = frozenset(index(translate(g, t)) for t in range(q))
-            weights[orbit] = weights.get(orbit, 0) + weight
-    # distinct orbits are disjoint, so these sizes adding up to q^d means
-    # that every model's orbit was met
-    assert sum(len(orbit) for orbit in weights) == q ** d
-    assert all(w == len(orbit) for orbit, w in weights.items())
+    images = []
+    for a in {F.pow(u, power) for u in range(1, q)}:
+        for t in range(q):
+            W, w0 = _affine_map(p, d * k, lambda i: image(a, t, i))
+            images.append((D @ W + w0) % p @ place)
+    orbits = np.sort(np.stack(images, axis=1), axis=1)  # each rep's orbit
+    sizes = 1 + (np.diff(orbits, axis=1) != 0).sum(axis=1)
+    # an orbit is named by its smallest model, so distinct names are
+    # disjoint orbits, and sizes adding up to q^d mean every orbit was met
+    names, first, which = np.unique(orbits[:, 0], return_index=True, return_inverse=True)
+    assert np.array_equal(sizes, sizes[first][which])
+    met = names != 0
+    assert np.array_equal(np.bincount(which, weights)[met], sizes[first][met])
+    assert sizes[first].sum() == q ** d
 
 
 @settings(max_examples=200, deadline=None)

@@ -297,3 +297,43 @@ def test_mpf_to_fraction_exact():
         x = mp.mpf(25) / 48
         assert mpf_to_fraction(x) * 48 == 25 or abs(mpf_to_fraction(x) - Fraction(25, 48)) < Fraction(1, 2 ** 150)
         assert mpf_to_fraction(mp.mpf(0)) == 0
+
+
+def _tower_product(F, x, y):
+    # the quadratic tower written out down to F_p: (x0 + x1 t)(y0 + y1 t)
+    # with t^2 = -B - A t over the base field
+    if F.base is None:
+        return x * y % F.p
+    b, (A, B) = F.base, F.modulus
+    x0, x1, y0, y1 = x % b.q, x // b.q, y % b.q, y // b.q
+    z2 = _tower_product(b, x1, y1)
+    z1 = b.add(_tower_product(b, x0, y1), _tower_product(b, x1, y0))
+    z0 = _tower_product(b, x0, y0)
+    lo = b.add(z0, b.neg(_tower_product(b, B, z2)))
+    hi = b.add(z1, b.neg(_tower_product(b, A, z2)))
+    return lo + b.q * hi
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 25, 49, 81])
+def test_fq_tables_match_the_tower(q):
+    # every product of the log/antilog tables and every sum of the Zech
+    # logs, and pow, inv and chi read from them, against the tower product
+    # and the sum of base-p digits mod p
+    F = finite_field(q)
+
+    def digit_sum(x, y):
+        return sum((x // F.p ** b + y // F.p ** b) % F.p * F.p ** b for b in range(4))  # q <= p^4
+
+    for x in range(q):
+        assert [F.mul(x, y) for y in range(q)] == [_tower_product(F, x, y) for y in range(q)]
+        assert [F.add(x, y) for y in range(q)] == [digit_sum(x, y) for y in range(q)]
+    squares = {_tower_product(F, x, x) for x in range(1, q)}
+    for x in range(1, q):
+        power = 1
+        for n in range(q + 1):
+            assert F.pow(x, n) == power
+            power = _tower_product(F, power, x)
+        assert _tower_product(F, x, F.inv(x)) == 1
+        assert F.pow(x, -1) == F.inv(x)
+        assert F.chi(x) == (1 if x in squares or F.p == 2 else -1)
+    assert (F.pow(0, 0), F.pow(0, 3), F.chi(0)) == (1, 0, 0)

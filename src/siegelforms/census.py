@@ -290,8 +290,7 @@ def _ell_monic(q: int) -> EllCensus:
     For p >= 5 the representatives are depressed cubics (no x^2 term),
     each counted once per model x^3 + A x + B it stands for: the weight
     over q, as those units have no translation factor."""
-    idx, weights, squarefree = _rep_models(q, 3, 2)
-    idx, weights = idx[squarefree], weights[squarefree]
+    idx, weights = _rep_models(q, 3, 2)
     if finite_field(q).p != 3:
         weights, group = weights // q, q - 1
     elif q > 9:
@@ -474,11 +473,11 @@ def _orbit_reps(q: int, d: int, power: int) -> list[tuple[int, int, int]]:
     return reps
 
 
-def _rep_models(q: int, d: int, power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(idx, weights, squarefree): the model indices of the _orbit_reps
-    ranges in order, the weight of each, and whether it is squarefree.
-    Each range lies in the slab c_{d-1} = 0 or in one p | d line
-    c_{d-1} = c, c_{d-2} = 0, whose bitmap is built once."""
+def _rep_models(q: int, d: int, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, weights): the squarefree model indices of the _orbit_reps
+    ranges in order, and the weight of each.  Each range lies in the slab
+    c_{d-1} = 0 or in one p | d line c_{d-1} = c, c_{d-2} = 0, whose bitmap
+    is built once."""
     reps = _orbit_reps(q, d, power)
     top = q ** (d - 1)
     bitmaps, marks = {}, []
@@ -490,41 +489,24 @@ def _rep_models(q: int, d: int, power: int) -> tuple[np.ndarray, np.ndarray, np.
         marks.append(bitmaps[key][lo - c * top : hi - c * top])
     idx = np.concatenate([np.arange(lo, hi) for lo, hi, _ in reps])
     weights = np.concatenate([np.full(hi - lo, w) for lo, hi, w in reps])
-    return idx, weights, ~np.concatenate(marks)
+    squarefree = ~np.concatenate(marks)
+    return idx[squarefree], weights[squarefree]
 
 
-# representatives per genus-2 chunk
-_CHUNK = 1 << 19
-
-
-def _g2_chunks(q: int, d: int) -> list[tuple[int, int, int]]:
-    """(chunk_id, lo, hi): chunks [lo, hi) of the positions in the
-    _rep_models sequence of monic degree-d genus-2 models."""
-    n = sum(hi - lo for lo, hi, _ in _orbit_reps(q, d, 1))
-    return [(cid, lo, min(lo + _CHUNK, n)) for cid, lo in enumerate(range(0, n, _CHUNK))]
-
-
-def _g2_pass(q: int, d: int, skip=None):
-    """Yield (chunk_id, S1, S2chi, weight) over the squarefree models of
-    each chunk, integer arrays with one entry per model; chunks listed in
-    `skip` are not recomputed."""
-    idx, weights, squarefree = _rep_models(q, d, 1)
+def _g2_pass(q: int, d: int):
+    """Yield one (d, S1, S2chi, weight) over the squarefree monic
+    degree-d representatives, integer arrays with one entry per model."""
+    idx, weights = _rep_models(q, d, 1)
     at_infinity = int(d == 6)  # the point [1:0], where F is the leading coefficient 1
-    for cid, lo, hi in _g2_chunks(q, d):
-        if skip and (d, cid) in skip:
-            continue
-        keep = lo + np.flatnonzero(squarefree[lo:hi])
-        if len(keep) == 0:
-            continue
-        S1 = _char_sums(q, d, 1, idx[keep]) + at_infinity
-        S2 = _char_sums(q, d, 2, idx[keep]) + at_infinity
-        yield cid, S1, S2, weights[keep]
+    S1 = _char_sums(q, d, 1, idx) + at_infinity
+    S2 = _char_sums(q, d, 2, idx) + at_infinity
+    yield d, S1, S2, weights
 
 
 def _chunk_stats(q: int, S1, S2, weight=1) -> tuple[dict[tuple[int, int], int], int]:
-    """(t1, e) histogram over both twists of the models of one chunk, and
-    the number of models, model i counted weight[i] times (a number: the
-    same for all)."""
+    """(t1, e) histogram over both twists of the models with character
+    sums S1, S2, and the number of models, model i counted weight[i] times
+    (a number: the same for all)."""
     counts: dict[tuple[int, int], int] = {}
     weight = np.broadcast_to(weight, S1.shape)
     ssum = S1.astype(np.int64) ** 2 + S2 - 4 * q
@@ -546,29 +528,27 @@ def _merge_counts(total: dict, part: dict) -> None:
         total[key] = total.get(key, 0) + c
 
 
-def _partials(q: int) -> dict[tuple[int, int], tuple[Path, dict]]:
-    """Checkpoint file and key of every chunk (d, cid), none without a cache
-    directory.  The key is q, d, the chunk's positions [lo, hi) in the
-    representative sequence, the enumeration that sequence comes from
-    ("reps": one model per affine orbit, counts weighted) and
-    CACHE_VERSION; a checkpoint is used only for the chunk its key names."""
+def _partials(q: int) -> dict[int, tuple[Path, dict]]:
+    """Checkpoint file and key of each degree d, none without a cache
+    directory.  The key is q, d, the enumeration the degree's models come
+    from ("reps": one model per affine orbit, counts weighted) and
+    CACHE_VERSION; a checkpoint is used only for the degree its key names."""
     if _cache_dir is None:
         return {}
     pdir = _cache_dir / "partial"
     pdir.mkdir(exist_ok=True)
     return {
-        (d, cid): (
-            pdir / f"g2_q{q}_d{d}_c{cid}_v{CACHE_VERSION}.json",
-            {"q": q, "d": d, "lo": lo, "hi": hi, "reps": "affine", "version": CACHE_VERSION},
+        d: (
+            pdir / f"g2_q{q}_d{d}_v{CACHE_VERSION}.json",
+            {"q": q, "d": d, "reps": "affine", "version": CACHE_VERSION},
         )
         for d in (6, 5)
-        for cid, lo, hi in _g2_chunks(q, d)
     }
 
 
 def _read_partial(path: Path, key: dict):
-    """(counts, models) checkpointed for the chunk `key` names; None if the
-    file is missing, does not parse or belongs to another chunk."""
+    """(counts, models) checkpointed for the degree `key` names; None if the
+    file is missing, does not parse or belongs to another degree."""
     try:
         payload = json.loads(path.read_text())
         if any(payload[k] != v for k, v in key.items()):
@@ -580,11 +560,12 @@ def _read_partial(path: Path, key: dict):
 
 
 def _g2_census_compute(q: int) -> G2Census:
-    """Merge _chunk_stats over every chunk of squarefree monic sextics and
+    """Merge the _chunk_stats of the squarefree monic sextics, then the
     quintics, one per affine orbit and weighted by the orbit size.
-    With a cache directory each finished chunk is checkpointed,
-    a matching checkpoint of an interrupted run replaces recomputing, and
-    all checkpoints are removed once the merged census has been checked."""
+    With a cache directory each finished degree is checkpointed, a
+    matching checkpoint of an interrupted run replaces that degree's pass,
+    and all checkpoints are removed once the merged census has been
+    checked."""
     if q > MAX_Q_G2:
         raise FieldTooLarge(f"genus-2 census capped at q <= {MAX_Q_G2}")
     if _field(q).p == 2:
@@ -592,22 +573,19 @@ def _g2_census_compute(q: int) -> G2Census:
     counts: dict[tuple[int, int], int] = {}
     model_count = 0
     partials = _partials(q)
-    done = set()
-    for chunk, (path, key) in partials.items():
-        saved = _read_partial(path, key)
-        if saved is not None:
-            _merge_counts(counts, saved[0])
-            model_count += saved[1]
-            done.add(chunk)
     for d in (6, 5):
-        for cid, S1, S2, weight in _g2_pass(q, d, skip=done):
+        path, key = partials.get(d, (None, None))
+        saved = _read_partial(path, key) if path else None
+        if saved is not None:
+            part, models = saved
+        else:
+            (_, S1, S2, weight), = _g2_pass(q, d)
             part, models = _chunk_stats(q, S1, S2, weight)
-            _merge_counts(counts, part)
-            model_count += models
-            if (d, cid) in partials:
-                path, key = partials[d, cid]
+            if path:
                 key_counts = [[t, e, c] for (t, e), c in part.items()]
                 _write_json(path, {**key, "key_counts": key_counts, "models": models})
+        _merge_counts(counts, part)
+        model_count += models
     census = G2Census(
         q,
         counts,
@@ -637,7 +615,8 @@ def _validate_g2(census: G2Census) -> None:
 
 def g2_census(q: int) -> G2Census:
     """Genus-2 census over F_q, read from the cache directory or computed
-    (resuming from checkpoints) and written there."""
+    one degree at a time (a degree checkpointed by an interrupted run is
+    read, not recomputed) and written there."""
     return _cached("g2", q, _g2_census_compute)
 
 
@@ -837,9 +816,13 @@ def _cache_payload(kind: str, q: int, census) -> dict:
 def _write_json(path: Path, payload: dict) -> None:
     # never leave a partially written file behind
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cached(kind: str, q: int, compute):
@@ -880,5 +863,7 @@ def _load_cache(kind: str, q: int):
         if payload != _cache_payload(kind, q, census):
             raise ValueError("fields disagree with the counts or the file name")
         return census
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, CensusInvariantError) as exc:
+    except (
+        OSError, KeyError, TypeError, ValueError, ZeroDivisionError, CensusInvariantError
+    ) as exc:
         raise CacheError(f"corrupt census cache {path}: {exc}") from exc

@@ -24,13 +24,13 @@ from siegelforms.census import (
     _ell_from_traces,
     _ell_monic,
     _g2_census_compute,
-    _g2_chunks,
     _g2_pass,
     _merge_counts,
     _nonsquarefree_bitmap,
     _orbit_reps,
     _poly_gcd,
     _poly_mul,
+    _write_json,
     cheb_second_kind,
     count_points_ell,
     count_points_g2,
@@ -258,12 +258,11 @@ def _merged(parts):
     return counts, models
 
 
-def test_g2_order_independence(monkeypatch):
-    from siegelforms import census as census_mod
-
-    # the 421 representatives of the q = 5 quintics in chunks of 64
-    monkeypatch.setattr(census_mod, "_CHUNK", 64)
-    parts = [_chunk_stats(5, S1, S2, w) for _, S1, S2, w in _g2_pass(5, 5)]
+def test_g2_order_independence():
+    # the 340 squarefree representatives of the q = 5 quintics in 7 slices
+    (_, S1, S2, weight), = _g2_pass(5, 5)
+    slices = zip(*(np.array_split(a, 7) for a in (S1, S2, weight)))
+    parts = [_chunk_stats(5, *s) for s in slices]
     assert len(parts) == 7
     assert _merged(parts[::-1]) == _merged(parts)
 
@@ -332,14 +331,13 @@ def test_g2_checkpoint_resume(tmp_path, monkeypatch):
     set_cache_dir(tmp_path)
     try:
         truth = _g2_census_compute(3)
-        # precompute the degree-6 chunk and store it as a checkpoint
-        (cid, S1, S2, weight), = _g2_pass(3, 6)
+        # precompute the degree-6 pass and store it as a checkpoint
+        (_, S1, S2, weight), = _g2_pass(3, 6)
         part, models = _chunk_stats(3, S1, S2, weight)
-        (_, lo, hi), = _g2_chunks(3, 6)
-        chunks = len(_g2_chunks(3, 6)) + len(_g2_chunks(3, 5))
         pdir = tmp_path / "partial"
-        path = pdir / f"g2_q3_d6_c{cid}_v{CACHE_VERSION}.json"
-        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "reps": "affine", "version": CACHE_VERSION}
+        path = pdir / f"g2_q3_d6_v{CACHE_VERSION}.json"
+        key = {"q": 3, "d": 6, "reps": "affine", "version": CACHE_VERSION}
+        key_counts = [[t, e, c] for (t, e), c in part.items()]
         stats_calls = []
         monkeypatch.setattr(
             census_mod, "_chunk_stats", lambda *a: stats_calls.append(a) or _chunk_stats(*a)
@@ -347,29 +345,33 @@ def test_g2_checkpoint_resume(tmp_path, monkeypatch):
         # reps None: no "reps" field, as in a checkpoint of the full enumeration;
         # reps "translation": one model per orbit of x -> x + t only
         for stale, recomputed in (
-            ({}, chunks - 1),
-            ({"hi": hi - 1}, chunks),
-            ({"version": 0}, chunks),
-            ({"reps": None}, chunks),
-            ({"reps": "translation"}, chunks),
+            ({}, 1),
+            ({"d": 5}, 2),
+            ({"version": 0}, 2),
+            ({"reps": None}, 2),
+            ({"reps": "translation"}, 2),
         ):
-            payload = {
-                **key,
-                **stale,
-                "key_counts": [[t, e, c] for (t, e), c in part.items()],
-                "models": models,
-            }
+            payload = {**key, **stale, "key_counts": key_counts, "models": models}
             payload = {k: v for k, v in payload.items() if v is not None}
             path.write_text(_json.dumps(payload))
             stats_calls.clear()
             resumed = _g2_census_compute(3)
             assert resumed.counts == truth.counts
             assert resumed.model_count == truth.model_count
-            # a matching checkpoint replaces the degree-6 chunk; one for
-            # another chunk is recomputed
+            # a matching checkpoint replaces the degree-6 pass; one for
+            # another degree, version or enumeration is recomputed
             assert len(stats_calls) == recomputed
             # partials are cleaned up after a successful run
             assert not list(pdir.glob("g2_q3_*.json"))
+        # a checkpoint of one run of positions [lo, hi), as written before a
+        # degree was one unit, is never read
+        positions = sum(hi - lo for lo, hi, _ in _orbit_reps(3, 6, 1))
+        legacy = pdir / f"g2_q3_d6_c0_v{CACHE_VERSION}.json"
+        chunk_key = {**key, "lo": 0, "hi": positions}
+        legacy.write_text(_json.dumps({**chunk_key, "key_counts": key_counts, "models": models}))
+        stats_calls.clear()
+        assert _g2_census_compute(3).counts == truth.counts
+        assert len(stats_calls) == 2
     finally:
         set_cache_dir(None)
 
@@ -378,9 +380,8 @@ def test_bad_checkpoint_is_recomputed_or_removed(tmp_path):
     set_cache_dir(tmp_path)
     try:
         truth = _g2_census_compute(3)
-        (_, lo, hi), *_ = _g2_chunks(3, 6)
-        path = tmp_path / "partial" / f"g2_q3_d6_c0_v{CACHE_VERSION}.json"
-        key = {"q": 3, "d": 6, "lo": lo, "hi": hi, "reps": "affine", "version": CACHE_VERSION}
+        path = tmp_path / "partial" / f"g2_q3_d6_v{CACHE_VERSION}.json"
+        key = {"q": 3, "d": 6, "reps": "affine", "version": CACHE_VERSION}
         for text in ("{not json", "[1, 2]", json.dumps({**key, "key_counts": [["x", 0, 1]]})):
             path.write_text(text)
             assert _g2_census_compute(3).counts == truth.counts
@@ -394,6 +395,12 @@ def test_bad_checkpoint_is_recomputed_or_removed(tmp_path):
         assert _g2_census_compute(3).counts == truth.counts
     finally:
         set_cache_dir(None)
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "g2_q3_v1.json", {"counts": {1, 2}})
+    assert not list(tmp_path.iterdir())
 
 
 def test_set_cache_dir_forgets_memoized_censuses(tmp_path):
@@ -511,17 +518,13 @@ def _monic_form(q, d, index):
 @pytest.mark.parametrize("d", (5, 6))
 def test_g2_pass_matches_point_counter(q, d):
     # per-model (S1, S2) from the census kernel against the naive counter;
-    # a chunk's models are the representatives at its positions that a
-    # bitmap over all models leaves unmarked
+    # the pass's models are the representatives that a bitmap over all
+    # models leaves unmarked
     bitmap = _nonsquarefree_bitmap(q, d, ())
     reps = np.concatenate([np.arange(lo, hi) for lo, hi, _ in _orbit_reps(q, d, 1)])
-    chunks = {cid: reps[lo:hi] for cid, lo, hi in _g2_chunks(q, d)}
-    idx, s1, s2 = [], [], []
-    for cid, S1, S2, _ in _g2_pass(q, d):
-        idx.append(chunks[cid][~bitmap[chunks[cid]]])
-        s1.append(S1)
-        s2.append(S2)
-    idx, s1, s2 = np.concatenate(idx), np.concatenate(s1), np.concatenate(s2)
+    idx = reps[~bitmap[reps]]
+    (_, s1, s2, _), = _g2_pass(q, d)
+    assert len(idx) == len(s1) == len(s2)
     rng = random.Random(q * 10 + d)
     for pos in rng.sample(range(len(idx)), 200):
         form = _monic_form(q, d, int(idx[pos]))

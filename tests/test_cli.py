@@ -198,6 +198,18 @@ def test_corrupt_cache_exit_code(tmp_path, capsys):
         census.set_cache_dir(None)
 
 
+def test_unreadable_cache_exit_code(tmp_path, capsys):
+    from siegelforms import census
+
+    (tmp_path / "g2_q3_v1.json").mkdir()
+    try:
+        code, _, err = run(capsys, "--cache-dir", str(tmp_path), "census", "--genus", "2", "--q", "3")
+        assert code == 2
+        assert "corrupt census cache" in err and "g2_q3_v1.json" in err
+    finally:
+        census.set_cache_dir(None)
+
+
 def test_cache_dir_flag(tmp_path, capsys):
     from siegelforms import census
 

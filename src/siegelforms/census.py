@@ -564,7 +564,7 @@ def _g2_census_compute(q: int) -> G2Census:
     quintics, one per affine orbit and weighted by the orbit size.
     With a cache directory each finished degree is checkpointed, a
     matching checkpoint of an interrupted run replaces that degree's pass,
-    and all checkpoints are removed once the merged census has been
+    and all checkpoints of q are removed once the merged census has been
     checked."""
     if q > MAX_Q_G2:
         raise FieldTooLarge(f"genus-2 census capped at q <= {MAX_Q_G2}")
@@ -595,8 +595,11 @@ def _g2_census_compute(q: int) -> G2Census:
     try:
         _validate_g2(census)
     finally:
-        for path, _ in partials.values():
+        for d, (path, _) in partials.items():
             path.unlink(missing_ok=True)
+            # chunk-named checkpoints of an older layout are never read
+            for chunk in path.parent.glob(f"g2_q{q}_d{d}_c*_v*.json"):
+                chunk.unlink(missing_ok=True)
     return census
 
 

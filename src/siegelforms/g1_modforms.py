@@ -2,8 +2,11 @@
 
 Everything is built from the Eisenstein generators e4, e6 and the
 discriminant cusp form; Hecke operators act on an echelonized monomial
-basis of the cusp space.  Critical values of completed L-functions are
-evaluated with the incomplete-gamma series and rationalized.
+basis of the cusp space.  Completed L-values Lambda(f, s) come from one
+evaluator, the incomplete-gamma series; one normalizer turns the critical
+values of a conjugate pair of eigenforms over Q(sqrt(D)) into coprime
+integers a_t + b_t sqrt(D).  A rational eigenform is its own conjugate pair
+(D = 1, b_t = 0), so critical_ratios and congruence_prime_scan share it.
 
 Coefficients are Fractions, but a product is convolved in integers: each
 factor is written as integer numerators over the lcm of its denominators,
@@ -344,13 +347,6 @@ def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
 # completed L-function values
 
 
-@dataclass
-class CriticalValues:
-    weight: int
-    values: list  # (t, mpf) for t = weight-1 .. weight/2
-    normalized: list  # (t, int) for the even-t class, coprime integers
-
-
 def _n_terms(r: int, prec_bits: int) -> int:
     # tail of sum a(n) (2 pi n)^(s-1) e^(-2 pi n) with |a(n)| <= 2 sigma_0 n^((r-1)/2)
     target = (prec_bits + 48) * math.log(2)
@@ -362,154 +358,96 @@ def _n_terms(r: int, prec_bits: int) -> int:
     return n
 
 
-def _lambda_sum(an, r: int, s) -> mp.mpf:
-    sign = (-1) ** (r // 2)
-    acc = mp.mpf(0)
-    for n in range(1, len(an)):
-        x = 2 * mp.pi * n
-        acc += an[n] * (
-            x ** (-s) * mp.gammainc(s, x) + sign * x ** (s - r) * mp.gammainc(r - s, x)
-        )
-    return acc
+def lambda_values(f: EigenformG1, points, prec_bits: int = 256) -> list:
+    """Lambda(f, s) = Gamma(s)/(2 pi)^s L(f, s) at each real s in points.
 
-
-def lambda_value_at(f: EigenformG1, s, prec_bits: int = 256) -> mp.mpf:
-    """Completed L-value Lambda(f, s) at a single (real) point."""
-    n_terms = _n_terms(f.weight, prec_bits)
-    if n_terms >= f.prec:
-        raise PrecisionLoss(f"need {n_terms} coefficients, eigenform stores {f.prec}")
-    with mp.workprec(prec_bits + 64):
-        an = [f.embed_coeff(n) for n in range(n_terms + 1)]
-        return _lambda_sum(an, f.weight, s)
-
-
-def lambda_values(f: EigenformG1, prec_bits: int = 256) -> CriticalValues:
-    """Lambda(f, t) = Gamma(t)/(2 pi)^t L(f, t) for t = r-1 .. r/2.
-
-    Uses the two-sided incomplete-gamma series; the functional equation
-    Lambda(s) = (-1)^(r/2) Lambda(r-s) is available as a consistency check.
+    Uses the two-sided incomplete-gamma series.  Each term is symmetric
+    under s <-> r-s, so the functional equation
+    Lambda(s) = (-1)^(r/2) Lambda(r-s) holds by construction and checks
+    nothing about the coefficients.
     """
     r = f.weight
     n_terms = _n_terms(r, prec_bits)
     if n_terms >= f.prec:
-        raise PrecisionLoss(
-            f"need {n_terms} coefficients, eigenform stores {f.prec}"
-        )
+        raise PrecisionLoss(f"need {n_terms} coefficients, eigenform stores {f.prec}")
+    sign = (-1) ** (r // 2)
     values = []
     with mp.workprec(prec_bits + 64):
         an = [f.embed_coeff(n) for n in range(n_terms + 1)]
-        for t in range(r - 1, r // 2 - 1, -1):
-            values.append((t, _lambda_sum(an, r, t)))
-    # ratio normalization is rational only for a rational eigenform; the
-    # quadratic case is normalized pairwise across embeddings in the scan
-    normalized = (
-        _normalize_class(values, r, parity=0, prec_bits=prec_bits)
-        if f.field_disc == 1
-        else []
-    )
-    return CriticalValues(r, values, normalized)
+        for s in points:
+            acc = mp.mpf(0)
+            for n in range(1, len(an)):
+                x = 2 * mp.pi * n
+                acc += an[n] * (
+                    x ** (-s) * mp.gammainc(s, x) + sign * x ** (s - r) * mp.gammainc(r - s, x)
+                )
+            values.append(acc)
+    return values
 
 
-def _structural_zero(r: int, t: int) -> bool:
-    return 2 * t == r and (-1) ** (r // 2) == -1
+def lambda_value_at(f: EigenformG1, s, prec_bits: int = 256) -> mp.mpf:
+    """Completed L-value Lambda(f, s) at a single (real) point."""
+    return lambda_values(f, [s], prec_bits)[0]
 
 
-def _normalize_class(values, r: int, parity: int, prec_bits: int) -> list:
-    """Coprime integer vector proportional to the Lambda values with t of the
-    given parity and r/2 <= t <= r-2, sign fixed so the first entry is
-    positive.  The endpoint t = r-1 is excluded: its ratio to the interior
-    values carries the numerator of B_r, which would pollute the gcd."""
-    vals = [
-        (t, v)
-        for (t, v) in values
-        if t % 2 == parity and t <= r - 2 and not _structural_zero(r, t)
-    ]
-    if not vals:
-        return []
-    t0, v0 = vals[0]
-    ratios = []
+def _critical_entries(f: EigenformG1, g: EigenformG1, prec_bits: int) -> list:
+    """(t, a_t, b_t) with Lambda(f, t) proportional to a_t + b_t sqrt(D), for
+    r/2 <= t <= r-2, each parity class of t a coprime integer vector.
+
+    f and g are the conjugate eigenforms over Q(sqrt(D)).  A rational form is
+    its own conjugate: D = 1, b_t = 0, and its values are evaluated once.
+    Each class is scaled by its first value, so its first a_t is positive
+    and its first b_t is 0.  The endpoint t = r-1 is left out: its ratio to
+    the interior values carries the numerator of B_r, which would pollute
+    the gcd.  So is t = r/2 when r/2 is odd, where Lambda vanishes.
+    """
+    r, D = f.weight, f.field_disc
+    ts = [t for t in range(r - 2, r // 2 - 1, -1) if 2 * t != r or r % 4 == 0]
+    vf = lambda_values(f, ts, prec_bits)
+    vg = vf if g is f else lambda_values(g, ts, prec_bits)
+    out = []
     with mp.workprec(prec_bits + 64):
-        for t, v in vals:
-            ratios.append(rational_reconstruct(v / v0, 10 ** 18, guard_bits=140))
-    lcm = math.lcm(*(x.denominator for x in ratios))
-    ints = [int(x * lcm) for x in ratios]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    if ints[0] < 0:
-        ints = [-x for x in ints]
-    return [(t, n) for (t, _), n in zip(vals, ints)]
+        sqrtD = mp.sqrt(D)
+        for parity in (0, 1):
+            cls = [(t, x, y) for t, x, y in zip(ts, vf, vg) if t % 2 == parity]
+            _, x0, y0 = cls[0]
+            coords = []
+            for t, x, y in cls:
+                xp, xm = x / x0, y / y0
+                a = rational_reconstruct((xp + xm) / 2, 10 ** 18, guard_bits=140)
+                b = rational_reconstruct((xp - xm) / (2 * sqrtD), 10 ** 18, guard_bits=140)
+                coords.append((t, a, b))
+            lcm = math.lcm(*(x.denominator for _, a, b in coords for x in (a, b)))
+            gcd = math.gcd(*(int(x * lcm) for _, a, b in coords for x in (a, b)))
+            out += [(t, int(a * lcm) // gcd, int(b * lcm) // gcd) for t, a, b in coords]
+    return out
 
 
 def critical_ratios(f: EigenformG1, prec_bits: int = 256) -> list[int]:
     """Coprime integers proportional to (Lambda(f, r-2), Lambda(f, r-4), ...)."""
     if f.field_disc != 1:
         raise DimTooLarge("rational eigenforms only; use congruence_prime_scan")
-    cv = lambda_values(f, prec_bits)
-    return [n for (_, n) in cv.normalized]
+    return [a for t, a, _ in _critical_entries(f, f, prec_bits) if t % 2 == 0]
 
 
 def congruence_prime_scan(r: int, prec_bits: int = 256) -> list[tuple[int, int, int, int]]:
-    """Primes ell > r dividing a normalized critical entry of the weight-r
-    eigenform(s), emitted as (ell, t, j, k) with j = 2t-r-2, k = r-t+2.
+    """Primes ell > r dividing the norm a_t^2 - D b_t^2 of a normalized
+    critical entry of the weight-r eigenform(s), emitted as (ell, t, j, k)
+    with j = 2t-r-2 >= 0 and k = r-t+2 (>= 4, as t <= r-2).
 
-    Both parity classes of t are scanned (each normalized separately); for a
-    2-dimensional space divisibility is tested on the norm over Q of the
-    entries, written in Q(sqrt(D)).
+    Both parity classes of t are scanned; a rational eigenform is its own
+    conjugate pair, with D = 1 and b_t = 0.
     """
     d = dim_S(r)
     if d not in (1, 2):
         raise DimTooLarge(f"dim S_{r} = {d}")
-    out = []
-    if d == 1:
-        cv = lambda_values(eigenforms(r)[0], prec_bits)
-        for parity in (0, 1):
-            entries = _normalize_class(cv.values, r, parity, prec_bits)
-            out.extend(_scan_entries(entries, r, lambda n: n))
-    else:
-        fp, fm = eigenforms(r, prec=140)
-        cvp = lambda_values(fp, prec_bits)
-        cvm = lambda_values(fm, prec_bits)
-        D = fp.field_disc
-        for parity in (0, 1):
-            pairs = _normalize_quad_class(cvp.values, cvm.values, D, r, parity, prec_bits)
-            out.extend(_scan_entries(pairs, r, lambda ab: ab[0] ** 2 - D * ab[1] ** 2))
-    return sorted(set(out))
-
-
-def _scan_entries(entries, r, to_int):
-    found = []
-    for t, entry in entries:
+    forms = eigenforms(r, prec=140)
+    f, g = forms[0], forms[-1]
+    D = f.field_disc
+    out = set()
+    for t, a, b in _critical_entries(f, g, prec_bits):
         j, k = 2 * t - r - 2, r - t + 2
-        if j < 0 or k < 4:
-            continue
-        n = abs(to_int(entry))
-        if n == 0:
-            continue
-        for ell in factorize(n):
-            if ell > r:
-                found.append((ell, t, j, k))
-    return found
-
-
-def _normalize_quad_class(values_p, values_m, D, r, parity, prec_bits):
-    """Integral primitive vector of (a_t, b_t) with entry a_t + b_t sqrt(D)."""
-    vals = [
-        (t, vp, vm)
-        for (t, vp), (_, vm) in zip(values_p, values_m)
-        if t % 2 == parity and t <= r - 2 and not _structural_zero(r, t)
-    ]
-    if not vals:
-        return []
-    _, v0p, v0m = vals[0]
-    coords = []
-    with mp.workprec(prec_bits + 64):
-        sqrtD = mp.sqrt(D)
-        for t, vp, vm in vals:
-            xp, xm = vp / v0p, vm / v0m
-            a = rational_reconstruct((xp + xm) / 2, 10 ** 18, guard_bits=140)
-            b = rational_reconstruct((xp - xm) / (2 * sqrtD), 10 ** 18, guard_bits=140)
-            coords.append((t, a, b))
-    lcm = math.lcm(*(x.denominator for _, a, b in coords for x in (a, b)))
-    ints = [(t, int(a * lcm), int(b * lcm)) for t, a, b in coords]
-    g = math.gcd(*(abs(x) for _, a, b in ints for x in (a, b)))
-    return [(t, (a // g, b // g)) for t, a, b in ints]
+        n = abs(a * a - D * b * b)
+        if j >= 0 and n != 0:
+            out.update((ell, t, j, k) for ell in factorize(n) if ell > r)
+    return sorted(out)

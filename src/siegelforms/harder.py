@@ -276,12 +276,9 @@ def check_congruence(
             divisible = n % ell == 0
             candidate_hit = candidate_hit or divisible
             cand_entries.append(CongruenceEntry(p, rec.provenance, n, divisible))
-        if len(cand_entries) == 1:
-            result.entries.append(cand_entries[0])
-        else:
-            # several candidate eigenforms at this p: the congruence asks
-            # for one of them to match
-            result.entries.extend(cand_entries)
+        # every candidate eigenform at this p is reported; the congruence
+        # asks for one of them to match
+        result.entries.extend(cand_entries)
         verdict = verdict and candidate_hit
     result.verdict = verdict
     return result

@@ -80,10 +80,6 @@ class HalfIntegralMatrix:
     def disc(self) -> int:
         return 4 * self.n * self.m - self.r * self.r
 
-    @property
-    def content(self) -> int:
-        return math.gcd(self.n, math.gcd(self.r, self.m))
-
     def reduced(self) -> "HalfIntegralMatrix":
         return HalfIntegralMatrix(*reduce_form(self.n, self.r, self.m))
 
@@ -319,9 +315,6 @@ class JacobiFormQ:
     @property
     def max_D(self) -> int:
         return max(d for d, _ in self.coeffs) if self.coeffs else -1
-
-    def key(self, n: int, r: int) -> tuple[int, int]:
-        return (4 * self.index * n - r * r, r % (2 * self.index))
 
     def c(self, n: int, r: int) -> Fraction:
         D = 4 * self.index * n - r * r

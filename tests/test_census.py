@@ -369,9 +369,14 @@ def test_g2_checkpoint_resume(tmp_path, monkeypatch):
         legacy = pdir / f"g2_q3_d6_c0_v{CACHE_VERSION}.json"
         chunk_key = {**key, "lo": 0, "hi": positions}
         legacy.write_text(_json.dumps({**chunk_key, "key_counts": key_counts, "models": models}))
+        other_q = pdir / f"g2_q5_d6_c0_v{CACHE_VERSION}.json"
+        other_q.write_text("{}")
         stats_calls.clear()
         assert _g2_census_compute(3).counts == truth.counts
         assert len(stats_calls) == 2
+        # ... and removed with the run's own checkpoints; another q's stays
+        assert not legacy.exists()
+        assert other_q.exists()
     finally:
         set_cache_dir(None)
 

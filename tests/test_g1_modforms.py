@@ -13,6 +13,7 @@ from siegelforms.g1_modforms import (
     DimTooLarge,
     InsufficientPrecision,
     QExpansion,
+    _critical_entries,
     basis_S,
     char_poly_2x2,
     congruence_prime_scan,
@@ -24,7 +25,6 @@ from siegelforms.g1_modforms import (
     eisenstein_e,
     hecke_T,
     lambda_value_at,
-    lambda_values,
     mat_trace,
 )
 
@@ -212,6 +212,8 @@ def test_ramanujan_bound_all_embeddings():
 
 
 def test_lambda_functional_equation():
+    # holds by construction: each term of the two-sided series is symmetric
+    # under s <-> r-s; test_lambda_matches_dirichlet_series checks the values
     f = eigenforms(12)[0]
     sign = (-1) ** (12 // 2)
     with mp.workprec(320):
@@ -229,6 +231,20 @@ def test_lambda_functional_equation_weight22():
             lhs = lambda_value_at(f, s, 256)
             rhs = sign * lambda_value_at(f, 22 - s, 256)
             assert abs(lhs - rhs) < mp.mpf(2) ** -128
+
+
+@pytest.mark.parametrize(
+    "r, which, bound", [(12, 0, 1e-10), (22, 0, 1e-20), (24, 0, 1e-20), (24, 1, 1e-20)]
+)
+def test_lambda_matches_dirichlet_series(r, which, bound):
+    # at s = r-1 the Dirichlet series converges absolutely, so its truncation
+    # is an oracle that does not share the evaluator's s <-> r-s symmetry
+    f = eigenforms(r)[which]
+    s = r - 1
+    with mp.workprec(320):
+        series = sum(f.embed_coeff(n) * mp.mpf(n) ** -s for n in range(1, f.prec))
+        oracle = (2 * mp.pi) ** -s * mp.gamma(s) * series
+        assert abs(lambda_value_at(f, s) / oracle - 1) < bound
 
 
 def test_critical_ratios_delta():
@@ -249,10 +265,39 @@ def test_critical_ratios_weight22():
 
 
 def test_lambda_values_normalized_matches_ratios():
+    # a rational form is its own conjugate pair: every b_t is 0
     f = eigenforms(12)[0]
-    cv = lambda_values(f)
-    assert [n for _, n in cv.normalized] == [48, 25, 20]
-    assert [t for t, _ in cv.normalized] == [10, 8, 6]
+    entries = _critical_entries(f, f, 256)
+    assert [(t, a) for t, a, _ in entries if t % 2 == 0] == [(10, 48), (8, 25), (6, 20)]
+    assert [t for t, _, _ in entries] == [10, 8, 6, 9, 7]
+    assert all(b == 0 for _, _, b in entries)
+
+
+def test_critical_values_frozen():
+    # pinned outputs: a change to the evaluator or the normalizer must
+    # reproduce them
+    expect = {
+        16: [936, 245, 98, 70],
+        18: [120, 22, 5, 1],
+        20: [34272, 5005, 968, 280, 168],
+        26: [57960, 4522, 425, 49, 7, 1],
+    }
+    for r, ratios in expect.items():
+        assert critical_ratios(eigenforms(r)[0]) == ratios
+    assert congruence_prime_scan(28) == [
+        (157, 20, 10, 10),
+        (193, 15, 0, 15),
+        (193, 17, 4, 13),
+        (193, 19, 8, 11),
+        (193, 21, 12, 9),
+        (193, 23, 16, 7),
+        (193, 25, 20, 5),
+        (367, 23, 16, 7),
+        (647, 22, 14, 8),
+        (823, 18, 6, 12),
+        (2027, 19, 8, 11),
+        (4057, 21, 12, 9),
+    ]
 
 
 def test_congruence_scan_22():
@@ -260,10 +305,7 @@ def test_congruence_scan_22():
 
 
 def test_congruence_scan_26():
-    rows = congruence_prime_scan(26)
-    assert (97, 21, 14, 7) in rows
-    assert (29, 19, 10, 9) in rows
-    assert (43, 23, 18, 5) in rows
+    assert congruence_prime_scan(26) == [(29, 19, 10, 9), (43, 23, 18, 5), (97, 21, 14, 7)]
 
 
 def test_congruence_scan_20_empty():
@@ -271,9 +313,7 @@ def test_congruence_scan_20_empty():
 
 
 def test_congruence_scan_24_dim2():
-    rows = congruence_prime_scan(24)
-    assert (73, 19, 12, 7) in rows
-    assert (179, 17, 8, 9) in rows
+    assert congruence_prime_scan(24) == [(73, 19, 12, 7), (179, 17, 8, 9)]
 
 
 def test_eigenform_json():

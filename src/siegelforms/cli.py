@@ -1,10 +1,12 @@
 """Command-line front end: censuses, trace reports, coefficient tables,
 genus-1 data, Satake identities and congruence checks.
 
-Exit codes: 0 ok, 1 failed verdict or census invariant, 2 missing,
-unbuildable or corrupt census, 3 invalid option value.  All numeric
-output is exact; --json output is byte-stable (sorted keys, canonical
-rational strings).
+The library decides which inputs are invalid and raises InvalidInput (a
+ValueError) for them; main only maps errors to exit codes: 0 ok,
+3 InvalidInput, 2 FieldTooLarge or CacheError (a missing, unbuildable or
+corrupt census), 1 anything else (a failed verdict, a broken invariant).
+All numeric output is exact; --json output is byte-stable (sorted keys,
+canonical rational strings).
 """
 
 from __future__ import annotations
@@ -14,24 +16,19 @@ import json
 import os
 import sys
 
-
-class ConfigError(Exception):
-    pass
+from .exact_arith import InvalidInput
 
 
-def _check_jk(option: str, j: int, k: int) -> None:
-    # S_{j,k}(Gamma_2) = 0 for odd j, since -1_4 acts on it by (-1)^j, and
-    # the motivic weight w = j + 2k - 3 must be positive
-    if j < 0 or j % 2 or j + 2 * k - 3 < 1:
-        raise ConfigError(f"{option} (J, K) = ({j}, {k}): need even J >= 0 and J + 2K - 3 >= 1")
-
-
-def _emit(args, payload: dict, cite: str | None = None) -> None:
+def _emit(args, payload: dict, cite: str | None = None, lines: list[str] | None = None) -> None:
+    """Print payload as JSON, or else as the given lines (by default one
+    "key: value" line per entry), then the --cite line."""
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        for key, val in payload.items():
-            print(f"{key}: {val}")
+        if lines is None:
+            lines = [f"{key}: {val}" for key, val in payload.items()]
+        for line in lines:
+            print(line)
     if args.cite and cite:
         print(f"reproduces: {cite}")
 
@@ -69,10 +66,7 @@ def cmd_census(args) -> int:
 
 def cmd_trace(args) -> int:
     from .cohom import lambda_psq, trace_T_Sjk
-    from .exact_arith import is_prime
 
-    if not is_prime(args.p):
-        raise ConfigError(f"--p {args.p} is not a prime")
     report = trace_T_Sjk(args.j, args.k, args.p)
     payload = report.to_json()
     if args.psq:
@@ -87,10 +81,6 @@ def cmd_trace(args) -> int:
 def cmd_igusa(args) -> int:
     from .siegel_g2 import chi10, chi12, eisenstein_g2
 
-    if args.max_disc < 0:
-        raise ConfigError(f"--max-disc {args.max_disc} is negative")
-    if args.form in ("chi10", "chi12") and args.max_disc < 3:
-        raise ConfigError(f"--max-disc {args.max_disc}: {args.form} is normalized by a([1,1,1]) of disc 3")
     # the singular classes [0,0,c] are stored up to c = max(8, (max_disc + 1) // 4),
     # the c a product of two tables of this max_disc reaches; the rule fixes
     # which rows --json prints
@@ -104,32 +94,28 @@ def cmd_igusa(args) -> int:
         "chi12": lambda: chi12(*size),
     }
     table = builders[args.form]()
-    payload = {"form": args.form, "weight": table.weight, "coeffs": table.to_json_rows()}
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        for n, r, m, v in payload["coeffs"]:
-            print(f"a([{n},{r},{m}]) = {v}")
-    if args.cite:
-        print("reproduces: published genus-2 Eisenstein and cusp expansions")
+    rows = table.to_json_rows()
+    _emit(
+        args,
+        {"form": args.form, "weight": table.weight, "coeffs": rows},
+        cite="published genus-2 Eisenstein and cusp expansions",
+        lines=[f"a([{n},{r},{m}]) = {v}" for n, r, m, v in rows],
+    )
     return 0
 
 
 def cmd_g1(args) -> int:
-    from .exact_arith import is_prime
-    from .g1_modforms import congruence_prime_scan, critical_ratios, dim_S, eigenforms, hecke_T
+    from .g1_modforms import _CRITICAL_PREC, congruence_prime_scan, critical_ratios, dim_S, eigenforms, hecke_T
 
     r = args.weight
     if args.hecke is not None:
-        if not is_prime(args.hecke):
-            raise ConfigError(f"--hecke {args.hecke} is not a prime")
         mat = hecke_T(r, args.hecke)
         _emit(args, {"weight": r, "p": args.hecke, "matrix": [[str(x) for x in row] for row in mat]})
         return 0
     if dim_S(r) == 0:
-        raise ConfigError(f"S_{r} = 0: weight {r} has no cusp eigenform")
+        raise InvalidInput(f"S_{r} = 0: weight {r} has no cusp eigenform")
     if args.ratios:
-        f = eigenforms(r)[0]
+        f = eigenforms(r, _CRITICAL_PREC)[0]
         ratios = critical_ratios(f, args.precision_bits)
         _emit(
             args,
@@ -147,7 +133,6 @@ def cmd_g1(args) -> int:
 
 
 def cmd_satake(args) -> int:
-    from .exact_arith import is_prime
     from .hecke_satake import ALL_IDENTITIES, newton_slopes, spin_factor, verify_identity
 
     if args.verify_all:
@@ -156,52 +141,37 @@ def cmd_satake(args) -> int:
         return 0 if all(results.values()) else 1
     if args.spin:
         j, k, p, lam, lam2 = args.spin
-        if not is_prime(p):
-            raise ConfigError(f"--spin P = {p} is not a prime")
-        _check_jk("--spin", j, k)
         factor = spin_factor(j, k, lam, lam2, p)
         payload = factor.to_json()
         if args.slopes:
             payload["slopes"] = [str(s) for s in newton_slopes(factor, p)]
         _emit(args, payload, cite="published slope table")
         return 0
-    raise ConfigError("satake needs --verify-all or --spin")
+    raise InvalidInput("satake needs --verify-all or --spin")
 
 
 def cmd_harder(args) -> int:
-    from .exact_arith import is_prime
-    from .g1_modforms import dim_S
     from .harder import check_congruence, run_table
 
-    if args.pmax < 2:
-        raise ConfigError(f"--pmax {args.pmax} is below the smallest prime")
     if args.all:
         results = run_table(args.pmax)
-        payload = {"results": [r.to_json() for r in results]}
-        ok = all(r.verdict for r in results if not r.untestable)
-        if args.json:
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        else:
-            for r in results:
-                state = "untestable" if r.untestable else ("ok" if r.verdict else "FAIL")
-                print(f"r={r.r} (j,k)=({r.j},{r.k}) ell={r.ell}: {state}")
-        if args.cite:
-            print("reproduces: published congruence-prime verification")
-        return 0 if ok else 1
+        states = ["untestable" if r.untestable else ("ok" if r.verdict else "FAIL") for r in results]
+        _emit(
+            args,
+            {"results": [r.to_json() for r in results]},
+            cite="published congruence-prime verification",
+            lines=[f"r={r.r} (j,k)=({r.j},{r.k}) ell={r.ell}: {s}" for r, s in zip(results, states)],
+        )
+        return 1 if "FAIL" in states else 0
     if args.row:
         r, j, k, ell = args.row
-        if dim_S(r) not in (1, 2):
-            raise ConfigError(f"--row R = {r}: dim S_{r} = {dim_S(r)}, the rows need 1 or 2")
-        if not is_prime(ell):
-            raise ConfigError(f"--row L = {ell} is not a prime")
-        _check_jk("--row", j, k)
         res = check_congruence(j, k, r, ell, args.pmax)
         _emit(args, res.to_json(), cite="published congruence verification")
         if res.untestable:
             print("untestable: no eigenvalue data in reach", file=sys.stderr)
             return 2
         return 0 if res.verdict else 1
-    raise ConfigError("harder needs --all or --row")
+    raise InvalidInput("harder needs --all or --row")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv, defaults)
     try:
         if args.precision_bits < 128:
-            raise ConfigError("precision_bits must be >= 128")
+            raise InvalidInput("precision_bits must be >= 128")
         cache_dir = args.cache_dir or os.environ.get("SIEGELFORMS_CACHE_DIR")
         if cache_dir:
             from .census import set_cache_dir
@@ -270,18 +240,15 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 set_cache_dir(cache_dir)
             except OSError as exc:
-                raise ConfigError(f"cache directory {cache_dir}: {exc.strerror}") from exc
+                raise InvalidInput(f"cache directory {cache_dir}: {exc.strerror}") from exc
         return args.func(args)
-    except Exception as exc:  # noqa: BLE001 - map domain errors to exit codes
+    except Exception as exc:  # noqa: BLE001 - map errors to exit codes
         from .census import CacheError, FieldTooLarge
-        from .cohom import DimNotOne, MissingCensus, NotRegular
-        from .g1_modforms import DimTooLarge, PrecisionLoss
 
-        # an input outside the domain of the computation it asks for
-        if isinstance(exc, (ConfigError, NotRegular, DimNotOne, DimTooLarge, PrecisionLoss)):
+        if isinstance(exc, InvalidInput):
             print(f"config error: {exc}", file=sys.stderr)
             return 3
-        if isinstance(exc, (FieldTooLarge, MissingCensus, CacheError)):
+        if isinstance(exc, (FieldTooLarge, CacheError)):
             print(f"census unavailable: {exc}", file=sys.stderr)
             return 2
         print(f"error: {exc}", file=sys.stderr)

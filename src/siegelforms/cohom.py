@@ -35,21 +35,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .census import FieldTooLarge, _cheb_coeffs, ell_census, g2_census, sigma_weighted
-from .exact_arith import is_prime, rat_str
+from .census import _cheb_coeffs, ell_census, g2_census, sigma_weighted
+from .exact_arith import InvalidInput, is_prime, rat_str
 from .g1_modforms import dim_S
 from .g2data import dim_S_jk
 
 
-class NotRegular(Exception):
+class NotRegular(InvalidInput):
     pass
 
 
-class MissingCensus(Exception):
-    pass
-
-
-class DimNotOne(Exception):
+class DimNotOne(InvalidInput):
     pass
 
 
@@ -130,10 +126,7 @@ def sp_char(l: int, m: int, t1, e, q):
 
 
 def _require_censuses(q: int):
-    try:
-        return g2_census(q), ell_census(q), ell_census(q * q)
-    except FieldTooLarge as exc:
-        raise MissingCensus(str(exc)) from exc
+    return g2_census(q), ell_census(q), ell_census(q * q)
 
 
 def _moments(classes: dict[tuple[int, int], int], degree: int) -> list[list[int]]:
@@ -288,7 +281,7 @@ class TraceReport:
 
 def _trace_at(l: int, m: int, p: int, i: int) -> TraceReport:
     if not is_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
+        raise InvalidInput(f"p = {p} is not a prime")
     jac, prod = ec_full_A2(l, m, p ** i)
     full = jac + prod
     eis = eis_correction(l, m, p, i)

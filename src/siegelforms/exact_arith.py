@@ -23,6 +23,13 @@ class NoConvergent(Exception):
     """No continued-fraction convergent meets the residual bound."""
 
 
+class InvalidInput(ValueError):
+    """An argument outside the domain of the computation asked for: a
+    non-prime p, a weight with no form, a bound below the smallest prime.
+    Entry points raise it (or a subclass) for every input they reject, so
+    the CLI maps it to one exit code instead of repeating the checks."""
+
+
 # ---------------------------------------------------------------------------
 # rational serialization
 

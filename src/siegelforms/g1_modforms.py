@@ -24,6 +24,7 @@ from operator import mul
 import mpmath as mp
 
 from .exact_arith import (
+    InvalidInput,
     QuadElem,
     bernoulli,
     factorize,
@@ -40,11 +41,11 @@ class InsufficientPrecision(Exception):
     pass
 
 
-class DimTooLarge(Exception):
+class DimTooLarge(InvalidInput):
     pass
 
 
-class PrecisionLoss(Exception):
+class PrecisionLoss(InvalidInput):
     pass
 
 
@@ -225,7 +226,7 @@ def basis_S(k: int, prec: int = 40) -> tuple[QExpansion, ...]:
 def hecke_T(k: int, m: int, prec: int | None = None) -> list[list[Fraction]]:
     """Matrix of T(m), m prime, on basis_S(k); columns are images."""
     if not is_prime(m):
-        raise ValueError("m must be prime")
+        raise InvalidInput(f"m = {m} is not a prime")
     d = dim_S(k)
     need = m * (d + 1) + 1
     if prec is None:
@@ -346,6 +347,10 @@ def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
 # ---------------------------------------------------------------------------
 # completed L-function values
 
+# coefficients stored on the eigenforms whose critical values are taken;
+# the _n_terms of a precision must stay below it (800 bits up to weight 26)
+_CRITICAL_PREC = 140
+
 
 def _n_terms(r: int, prec_bits: int) -> int:
     # tail of sum a(n) (2 pi n)^(s-1) e^(-2 pi n) with |a(n)| <= 2 sigma_0 n^((r-1)/2)
@@ -441,7 +446,7 @@ def congruence_prime_scan(r: int, prec_bits: int = 256) -> list[tuple[int, int, 
     d = dim_S(r)
     if d not in (1, 2):
         raise DimTooLarge(f"dim S_{r} = {d}")
-    forms = eigenforms(r, prec=140)
+    forms = eigenforms(r, _CRITICAL_PREC)
     f, g = forms[0], forms[-1]
     D = f.field_disc
     out = set()

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .cohom import trace_T_Sjk
-from .exact_arith import QuadElem, is_prime, primes_upto
+from .exact_arith import InvalidInput, QuadElem, is_prime, primes_upto
 from .g1_modforms import dim_S, eigenforms
-from .g2data import congruence_rows, published_a22, published_lambdas, quartic_factors
+from .g2data import congruence_rows, dim_S_jk, published_a22, published_lambdas, quartic_factors
+from .hecke_satake import _check_jk
 
 CENSUS_PRIMES = (3, 5, 7)
 
@@ -143,8 +145,6 @@ def resultant(f: list[int], g: list[int]) -> int:
 def _shift_poly(poly: list[int], c: int) -> list[int]:
     """Coefficients of poly(x + c), lowest-degree-first integer input."""
     out = [0] * len(poly)
-    from math import comb
-
     for i, a in enumerate(poly):
         for j in range(i + 1):
             out[j] += a * comb(i, j) * c ** (i - j)
@@ -228,8 +228,6 @@ def _resolve_dim_sjk(j: int, k: int, r: int) -> int:
     """Dimension of S_{j,k} from the bundled tables; 0 means unknown, which
     disables the census source (a trace of a higher-dimensional space is
     not an eigenvalue)."""
-    from .g2data import dim_S_jk
-
     d = dim_S_jk(j, k)
     if d is not None:
         return d
@@ -237,6 +235,11 @@ def _resolve_dim_sjk(j: int, k: int, r: int) -> int:
         if (row.r, row.j, row.k) == (r, j, k):
             return row.dim_sjk
     return 0
+
+
+def _check_p_max(p_max: int) -> None:
+    if p_max < 2:
+        raise InvalidInput(f"p_max = {p_max} is below the smallest prime")
 
 
 def check_congruence(
@@ -253,10 +256,12 @@ def check_congruence(
     For quadratic a(p) or lambda(p) the test is ell | Norm(lambda - a - c)
     with the norm taken in the composite field via resultants.
     """
-    if not is_prime(ell):
-        raise ValueError(f"ell = {ell} is not a prime")
     if dim_S(r) not in (1, 2):
-        raise ValueError(f"dim S_{r} = {dim_S(r)} out of supported range")
+        raise InvalidInput(f"dim S_{r} = {dim_S(r)}, the congruence needs 1 or 2")
+    if not is_prime(ell):
+        raise InvalidInput(f"ell = {ell} is not a prime")
+    _check_jk(j, k)
+    _check_p_max(p_max)
     if dim_sjk is None:
         dim_sjk = _resolve_dim_sjk(j, k, r)
     f = eigenforms(r)[0]
@@ -287,6 +292,7 @@ def check_congruence(
 def run_table(p_max: int = 37) -> list[CongruenceResult]:
     """One CongruenceResult per bundled table row with a listed congruence
     prime; rows with no reachable eigenvalue data come back untestable."""
+    _check_p_max(p_max)
     results = []
     for row in congruence_rows():
         if not row.primes:

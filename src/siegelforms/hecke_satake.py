@@ -17,7 +17,7 @@ from operator import add
 
 import numpy as np
 
-from .exact_arith import is_prime
+from .exact_arith import InvalidInput, is_prime
 from .g1_modforms import dim_S
 
 
@@ -429,13 +429,21 @@ def poly_mul(a: list, b: list) -> list:
     return out
 
 
+def _check_jk(j: int, k: int) -> None:
+    # S_{j,k}(Gamma_2) = 0 for odd j, since -1_4 acts on it by (-1)^j, and
+    # the motivic weight w = j + 2k - 3 must be positive
+    if j < 0 or j % 2 or j + 2 * k - 3 < 1:
+        raise InvalidInput(f"(J, K) = ({j}, {k}): need even J >= 0 and J + 2K - 3 >= 1")
+
+
 def spin_factor(j: int, k: int, lam_p, lam_psq, p: int) -> EulerFactor:
-    """Degree-4 spin Euler factor of an eigenform of S_{j,k}, motivic
-    weight w = j + 2k - 3.  Needs even j >= 0 (S_{j,k} = 0 for odd j) and
-    w >= 1."""
+    """Degree-4 spin Euler factor at the prime p of an eigenform of
+    S_{j,k}, motivic weight w = j + 2k - 3.  Needs even j >= 0
+    (S_{j,k} = 0 for odd j) and w >= 1."""
+    _check_jk(j, k)
+    if not is_prime(p):
+        raise InvalidInput(f"p = {p} is not a prime")
     w = j + 2 * k - 3
-    if j < 0 or j % 2 or w < 1:
-        raise ValueError(f"no spin factor on S_{{{j},{k}}}: need even j >= 0 and j + 2k - 3 >= 1")
     lam_p = Fraction(lam_p)
     lam_psq = Fraction(lam_psq)
     pw = Fraction(p) ** w
@@ -532,7 +540,7 @@ def newton_slopes(factor: EulerFactor, p: int) -> list[Fraction]:
     """Slopes (with multiplicity) of the lower Newton polygon of the factor
     at p; p prime and integer coefficients required."""
     if not is_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
+        raise InvalidInput(f"p = {p} is not a prime")
     coeffs = []
     for c in factor.coeffs:
         c = Fraction(c)

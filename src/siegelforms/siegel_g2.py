@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact_arith import (
+    InvalidInput,
     divisors,
     gen_bernoulli,
     kronecker,
@@ -210,7 +211,9 @@ def eisenstein_g2(k: int, max_disc: int = 20, sing_max: int = 8) -> SiegelCoeffT
     times the Maass lift of E_{k,1}, so that the nonzero coefficients are
     2/(zeta(1-k) zeta(3-2k)) sum_{d | (n,r,m)} d^(k-1) H(k-1, 4 det N / d^2)."""
     if k % 2 or k < 4:
-        raise ValueError("weight must be even and >= 4")
+        raise InvalidInput(f"weight k = {k}: need even k >= 4")
+    if max_disc < 0:
+        raise InvalidInput(f"max_disc = {max_disc} is negative")
     return maass_lift(_jacobi_eisenstein(k, max_disc), max_disc, sing_max).scale(2 / zeta_neg(k))
 
 
@@ -219,6 +222,8 @@ def _lifted_cusp_form(k: int, max_disc: int, sing_max: int) -> SiegelCoeffTable:
     a([1,1,1]) = 1.  The Jacobi form is cuspidal (c(0) = 1 - 1), and a
     genus-1 factor f = sum a(i) q^i acts on index-1 coefficients as
     c(D) -> sum_i a(i) c(D - 4i)."""
+    if max_disc < 3:
+        raise InvalidInput(f"max_disc = {max_disc}: chi{k} is normalized by a([1,1,1]) of disc 3")
     prec = max_disc // 4 + 1
     f4, f6 = eisenstein_e(k - 4, prec), eisenstein_e(k - 6, prec)
     e41, e61 = _jacobi_eisenstein(4, max_disc), _jacobi_eisenstein(6, max_disc)

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from siegelforms import cohom, g1_modforms, harder, hecke_satake, siegel_g2
 from siegelforms.cli import main
+from siegelforms.exact_arith import InvalidInput
 
 
 def run(capsys, *argv):
@@ -33,6 +35,14 @@ def test_g1_ratios(capsys):
     code, out, _ = run(capsys, "g1", "--weight", "12", "--ratios")
     assert code == 0
     assert "[48, 25, 20]" in out
+
+
+def test_g1_ratios_share_the_scan_precision_cap(capsys):
+    # --ratios stores as many coefficients as --congruence-primes
+    code, out, _ = run(capsys, "g1", "--weight", "22", "--ratios", "--precision-bits", "800", "--json")
+    assert code == 0 and json.loads(out)["ratios"] == [82080, 9464, 1365, 246, 42]
+    code, out, _ = run(capsys, "g1", "--weight", "22", "--congruence-primes", "--precision-bits", "800", "--json")
+    assert code == 0 and json.loads(out)["rows"] == [[41, 14, 4, 10]]
 
 
 def test_census_commands(capsys):
@@ -150,6 +160,7 @@ def test_satake_spin_rejects_non_prime(capsys, p):
         ("satake", "--spin", "0", "0", "2", "0", "0", "--slopes"),  # motivic weight -3
         ("satake", "--spin", "-6", "8", "2", "0", "0"),  # negative J
         ("satake", "--spin", "5", "8", "2", "0", "0"),  # S_{J,K} = 0 for odd J
+        ("satake", "--spin", "6", "8", "4", "0", "-57344"),  # P must be a prime
         ("harder", "--row", "22", "-4", "10", "41"),
         ("harder", "--row", "22", "5", "10", "41"),
         ("harder", "--all", "--pmax", "1"),  # no prime to test
@@ -160,6 +171,27 @@ def test_invalid_option_value_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("config error: ") and out == ""
+
+
+# each call is rejected by the library itself, as the CLI checks no input
+LIBRARY_REJECTS = {
+    "spin_factor(6, 8, 0, -57344, 4)": lambda: hecke_satake.spin_factor(6, 8, 0, -57344, 4),
+    "check_congruence(5, 10, 22, 41)": lambda: harder.check_congruence(5, 10, 22, 41),
+    "check_congruence(4, 10, 22, 41, p_max=1)": lambda: harder.check_congruence(4, 10, 22, 41, p_max=1),
+    "run_table(1)": lambda: harder.run_table(1),
+    "chi10(0)": lambda: siegel_g2.chi10(0),
+    "eisenstein_g2(4, -3)": lambda: siegel_g2.eisenstein_g2(4, -3),
+    "trace_T_Sjk(6, 8, 9)": lambda: cohom.trace_T_Sjk(6, 8, 9),
+    "hecke_T(12, 4)": lambda: g1_modforms.hecke_T(12, 4),
+    "check_congruence(4, 10, 22, 1)": lambda: harder.check_congruence(4, 10, 22, 1),
+}
+
+
+@pytest.mark.parametrize("call", LIBRARY_REJECTS.values(), ids=LIBRARY_REJECTS.keys())
+def test_library_raises_invalid_input(call):
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 def test_g1_zero_space_exit_code(capsys):

@@ -9,11 +9,10 @@ from fractions import Fraction
 import pytest
 
 from siegelforms import census, cohom, g1_modforms
-from siegelforms.census import cheb_second_kind
+from siegelforms.census import FieldTooLarge, cheb_second_kind
 from siegelforms.cohom import (
     DimNotOne,
     LocalSystemIndex,
-    MissingCensus,
     NotRegular,
     ec_full_A2,
     eis_correction,
@@ -312,7 +311,7 @@ def test_lambda_psq():
     assert lambda_psq(6, 8, 3) == 143765361 == s68_table()[3][1]
     with pytest.raises(DimNotOne):
         lambda_psq(8, 10, 3)  # two-dimensional space
-    with pytest.raises(MissingCensus):
+    with pytest.raises(FieldTooLarge):
         lambda_psq(6, 8, 5)  # would need a census over F_25
 
 

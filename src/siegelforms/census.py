@@ -523,68 +523,21 @@ def _chunk_stats(q: int, S1, S2, weight=1) -> tuple[dict[tuple[int, int], int], 
     return counts, int(weight.sum())
 
 
-def _merge_counts(total: dict, part: dict) -> None:
-    for key, c in part.items():
-        total[key] = total.get(key, 0) + c
-
-
-def _partials(q: int) -> dict[int, tuple[Path, dict]]:
-    """Checkpoint file and key of each degree d, none without a cache
-    directory.  The key is q, d, the enumeration the degree's models come
-    from ("reps": one model per affine orbit, counts weighted) and
-    CACHE_VERSION; a checkpoint is used only for the degree its key names."""
-    if _cache_dir is None:
-        return {}
-    pdir = _cache_dir / "partial"
-    pdir.mkdir(exist_ok=True)
-    return {
-        d: (
-            pdir / f"g2_q{q}_d{d}_v{CACHE_VERSION}.json",
-            {"q": q, "d": d, "reps": "affine", "version": CACHE_VERSION},
-        )
-        for d in (6, 5)
-    }
-
-
-def _read_partial(path: Path, key: dict):
-    """(counts, models) checkpointed for the degree `key` names; None if the
-    file is missing, does not parse or belongs to another degree."""
-    try:
-        payload = json.loads(path.read_text())
-        if any(payload[k] != v for k, v in key.items()):
-            return None
-        counts = {(int(t), int(e)): int(c) for t, e, c in payload["key_counts"]}
-        return counts, int(payload["models"])
-    except (OSError, KeyError, TypeError, ValueError):
-        return None
-
-
 def _g2_census_compute(q: int) -> G2Census:
-    """Merge the _chunk_stats of the squarefree monic sextics, then the
-    quintics, one per affine orbit and weighted by the orbit size.
-    With a cache directory each finished degree is checkpointed, a
-    matching checkpoint of an interrupted run replaces that degree's pass,
-    and all checkpoints of q are removed once the merged census has been
-    checked."""
+    """Sum the _chunk_stats of the squarefree monic sextics, then the
+    quintics, one per affine orbit and weighted by the orbit size, and
+    check the whole census."""
     if q > MAX_Q_G2:
         raise FieldTooLarge(f"genus-2 census capped at q <= {MAX_Q_G2}")
     if _field(q).p == 2:
         raise FieldTooLarge("characteristic-2 genus-2 census is not implemented")
     counts: dict[tuple[int, int], int] = {}
     model_count = 0
-    partials = _partials(q)
     for d in (6, 5):
-        path, key = partials.get(d, (None, None))
-        saved = _read_partial(path, key) if path else None
-        if saved is not None:
-            part, models = saved
-        else:
-            (_, S1, S2, weight), = _g2_pass(q, d)
-            part, models = _chunk_stats(q, S1, S2, weight)
-            if path:
-                key_counts = [[t, e, c] for (t, e), c in part.items()]
-                _write_json(path, {**key, "key_counts": key_counts, "models": models})
-        _merge_counts(counts, part)
+        (_, S1, S2, weight), = _g2_pass(q, d)
+        part, models = _chunk_stats(q, S1, S2, weight)
+        for key, c in part.items():
+            counts[key] = counts.get(key, 0) + c
         model_count += models
     census = G2Census(
         q,
@@ -592,14 +545,7 @@ def _g2_census_compute(q: int) -> G2Census:
         group_order=(q * q - 1) * (q * q - q),
         model_count=model_count * (q - 1),
     )
-    try:
-        _validate_g2(census)
-    finally:
-        for d, (path, _) in partials.items():
-            path.unlink(missing_ok=True)
-            # chunk-named checkpoints of an older layout are never read
-            for chunk in path.parent.glob(f"g2_q{q}_d{d}_c*_v*.json"):
-                chunk.unlink(missing_ok=True)
+    _validate_g2(census)
     return census
 
 
@@ -618,8 +564,7 @@ def _validate_g2(census: G2Census) -> None:
 
 def g2_census(q: int) -> G2Census:
     """Genus-2 census over F_q, read from the cache directory or computed
-    one degree at a time (a degree checkpointed by an interrupted run is
-    read, not recomputed) and written there."""
+    whole, checked and then written there."""
     return _cached("g2", q, _g2_census_compute)
 
 

@@ -105,7 +105,7 @@ def cmd_igusa(args) -> int:
 
 
 def cmd_g1(args) -> int:
-    from .g1_modforms import _CRITICAL_PREC, congruence_prime_scan, critical_ratios, dim_S, eigenforms, hecke_T
+    from .g1_modforms import congruence_prime_scan, critical_ratios, dim_S, eigenforms, hecke_T
 
     r = args.weight
     if args.hecke is not None:
@@ -115,8 +115,7 @@ def cmd_g1(args) -> int:
     if dim_S(r) == 0:
         raise InvalidInput(f"S_{r} = 0: weight {r} has no cusp eigenform")
     if args.ratios:
-        f = eigenforms(r, _CRITICAL_PREC)[0]
-        ratios = critical_ratios(f, args.precision_bits)
+        ratios = critical_ratios(eigenforms(r)[0], args.precision_bits)
         _emit(
             args,
             {"weight": r, "ratios": ratios},

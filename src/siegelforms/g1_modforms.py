@@ -429,9 +429,13 @@ def _critical_entries(f: EigenformG1, g: EigenformG1, prec_bits: int) -> list:
 
 
 def critical_ratios(f: EigenformG1, prec_bits: int = 256) -> list[int]:
-    """Coprime integers proportional to (Lambda(f, r-2), Lambda(f, r-4), ...)."""
+    """Coprime integers proportional to (Lambda(f, r-2), Lambda(f, r-4), ...).
+
+    A rational level-1 eigenform is fixed by its weight, so the values are
+    taken on its _CRITICAL_PREC coefficients, however many f stores."""
     if f.field_disc != 1:
         raise DimTooLarge("rational eigenforms only; use congruence_prime_scan")
+    f = eigenforms(f.weight, _CRITICAL_PREC)[0]
     return [a for t, a, _ in _critical_entries(f, f, prec_bits) if t % 2 == 0]
 
 

@@ -14,7 +14,6 @@ import pytest
 from siegelforms.census import (
     _chunk_stats,
     _g2_pass,
-    _merge_counts,
     ell_census,
     g2_census,
     set_cache_dir,
@@ -276,7 +275,8 @@ def test_criterion_12_property_suite():
     for order in (parts, parts[::-1]):
         counts, models = {}, 0
         for part, n in order:
-            _merge_counts(counts, part)
+            for key, c in part.items():
+                counts[key] = counts.get(key, 0) + c
             models += n
         merged.append((counts, models))
     assert len(parts) == 5 and merged[0] == merged[1]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from siegelforms.census import (
     CACHE_VERSION,
     CacheError,
-    CensusInvariantError,
     EllCensus,
     FieldTooLarge,
     G2Census,
@@ -25,7 +24,6 @@ from siegelforms.census import (
     _ell_monic,
     _g2_census_compute,
     _g2_pass,
-    _merge_counts,
     _nonsquarefree_bitmap,
     _orbit_reps,
     _poly_gcd,
@@ -253,7 +251,8 @@ def test_g2_real_weil_invariants():
 def _merged(parts):
     counts, models = {}, 0
     for part, n in parts:
-        _merge_counts(counts, part)
+        for key, c in part.items():
+            counts[key] = counts.get(key, 0) + c
         models += n
     return counts, models
 
@@ -322,82 +321,20 @@ def test_cache_round_trip(tmp_path):
         set_cache_dir(None)
 
 
-def test_g2_checkpoint_resume(tmp_path, monkeypatch):
-    import json as _json
-
-    from siegelforms import census as census_mod
-    from siegelforms.census import _chunk_stats, _g2_census_compute, _g2_pass
-
+def test_checkpoint_of_an_older_version_is_never_read(tmp_path):
+    # older versions checkpointed each degree under partial/; a census is
+    # now computed whole, so a planted checkpoint with wrong counts is
+    # neither read nor touched
+    path = tmp_path / "partial" / f"g2_q3_d6_v{CACHE_VERSION}.json"
+    path.parent.mkdir()
+    key = {"q": 3, "d": 6, "reps": "affine", "version": CACHE_VERSION}
+    text = json.dumps({**key, "key_counts": [[0, 0, 1]], "models": 1})
+    path.write_text(text)
+    truth = _g2_census_compute(3)
     set_cache_dir(tmp_path)
     try:
-        truth = _g2_census_compute(3)
-        # precompute the degree-6 pass and store it as a checkpoint
-        (_, S1, S2, weight), = _g2_pass(3, 6)
-        part, models = _chunk_stats(3, S1, S2, weight)
-        pdir = tmp_path / "partial"
-        path = pdir / f"g2_q3_d6_v{CACHE_VERSION}.json"
-        key = {"q": 3, "d": 6, "reps": "affine", "version": CACHE_VERSION}
-        key_counts = [[t, e, c] for (t, e), c in part.items()]
-        stats_calls = []
-        monkeypatch.setattr(
-            census_mod, "_chunk_stats", lambda *a: stats_calls.append(a) or _chunk_stats(*a)
-        )
-        # reps None: no "reps" field, as in a checkpoint of the full enumeration;
-        # reps "translation": one model per orbit of x -> x + t only
-        for stale, recomputed in (
-            ({}, 1),
-            ({"d": 5}, 2),
-            ({"version": 0}, 2),
-            ({"reps": None}, 2),
-            ({"reps": "translation"}, 2),
-        ):
-            payload = {**key, **stale, "key_counts": key_counts, "models": models}
-            payload = {k: v for k, v in payload.items() if v is not None}
-            path.write_text(_json.dumps(payload))
-            stats_calls.clear()
-            resumed = _g2_census_compute(3)
-            assert resumed.counts == truth.counts
-            assert resumed.model_count == truth.model_count
-            # a matching checkpoint replaces the degree-6 pass; one for
-            # another degree, version or enumeration is recomputed
-            assert len(stats_calls) == recomputed
-            # partials are cleaned up after a successful run
-            assert not list(pdir.glob("g2_q3_*.json"))
-        # a checkpoint of one run of positions [lo, hi), as written before a
-        # degree was one unit, is never read
-        positions = sum(hi - lo for lo, hi, _ in _orbit_reps(3, 6, 1))
-        legacy = pdir / f"g2_q3_d6_c0_v{CACHE_VERSION}.json"
-        chunk_key = {**key, "lo": 0, "hi": positions}
-        legacy.write_text(_json.dumps({**chunk_key, "key_counts": key_counts, "models": models}))
-        other_q = pdir / f"g2_q5_d6_c0_v{CACHE_VERSION}.json"
-        other_q.write_text("{}")
-        stats_calls.clear()
-        assert _g2_census_compute(3).counts == truth.counts
-        assert len(stats_calls) == 2
-        # ... and removed with the run's own checkpoints; another q's stays
-        assert not legacy.exists()
-        assert other_q.exists()
-    finally:
-        set_cache_dir(None)
-
-
-def test_bad_checkpoint_is_recomputed_or_removed(tmp_path):
-    set_cache_dir(tmp_path)
-    try:
-        truth = _g2_census_compute(3)
-        path = tmp_path / "partial" / f"g2_q3_d6_v{CACHE_VERSION}.json"
-        key = {"q": 3, "d": 6, "reps": "affine", "version": CACHE_VERSION}
-        for text in ("{not json", "[1, 2]", json.dumps({**key, "key_counts": [["x", 0, 1]]})):
-            path.write_text(text)
-            assert _g2_census_compute(3).counts == truth.counts
-            assert not path.exists()
-        # a well-formed checkpoint with wrong counts fails the merged
-        # census, and is removed so that the next run starts clean
-        path.write_text(json.dumps({**key, "key_counts": [[0, 0, 1]], "models": 1}))
-        with pytest.raises(CensusInvariantError):
-            _g2_census_compute(3)
-        assert not path.exists()
-        assert _g2_census_compute(3).counts == truth.counts
+        assert g2_census(3) == truth
+        assert path.read_text() == text
     finally:
         set_cache_dir(None)
 
@@ -418,7 +355,7 @@ def test_set_cache_dir_forgets_memoized_censuses(tmp_path):
         g2_census(3)
         ell_census(3)
         for cache in (a, b):
-            assert sorted(p.name for p in cache.glob("*.json")) == [
+            assert sorted(p.name for p in cache.iterdir()) == [
                 f"ell_q3_v{CACHE_VERSION}.json",
                 f"g2_q3_v{CACHE_VERSION}.json",
             ]

@@ -261,7 +261,8 @@ def test_critical_ratios_weight22():
         2 * 3 * 41,
         2 * 3 * 7,
     ]
-    assert critical_ratios(f) == expect
+    for prec_bits in (256, 800):
+        assert critical_ratios(f, prec_bits) == expect
 
 
 def test_lambda_values_normalized_matches_ratios():

@@ -16,9 +16,12 @@ sum c_i q^i, so D holds the F_p-coordinates of its coefficients, and a
 quantity F_p-affine in them is D @ W + w0 mod p, w0 its value at index 0
 and row j of W its value at index p^j minus w0 (_affine_map).
 - Points, odd q: g(x) for each fixed x.  One float32 matmul evaluates a
-  block of models at all points, the coordinates of g(x) packed into one
-  number that one gather maps to chi(g(x)).  Over F_{q^2} one point per
-  Frobenius-conjugate pair is enough: chi(g(x^q)) = chi(g(x)).
+  block of models at all points, the coordinates of g(x) packed into the
+  fewest numbers that stay below 2^24 (_point_map).  One gather maps a
+  single number to chi(g(x)): every prime q <= 31 and its square, 9 and
+  81.  Several (F_625, F_{37^2}, ...) are each reduced mod p by a gather,
+  added up into the index of g(x) and mapped through chi.  Over F_{q^2}
+  one point per Frobenius-conjugate pair is enough: chi(g(x^q)) = chi(g(x)).
 - Squarefree marks: for each monic h of degree 1 to d/2 the lower
   coefficients of h^2 m, m monic.  Irreducible or not, h^2 | g makes g
   non-squarefree.  Only the ranges the census reads are marked (below).
@@ -189,46 +192,60 @@ def _value_map(q: int, d: int, ext: int) -> tuple[np.ndarray, np.ndarray]:
     return C.reshape(d * k, len(pows), k * ext), C0.reshape(len(pows), k * ext)
 
 
-# entries (models x points) evaluated by one matmul
+# entries (models x columns) evaluated by one matmul
 _BLOCK = 1 << 18
 
 
 @lru_cache(maxsize=None)
 def _point_map(q: int, d: int, ext: int):
-    """(W, w0, table, weights) evaluating monic degree-d models over odd q
-    at one point per Frobenius orbit of F_{q^ext}.
+    """(W, w0, table, chi, shift) evaluating monic degree-d models over odd
+    q at one point per Frobenius orbit of F_{q^ext}, F_q first (_value_map).
 
-    Entry j of D @ W + w0 packs the F_p-coordinates y_b of g(x_j) as
-    sum y_b B^b with every y_b < B, so table[D @ W + w0] = chi(g(x_j));
-    the sum of those characters weighted by orbit size is the character
-    sum over all of F_{q^ext}.
+    The m F_p-coordinates y_b of g(x_j) are below B before reduction mod p.
+    They fall into n groups of s, n the fewest with B^s < 2^24, below which
+    float32 represents integers exactly, and column (i, j) of D @ W + w0
+    packs group i as sum y_b B^b.  table maps a packed group to
+    sum (y_b mod p) p^b, so g(x_j) is the element whose index sums those
+    times shift[i] = p^(s i), and chi of that index is chi(g(x_j)).  With
+    one group table is already composed into chi (chi is None):
+    table[D @ W + w0] = chi(g(x_j)).
     """
     p, E = finite_field(q).p, finite_field(q ** ext)
     C, C0 = _value_map(q, d, ext)
     m = C.shape[2]
     B = int(((p - 1) * C.sum(axis=0) + C0).max()) + 1
-    if B ** m >= 1 << 24:  # float32 represents integers exactly below 2^24
-        raise FieldTooLarge(f"point map over F_{q ** ext} needs {B}^{m} table entries")
-    place = B ** np.arange(m)
-    # code[n]: the element whose coordinates are the base-B digits of n mod p
+    n = next(n for n in range(1, m + 1) if B ** -(-m // n) < 1 << 24)
+    s = -(-m // n)
+    # coordinates padded to n s and split group-major: (digits, groups, points, s)
+    C = np.pad(C, ((0, 0), (0, 0), (0, n * s - m))).reshape(len(C), -1, n, s).swapaxes(1, 2)
+    C0 = np.pad(C0, ((0, 0), (0, n * s - m))).reshape(-1, n, s).swapaxes(0, 1)
+    place = B ** np.arange(s)
+    # code[v]: sum (y_b mod p) p^b for the base-B digits y_b of v
     code = np.zeros(1, dtype=np.min_scalar_type(q ** ext))
-    for b in range(m):
+    for b in range(s):
         code = np.add.outer((np.arange(B) % p * p ** b).astype(code.dtype), code).ravel()
     chi = np.array([E.chi(y) for y in range(q ** ext)], dtype=np.int8)
-    weights = np.where(np.arange(len(C0)) < q, 1, 2).astype(np.float32)
-    return (C @ place).astype(np.float32), (C0 @ place).astype(np.float32), chi[code], weights
+    if n == 1:
+        code, chi = chi[code], None
+    W = (C @ place).reshape(len(C), -1).astype(np.float32)
+    w0 = (C0 @ place).ravel().astype(np.float32)
+    return W, w0, code, chi, p ** (s * np.arange(n, dtype=np.int32))
 
 
 def _char_sums(q: int, d: int, ext: int, idx: np.ndarray) -> np.ndarray:
     """sum over x in F_{q^ext} of chi(g(x)) for each monic degree-d model g
     with index sum c_i q^i in idx."""
-    W, w0, table, weights = _point_map(q, d, ext)
+    W, w0, table, chi, shift = _point_map(q, d, ext)
     p = finite_field(q).p
     rows = max(1, _BLOCK // len(w0))
     out = np.empty(len(idx), dtype=np.int32)
     for lo in range(0, len(idx), rows):
         D = _digit_matrix(idx[lo : lo + rows], p, len(W)).astype(np.float32)
-        out[lo : lo + rows] = table[(D @ W + w0).astype(np.int32)] @ weights
+        Y = table[(D @ W + w0).astype(np.int32)]
+        if chi is not None:  # several groups: add them up into element indices
+            Y = chi[np.einsum("rgj,g->rj", Y.reshape(len(D), len(shift), -1), shift)]
+        # the points of F_q, then one per conjugate pair, which counts twice
+        out[lo : lo + rows] = Y.sum(axis=1, dtype=np.int32) + Y[:, q:].sum(axis=1, dtype=np.int32)
     return out
 
 

@@ -24,8 +24,10 @@ from siegelforms.census import (
     _ell_monic,
     _g2_census_compute,
     _g2_pass,
+    _monic,
     _nonsquarefree_bitmap,
     _orbit_reps,
+    _point_map,
     _poly_gcd,
     _poly_mul,
     _write_json,
@@ -39,8 +41,9 @@ from siegelforms.census import (
     sigma_weighted,
     squarefree_sextic,
 )
+from siegelforms.cohom import motive_trace
 from siegelforms.exact_arith import finite_field, rat_str
-from siegelforms.g1_modforms import dim_S, hecke_T, mat_trace
+from siegelforms.g1_modforms import dim_S, eigenforms, hecke_T, mat_trace
 
 
 def test_ell_mass_sums():
@@ -279,10 +282,16 @@ def test_g2_rejects_unsupported():
         _g2_census_compute(4)
 
 
-def test_ell_rejects_oversized_point_map():
-    # F_625 coordinates do not pack below 2^24, the float32-exact range
-    with pytest.raises(FieldTooLarge):
-        ell_census(625)
+@pytest.mark.parametrize("p, i", [(5, 4), (37, 2)])
+def test_multi_group_censuses_match_eichler_selberg(p, i):
+    # F_625 and F_1369 pack in two coordinate groups; the census trace on
+    # S[k] is alpha^i + beta^i, alpha + beta = a(p) and alpha beta = p^(k-1)
+    for k in (12, 16, 18, 20, 22, 26):
+        a, norm = eigenforms(k)[0].ap(p), p ** (k - 1)
+        power_sums = [2, a]  # s_j = a s_(j-1) - norm s_(j-2)
+        while len(power_sums) <= i:
+            power_sums.append(a * power_sums[-1] - norm * power_sums[-2])
+        assert motive_trace(k, p, i) == power_sums[i], (k, p, i)
 
 
 def test_g2_census_vs_reference_points():
@@ -475,6 +484,25 @@ def test_g2_pass_matches_point_counter(q, d):
         assert s2[pos] == count_points_g2(form, q, 2) - q * q - 1
 
 
+@pytest.mark.parametrize("q, d, ext", [(25, 6, 2), (37, 6, 2), (625, 3, 1), (1369, 3, 1)])
+def test_multi_group_char_sums_match_point_counters(q, d, ext):
+    # these shapes do not pack into one float32 column, so the kernel adds
+    # coordinate groups up into element indices
+    assert len(_point_map(q, d, ext)[4]) >= 2
+    E = finite_field(q ** ext)
+    rng = random.Random(q)
+    idx = np.array([rng.randrange(q ** d) for _ in range(40)], dtype=np.int64)
+    sums = _char_sums(q, d, ext, idx)
+    for index, got in zip(idx.tolist(), sums.tolist()):
+        if d == 6:  # the counter adds 1 + chi(1) at infinity
+            assert got == count_points_g2(_monic_form(q, d, index), q, ext) - q ** ext - 2
+        else:
+            values = [0] * q
+            for c in reversed(_monic(q, d, index)):  # Horner at every x in F_q
+                values = [E.add(E.mul(v, x), c) for v, x in zip(values, range(q))]
+            assert got == sum(E.chi(v) for v in values)
+
+
 def _squarefree(F, g):
     # g monic, lowest-first: squarefree iff g' != 0 and gcd(g, g') = 1
     dg = [F.mul(c, i % F.p) for i, c in enumerate(g)][1:]
@@ -583,7 +611,7 @@ def test_translation_reps_meet_each_orbit_once(q, d):
 def test_char_sums_under_affine_substitution(data):
     # h = a^-d g(ax + b): sum_x chi(h(x)) = chi(a)^d sum_x chi(g(x)) over
     # F_q, and over F_{q^2} chi(a) = 1
-    q = data.draw(st.sampled_from((3, 5, 7, 9, 11, 13)))
+    q = data.draw(st.sampled_from((3, 5, 7, 9, 11, 13, 25, 37)))
     d = data.draw(st.sampled_from((5, 6)))
     g = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)) + [1]
     a = data.draw(st.integers(1, q - 1))

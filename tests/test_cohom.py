@@ -312,7 +312,7 @@ def test_lambda_psq():
     with pytest.raises(DimNotOne):
         lambda_psq(8, 10, 3)  # two-dimensional space
     with pytest.raises(FieldTooLarge):
-        lambda_psq(6, 8, 5)  # would need a census over F_25
+        lambda_psq(6, 8, 5)  # g2_census(25) is above MAX_Q_G2
 
 
 def test_spin_root_symmetric_function():

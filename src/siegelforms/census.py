@@ -261,7 +261,7 @@ class EllCensus:
     counts: dict[int, int]  # Frobenius trace -> number of models
     group_order: int
     model_count: int
-    # tables derived from counts (cohom's moment tables; on G2Census too),
+    # tables derived from counts (cohom's h-moment tables; on G2Census too),
     # kept as long as the census is; dataclasses.replace starts them empty
     _moment_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

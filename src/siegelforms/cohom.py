@@ -7,16 +7,23 @@ through their (t1, e) distribution, the product locus through pairs of
 elliptic curves plus a Frobenius-twisted sector coming from pairs conjugate
 over the quadratic extension.
 
-The character sp_char(l, m, t1, e, q) is sum c e^b p_{a-b}(t1, e) over the
-terms (a, b, c) of _schar_terms(l, m, q), with p_n = a1^n + a2^n the power
-sums of the Frobenius pair (and p_0 read as 1).  A sector's weighted sum
-over its classes is therefore sum c M[b][a-b], where the moment
-M[b][n] = sum w e^b p_n of the sector does not depend on (l, m).
-ec_full_A2 reads each sector from such a table, held by the census object
-it was built from; a weight the table does not reach rebuilds it whole at
-twice its degree (or at the degree needed, if more), so rising weights
-cost O(log degree) builds.  sp_char stays as the per-class oracle the
-tables are tested against.
+The character is a divided difference: with A and B the coefficients of
+D_{l+2} and D_{m+1} (census._cheb_coeffs) and, for i > j,
+(x^i y^j - x^j y^i)/(x - y) = (xy)^j h_{i-j-1}(x, y), where h_k is the
+complete homogeneous sum of the Frobenius pair (h_0 = 1, h_1 = t1,
+h_k = t1 h_{k-1} - e h_{k-2}),
+
+    sp_char(l, m, t1, e, q) = sum over i > j of (A_i B_j - A_j B_i) e^j h_{i-j-1}.
+
+A sector's weighted sum over its classes is therefore a contraction of
+(A, B) against its h-moments H[b][k] = sum w e^b h_k, which do not depend
+on (l, m).  ec_full_A2 reads each sector from such a table, held by the
+census object it was built from and grouped by e.  A weight the table does
+not reach grows it to exactly l + m by the antidiagonals 2b + k it lacks:
+the table keeps each e-group's sums of w h_k and each class's last two h
+values, so no recurrence starts over, and the grown table is published as
+a new whole tuple.  sp_char, a sum over the terms of _schar_terms, stays
+as the per-class oracle the tables are tested against.
 
 Subtracting the rank-boundary (Eisenstein) part and the conjectural
 endoscopic part converts that Euler characteristic into the trace of T(p)
@@ -34,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul, sub
 
 from .census import _cheb_coeffs, ell_census, g2_census, sigma_weighted
 from .exact_arith import InvalidInput, is_prime, rat_str
@@ -56,7 +64,7 @@ class LocalSystemIndex:
 
     def __post_init__(self):
         if not (self.l >= self.m >= 0):
-            raise ValueError("need l >= m >= 0")
+            raise InvalidInput(f"(l, m) = ({self.l}, {self.m}): need l >= m >= 0")
 
     @property
     def regular(self) -> bool:
@@ -75,6 +83,7 @@ class LocalSystemIndex:
         return LocalSystemIndex(j + k - 3, k - 3)
 
 
+@lru_cache(maxsize=None)
 def _schar_terms(l: int, m: int, q: int) -> tuple[tuple[int, int, int], ...]:
     """The divided difference [D_{l+2}(x) D_{m+1}(y) - D_{m+1}(x) D_{l+2}(y)]
     / (x - y) as a list (a, b, coeff) of symmetric monomials: a > b stands
@@ -98,18 +107,13 @@ def _schar_terms(l: int, m: int, q: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((a, b, c) for (a, b), c in sorted(terms.items()) if c != 0)
 
 
-# sp_char asks for the same terms once per class; ec_full_A2 asks once per
-# trace and keeps none (every weight's terms at q = 11, 13 take ~3 MB)
-_schar_terms_cached = lru_cache(maxsize=None)(_schar_terms)
-
-
 def sp_char(l: int, m: int, t1, e, q):
     """Symplectic character of highest weight (l, m) at Frobenius data
     (t1, e) = (a1 + a2, a1 a2) over F_q; exact polynomial division, no
     limits."""
     if not l >= m >= 0:
-        raise ValueError("need l >= m >= 0")
-    terms = _schar_terms_cached(l, m, q)
+        raise InvalidInput(f"(l, m) = ({l}, {m}): need l >= m >= 0")
+    terms = _schar_terms(l, m, q)
     top = max((a - b for a, b, _ in terms), default=0)
     # power sums p_n = a1^n + a2^n
     ps = [2, t1]
@@ -129,43 +133,62 @@ def _require_censuses(q: int):
     return g2_census(q), ell_census(q), ell_census(q * q)
 
 
-def _moments(classes: dict[tuple[int, int], int], degree: int) -> list[list[int]]:
-    """rows[b][n] = sum over classes (t1, e) of weight w of w e^b p_n(t1, e),
-    p_0 read as 1, for every 2b + n <= degree."""
-    # grouped by e: the O(degree^2) update runs once per distinct e
-    by_e: dict[int, list[tuple[int, int]]] = {}
-    for (t1, e), w in classes.items():
-        by_e.setdefault(e, []).append((t1, w))
-    rows = [[0] * (degree - 2 * b + 1) for b in range(degree // 2 + 1)]
-    for e, members in by_e.items():
-        # s[n] = sum over the classes with this e of w p_n(t1, e)
-        s = [0] * (degree + 1)
-        for t1, w in members:
-            p_prev, p = 2, t1
-            s[0] += w
-            for n in range(1, degree + 1):
-                s[n] += w * p
-                p_prev, p = p, t1 * p - e * p_prev
-        eb = 1
-        for row in rows:
-            row[:] = [x + eb * y for x, y in zip(row, s)]
-            eb *= e
-    return rows
+def _empty_table(classes: dict[tuple[int, int], int]) -> tuple:
+    """The h-moment table of degree -1 of the {(t1, e): w} classes: no rows,
+    the classes ordered by e, and each at h_0 = 1, h_1 = t1."""
+    items = sorted(classes.items(), key=lambda item: item[0][1])
+    t1s = tuple(t1 for (t1, _), _ in items)
+    es = tuple(e for (_, e), _ in items)
+    ws = tuple(w for _, w in items)
+    cuts = [i for i in range(len(es) + 1) if i in (0, len(es)) or es[i] != es[i - 1]]
+    return -1, (), (t1s, es, ws, tuple(zip(cuts, cuts[1:])), (1,) * len(es), t1s, ())
 
 
-def _sector_sum(classes, census, terms) -> int:
-    """sum of w sp_char over the {(t1, e): w} = classes(census) of one
-    sector, read from that sector's moment table on the census."""
-    need = max((a + b for a, b, _ in terms), default=0)
+def _grow(table: tuple, degree: int) -> tuple:
+    """table = (start, rows, history) grown to degree, as a new tuple, by the
+    antidiagonals start < 2b + k <= degree it lacks: rows[b][k] = sum of
+    w e^b h_k(t1, e) over the classes.  history holds the classes, their
+    groups of equal e, each class's h_k and h_{k+1} at k = start + 1, and
+    sums[k] = (sum of w h_k over each group)."""
+    start, rows, (t1s, es, ws, groups, h, h_next, sums) = table
+    new_sums = []
+    for _ in range(start, degree):
+        wh = list(map(mul, ws, h))
+        new_sums.append(tuple(sum(wh[lo:hi]) for lo, hi in groups))
+        h, h_next = h_next, list(map(sub, map(mul, t1s, h_next), map(mul, es, h)))
+    sums += tuple(new_sums)
+    group_es = [es[lo] for lo, _ in groups]
+    power = [1] * len(groups)  # e^b per group
+    grown = []
+    for b in range(degree // 2 + 1):
+        old = rows[b] if b < len(rows) else ()
+        new = (sum(map(mul, power, sums[k])) for k in range(len(old), degree - 2 * b + 1))
+        grown.append(old + tuple(new))
+        power = list(map(mul, power, group_es))
+    return degree, tuple(grown), (t1s, es, ws, groups, tuple(h), tuple(h_next), sums)
+
+
+def _sector_sum(classes, census, l: int, m: int, q: int) -> int:
+    """sum of w sp_char(l, m, t1, e, q) over the {(t1, e): w} =
+    classes(census) of one sector, contracted against that sector's
+    h-moment table on the census."""
     tables = census._moment_tables
-    built = tables.get(classes)
-    if built is None or built[0] < need:
-        # replaced whole, never grown in place: threads sharing the census
-        # only ever read whole tables
-        degree = max(need, 2 * built[0]) if built else need
-        built = tables[classes] = (degree, _moments(classes(census), degree))
-    rows = built[1]
-    return sum(c * rows[b][a - b] for a, b, c in terms)
+    table = tables.get(classes)
+    if table is None or table[0] < l + m:
+        # a new whole tuple, the old one left as it was: threads sharing
+        # the census only ever read whole tables
+        table = tables[classes] = _grow(table or _empty_table(classes(census)), l + m)
+    rows = table[1]
+    A, B = _cheb_coeffs(l + 2, q), _cheb_coeffs(m + 1, q)
+    # sum over i > j of (A_i B_j - A_j B_i) rows[j][i - j - 1]; B stops at
+    # m, so j runs over B
+    total = 0
+    for j, (a, b) in enumerate(zip(A, B)):
+        if b:
+            total += b * sum(map(mul, A[j + 1:], rows[j]))
+        if a:
+            total -= a * sum(map(mul, B[j + 1:], rows[j]))
+    return total
 
 
 def _jacobians(g2c) -> dict[tuple[int, int], int]:
@@ -193,14 +216,13 @@ def ec_full_A2(l: int, m: int, q: int) -> tuple[Fraction, Fraction]:
     """(jac_part, prod_part) of the Frobenius trace on e_c of the (l, m)
     local system over the moduli of abelian surfaces."""
     if not l >= m >= 0:
-        raise ValueError("need l >= m >= 0")
+        raise InvalidInput(f"(l, m) = ({l}, {m}): need l >= m >= 0")
     g2c, e1, e2 = _require_censuses(q)
-    terms = _schar_terms(l, m, q)
-    jac_num = _sector_sum(_jacobians, g2c, terms)
+    jac_num = _sector_sum(_jacobians, g2c, l, m, q)
     jac = Fraction(jac_num * (q - 1), 2 * g2c.group_order)
     # product locus: ordered pairs, halved
-    unt = _sector_sum(_untwisted_products, e1, terms)
-    tw = _sector_sum(_twisted_products, e2, terms)
+    unt = _sector_sum(_untwisted_products, e1, l, m, q)
+    tw = _sector_sum(_twisted_products, e2, l, m, q)
     prod = Fraction(unt, 2 * e1.group_order ** 2) + Fraction(tw, 2 * e2.group_order)
     return jac, prod
 
@@ -209,11 +231,11 @@ def motive_trace(k: int, p: int, i: int) -> Fraction:
     """Trace of Frob_{p^i} on the weight-k cusp motive S[k], counted from
     the elliptic census over F_{p^i} (Eichler-Selberg): sigma_{k-2} - 1."""
     if i < 1:
-        raise ValueError("i must be >= 1")
+        raise InvalidInput(f"i = {i}: need i >= 1")
+    if not is_prime(p):
+        raise InvalidInput(f"p = {p} is not a prime")
     if dim_S(k) == 0:
         return Fraction(0)
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
     return sigma_weighted(k - 2, p ** i) - 1
 
 

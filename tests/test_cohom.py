@@ -1,12 +1,16 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 import random
 import sys
 import threading
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelforms import census, cohom, g1_modforms
 from siegelforms.census import FieldTooLarge, cheb_second_kind
@@ -22,6 +26,7 @@ from siegelforms.cohom import (
     sp_char,
     trace_T_Sjk,
 )
+from siegelforms.exact_arith import InvalidInput
 from siegelforms.g1_modforms import dim_S, hecke_T, mat_trace
 from siegelforms.g2data import cusp_dims_jk, dim_S_jk, published_lambdas, s68_table
 
@@ -34,6 +39,37 @@ def test_local_system_index():
     assert not LocalSystemIndex(3, 0).regular
     with pytest.raises(ValueError):
         LocalSystemIndex(2, 5)
+
+
+def test_local_system_index_rejects_l_below_m_or_negative_m():
+    for l, m in ((2, 5), (3, -1)):
+        with pytest.raises(InvalidInput):
+            LocalSystemIndex(l, m)
+
+
+def test_sp_char_rejects_l_below_m_or_negative_m():
+    for l, m in ((2, 5), (3, -1)):
+        with pytest.raises(InvalidInput):
+            sp_char(l, m, 1, 1, 3)
+
+
+def test_ec_full_A2_rejects_l_below_m_or_negative_m():
+    for l, m in ((2, 5), (3, -1)):
+        with pytest.raises(InvalidInput):
+            ec_full_A2(l, m, 3)
+
+
+def test_motive_trace_rejects_i_below_one():
+    for i in (0, -1):
+        with pytest.raises(InvalidInput):
+            motive_trace(12, 3, i)
+
+
+def test_motive_trace_rejects_non_prime_p():
+    # also where S_k is zero and the trace would be 0 for any p
+    for k, p in ((12, 1), (12, 4), (12, 9), (10, 4)):
+        with pytest.raises(InvalidInput):
+            motive_trace(k, p, 1)
 
 
 def test_cheb_D():
@@ -189,26 +225,67 @@ def test_moment_tables_are_safe_to_share_across_threads(golden_cache, monkeypatc
     assert [got[i] == want for i in range(3)] == [True] * 3
 
 
-def test_rising_weights_rebuild_tables_log_many_times(golden_cache, monkeypatch):
+def test_rising_weights_grow_tables_by_antidiagonals(golden_cache, monkeypatch):
     g2c, e1, e2 = (dataclasses.replace(c) for c in cohom._require_censuses(13))
-    builds = []
-    moments = cohom._moments
-    monkeypatch.setattr(
-        cohom, "_moments", lambda classes, degree: builds.append(degree) or moments(classes, degree)
-    )
+    grown = []
+    grow = cohom._grow
+
+    def logged(table, degree):
+        grown.append((table[0], degree))
+        return grow(table, degree)
+
+    monkeypatch.setattr(cohom, "_grow", logged)
     for classes, c in (
         (cohom._jacobians, g2c),
         (cohom._untwisted_products, e1),
         (cohom._twisted_products, e2),
     ):
-        direct = moments(classes(c), 52)
-        builds.clear()
-        for degree in range(53):
-            # one term per row b on the antidiagonal 2b + n = degree
-            terms = tuple((degree - b, b, 1) for b in range(degree // 2 + 1))
-            want = sum(direct[b][degree - 2 * b] for b in range(degree // 2 + 1))
-            assert cohom._sector_sum(classes, c, terms) == want, (classes, degree)
-        assert len(builds) <= 8, (classes, builds)  # ceil(log2(52)) + 2
+        grown.clear()
+        for weight in range(53):
+            cohom._sector_sum(classes, c, weight, 0, 13)
+        table = c._moment_tables[classes]
+        direct = grow(cohom._empty_table(classes(c)), 52)
+        assert table[:2] == direct[:2], classes
+        # one start at h_0 (degree -1) and each growth from where the last
+        # ended: every class's recurrence took 53 steps and holds h_53, h_54
+        assert grown == [(w - 1, w) for w in range(53)], classes
+        t1s, es, _, _, h, h_next, _ = table[2]
+        for t1, e, h53, h54 in zip(t1s, es, h, h_next):
+            assert (h53, h54) == (_h(53, t1, e), _h(54, t1, e)), (classes, t1, e)
+
+
+def _h(k, t1, e):
+    """h_k = sum of a1^i a2^(k-i) over the roots of x^2 - t1 x + e, in the
+    closed form sum (-e)^i C(k-i, i) t1^(k-2i) (no recurrence)."""
+    return sum(
+        (-e) ** i * math.comb(k - i, i) * t1 ** (k - 2 * i) for i in range(k // 2 + 1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-12, 12), st.integers(-40, 40)),
+        st.integers(-5, 5),
+        max_size=12,
+    ),
+    st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=5
+    ),
+    st.sampled_from([2, 3, 5, 7, 9, 13]),
+)
+def test_sector_sum_is_the_weighted_sp_char(classes, weights, q):
+    # one stand-in census and its table serve every weight, in the drawn
+    # order, so rising weights grow the table and falling ones read it
+    census_like = types.SimpleNamespace(_moment_tables={})
+
+    def sector(c):
+        return classes
+
+    for a, b in weights:
+        l, m = max(a, b), min(a, b)
+        want = sum(w * sp_char(l, m, t1, e, q) for (t1, e), w in classes.items())
+        assert cohom._sector_sum(sector, census_like, l, m, q) == want, (l, m)
 
 
 def test_trivial_system_counts_moduli_points():
@@ -352,3 +429,18 @@ def test_eigenvalues_big_primes():
     assert trace_T_Sjk(6, 8, 11).result == 3760397784
     assert trace_T_Sjk(6, 8, 13).result == 9952079500
     assert trace_T_Sjk(6, 8, 17).result == 243132070500
+
+
+def test_trace_sweep_is_frozen(golden_cache):
+    # every (j > 0, k) of the benchmark's sweep at p = 11 and 13, pinned
+    # whole: the benchmark checks spaces of dim >= 2 for integrality only
+    lines = []
+    for j, k in sorted(cusp_dims_jk()):
+        if j == 0:
+            continue
+        for p in (11, 13):
+            r = trace_T_Sjk(j, k, p)
+            lines.append(f"{j},{k},{p}:{r.jac_part},{r.prod_part},{r.result}")
+    assert len(lines) == 306
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1d5c84a1a483e9d514aa7606c752fe3186ee04f42bdd364d706b009e1c0c104c"

@@ -8,9 +8,15 @@ values of a conjugate pair of eigenforms over Q(sqrt(D)) into coprime
 integers a_t + b_t sqrt(D).  A rational eigenform is its own conjugate pair
 (D = 1, b_t = 0), so critical_ratios and congruence_prime_scan share it.
 
-Coefficients are Fractions, but a product is convolved in integers: each
-factor is written as integer numerators over the lcm of its denominators,
-so the only Fractions built are the output coefficients n / (da * db).
+Coefficients are Fractions at the QExpansion boundary and integers inside.
+One truncated convolution, _convolve, multiplies QExpansions (each factor
+as integer numerators over the lcm of its denominators) and builds the
+cusp bases.  E4 and E6 are integer lists whose divisor-power sums come from
+one sieve; the powers Delta^c and E4^a live on a cached ladder of integer
+tuples per precision, so every basis of one precision shares them.  Each
+monomial Delta^c E4^a E6^b starts with 1 q^c, so echelonizing the
+monomials is an integer back-substitution.  Lambda(f, s) climbs the
+incomplete-gamma recurrence from one seed per n and class of s mod 1.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .exact_arith import (
     primes_upto,
     rat_str,
     rational_reconstruct,
-    sigma_div,
     squarefree_part,
 )
 
@@ -103,17 +108,21 @@ class QExpansion:
         prec = min(self.prec, other.prec)
         na, da = _integral(self.coeffs[:prec])
         nb, db = _integral(other.coeffs[:prec])
-        rb = nb[::-1]  # rb[prec - 1 - n:] is nb[n], nb[n - 1], ..., nb[0]
         d = da * db
         return QExpansion(
-            self.weight + other.weight,
-            [Fraction(sum(map(mul, na, rb[prec - 1 - n:])), d) for n in range(prec)],
+            self.weight + other.weight, [Fraction(c, d) for c in _convolve(na, nb)]
         )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QExpansion":
-        return _powers(self, n)[n]
+        if n < 0:
+            raise ValueError(f"negative power {n} of a q-expansion")
+        nums, d = _integral(self.coeffs)
+        power = [int(i == 0) for i in range(self.prec)]
+        for _ in range(n):
+            power = _convolve(power, nums)
+        return QExpansion(self.weight * n, [Fraction(c, d ** n) for c in power])
 
     def scale(self, c) -> "QExpansion":
         c = Fraction(c)
@@ -133,30 +142,53 @@ def _integral(coeffs: list[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
+def _convolve(a, b) -> list[int]:
+    """Product of two integer coefficient sequences, truncated to the shorter."""
+    prec = min(len(a), len(b))
+    rb = b[:prec][::-1]  # rb[prec - 1 - n:] is b[n], b[n - 1], ..., b[0]
+    return [sum(map(mul, a, rb[prec - 1 - n:])) for n in range(prec)]
+
+
+def _eisenstein_ints(k: int, prec: int) -> list[int]:
+    """d E_k in integers, d the denominator of c/d = -2k/B_k in lowest terms:
+    d, then c sigma_{k-1}(n) for 0 < n < prec (d = 1 for k = 4, 6).  The
+    divisor-power sums come from one sieve."""
+    c = Fraction(-2 * k) / bernoulli(k)
+    sums = [0] * prec
+    for m in range(1, prec):
+        power = m ** (k - 1)
+        for n in range(m, prec, m):
+            sums[n] += power
+    return [c.denominator] + [c.numerator * x for x in sums[1:]]
+
+
 def eisenstein_e(k: int, prec: int) -> QExpansion:
     """Normalized Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
     if k % 2 != 0 or k < 4:
         raise ValueError("weight must be even and >= 4")
-    c = Fraction(-2 * k) / bernoulli(k)
-    coeffs = [Fraction(1)] + [c * sigma_div(k - 1, n) for n in range(1, prec)]
-    return QExpansion(k, coeffs)
+    nums = _eisenstein_ints(k, prec)
+    return QExpansion(k, [Fraction(x, nums[0]) for x in nums])
 
 
 def delta(prec: int) -> QExpansion:
     """The weight-12 cusp form (e4^3 - e6^2)/1728, computed from the relation."""
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    e4 = eisenstein_e(4, prec)
-    e6 = eisenstein_e(6, prec)
-    return (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728))
+    e4, e6 = _eisenstein_ints(4, prec), _eisenstein_ints(6, prec)
+    cube = _convolve(_convolve(e4, e4), e4)
+    return QExpansion(12, [Fraction(a - b, 1728) for a, b in zip(cube, _convolve(e6, e6))])
 
 
-def _powers(f: QExpansion, n: int) -> list[QExpansion]:
-    """[f^0, f^1, ..., f^n] (at least through f^1)."""
-    out = [QExpansion(0, [1], f.prec), f]
-    while len(out) <= n:
-        out.append(out[-1] * f)
-    return out
+@lru_cache(maxsize=None)
+def _ladder(weight: int, prec: int, n: int) -> tuple[int, ...]:
+    """g^n, n >= 1, to precision prec as integers: g is Delta for weight 12,
+    E_weight otherwise (E4, E6).  Cached, so every basis of one precision
+    shares Delta and its powers; Delta comes from the module-level delta()."""
+    if n > 1:
+        return tuple(_convolve(_ladder(weight, prec, n - 1), _ladder(weight, prec, 1)))
+    if weight != 12:
+        return tuple(_eisenstein_ints(weight, prec))
+    return tuple(_integral(delta(prec).coeffs)[0])
 
 
 def dim_M(k: int) -> int:
@@ -175,52 +207,40 @@ def dim_S(k: int) -> int:
 def basis_S(k: int, prec: int = 40) -> tuple[QExpansion, ...]:
     """Echelonized basis of S_k(Gamma_1) from monomials Delta^c e4^a e6^b.
 
-    One monomial per c >= 1 with 4a + 6b = k - 12c and b <= 1; their
-    leading terms q^c make them a basis, and row reduction turns it into
-    the unique one with a(n) = delta_{n,i} for n <= dim.  Each power of
-    Delta, e4 and e6 is computed once, on a ladder shared by the monomials.
+    One monomial per c >= 1 with 4a + 6b = k - 12c and b <= 1.  Each starts
+    with 1 q^c, so they are a basis, and integer back-substitution turns it
+    into the unique one with a(n) = delta_{n,i} for n <= dim.  Delta^c and
+    E4^a come from the ladder of the precision, shared by every weight.
     """
     if k % 2 != 0:
         return ()
-    mons = []
+    rows = []
     for c in range(1, k // 12 + 1):
         rem = k - 12 * c
         b = rem % 4 // 2  # e6 carries the weight 2 mod 4
-        if rem >= 6 * b:
-            mons.append((c, (rem - 6 * b) // 4, b))
-    if not mons:
-        return ()
-    dl = _powers(delta(prec), mons[-1][0])
-    e4 = _powers(eisenstein_e(4, prec), max(a for _, a, _ in mons))
-    e6 = eisenstein_e(6, prec)
-    rows = []
-    for c, a, b in mons:
-        f = dl[c] * e4[a]
-        rows.append((f * e6 if b else f).coeffs)
-    # Gauss-Jordan; pivots march through q^1, q^2, ...
-    pivots = []
-    r = 0
-    for col in range(1, prec):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
+        if rem < 6 * b:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    basis = [QExpansion(k, rows[i]) for i in range(r)]
-    if len(basis) != dim_S(k):
-        raise FormInvariantError(f"rank {len(basis)} != dim {dim_S(k)} at k={k}")
-    if pivots != list(range(1, r + 1)):
+        a = (rem - 6 * b) // 4
+        row = _ladder(12, prec, c)
+        if a:
+            row = _convolve(row, _ladder(4, prec, a))
+        if b:
+            row = _convolve(row, _ladder(6, prec, 1))
+        rows.append(row)
+    if not rows:
+        return ()
+    r = min(len(rows), prec - 1)  # the monomials whose leading q^c is below prec
+    if r != dim_S(k):
+        raise FormInvariantError(f"rank {r} != dim {dim_S(k)} at k={k}")
+    if any(row[c] != 1 or any(row[:c]) for c, row in enumerate(rows, 1)):
         raise FormInvariantError(f"basis not in echelon position at k={k}")
-    return tuple(basis)
+    # clear column j + 1 of row i with the reduced row j, bottom row first
+    for i in reversed(range(r)):
+        for j in range(i + 1, r):
+            f = rows[i][j + 1]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
+    return tuple(QExpansion(k, row) for row in rows)
 
 
 def hecke_T(k: int, m: int, prec: int | None = None) -> list[list[Fraction]]:
@@ -366,8 +386,14 @@ def _n_terms(r: int, prec_bits: int) -> int:
 def lambda_values(f: EigenformG1, points, prec_bits: int = 256) -> list:
     """Lambda(f, s) = Gamma(s)/(2 pi)^s L(f, s) at each real s in points.
 
-    Uses the two-sided incomplete-gamma series.  Each term is symmetric
-    under s <-> r-s, so the functional equation
+    Uses the two-sided incomplete-gamma series: with x = 2 pi n and
+    H(m) = x^-m Gamma(m, x), Lambda(s) = sum a(n) (H(s) + (-1)^(r/2) H(r-s)).
+    Gamma(m+1, x) = m Gamma(m, x) + x^m e^-x gives the recurrence
+    H(m+1) = (m H(m) + e^-x) / x, whose terms are positive for m > 0.  So
+    for each n one incomplete gamma seeds the smallest exponent of each
+    class mod 1 among the points and r - points, and the recurrence climbs
+    to the others; the integer critical points make one class.  Each term
+    is symmetric under s <-> r-s, so the functional equation
     Lambda(s) = (-1)^(r/2) Lambda(r-s) holds by construction and checks
     nothing about the coefficients.
     """
@@ -376,18 +402,25 @@ def lambda_values(f: EigenformG1, points, prec_bits: int = 256) -> list:
     if n_terms >= f.prec:
         raise PrecisionLoss(f"need {n_terms} coefficients, eigenform stores {f.prec}")
     sign = (-1) ** (r // 2)
-    values = []
     with mp.workprec(prec_bits + 64):
-        an = [f.embed_coeff(n) for n in range(n_terms + 1)]
-        for s in points:
-            acc = mp.mpf(0)
-            for n in range(1, len(an)):
-                x = 2 * mp.pi * n
-                acc += an[n] * (
-                    x ** (-s) * mp.gammainc(s, x) + sign * x ** (s - r) * mp.gammainc(r - s, x)
-                )
-            values.append(acc)
-    return values
+        pairs = [(mp.mpf(s), mp.mpf(r - s)) for s in points]
+        classes = {}  # fractional part -> its exponents m, smallest first
+        for m in sorted({m for pair in pairs for m in pair}):
+            classes.setdefault(m - mp.floor(m), []).append(m)
+        columns = {m: [] for ms in classes.values() for m in ms}  # m -> H(m) by n
+        for n in range(1, n_terms + 1):
+            x = 2 * mp.pi * n
+            ex, inv_x = mp.exp(-x), 1 / x
+            for ms in classes.values():
+                m0 = ms[0]
+                h = [x ** -m0 * mp.gammainc(m0, x)]
+                for j in range(int(ms[-1] - m0)):
+                    h.append(((m0 + j) * h[-1] + ex) * inv_x)
+                for m in ms:
+                    columns[m].append(h[int(m - m0)])
+        an = [f.embed_coeff(n) for n in range(1, n_terms + 1)]
+        sums = {m: mp.fdot(an, column) for m, column in columns.items()}
+        return [sums[s] + sign * sums[rs] for s, rs in pairs]
 
 
 def lambda_value_at(f: EigenformG1, s, prec_bits: int = 256) -> mp.mpf:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from siegelforms import g1_modforms
 from siegelforms.cohom import motive_trace
-from siegelforms.exact_arith import QuadElem, primes_upto
+from siegelforms.exact_arith import QuadElem, bernoulli, primes_upto, sigma_div
 from siegelforms.g1_modforms import (
     DimTooLarge,
     InsufficientPrecision,
@@ -25,8 +25,28 @@ from siegelforms.g1_modforms import (
     eisenstein_e,
     hecke_T,
     lambda_value_at,
+    lambda_values,
     mat_trace,
 )
+
+
+def test_eisenstein_sieve_matches_divisor_sums():
+    for k in (4, 6, 8, 10, 12, 14):
+        c = Fraction(-2 * k) / bernoulli(k)
+        expect = [1] + [c * sigma_div(k - 1, n) for n in range(1, 60)]
+        assert eisenstein_e(k, 60).coeffs == expect, k
+
+
+def test_negative_power_raises():
+    e4 = eisenstein_e(4, 5)
+    for n in (-1, -2):
+        with pytest.raises(ValueError):
+            e4 ** n
+    assert e4 ** 0 == QExpansion(0, [1], 5)
+    assert e4 ** 1 == e4
+    assert e4 ** 3 == e4 * e4 * e4
+    half = QExpansion(2, [Fraction(1, 2), Fraction(1, 3)])
+    assert half ** 2 == QExpansion(4, [Fraction(1, 4), Fraction(1, 3)])
 
 
 def test_eisenstein_coefficients():
@@ -88,6 +108,48 @@ def test_basis_is_integral_and_truncates():
         assert all(c.denominator == 1 for f in basis_S(k, 60) for c in f.coeffs), k
     top = basis_S(36, 128)
     assert tuple(QExpansion(36, f.coeffs[:50]) for f in top) == basis_S(36, 50)
+
+
+def fraction_basis(k, prec):
+    """Echelonized S_k by Fraction Gauss-Jordan over every monomial
+    Delta^c e4^a e6^b, c >= 1, built as QExpansion products."""
+    e4, e6, dl = eisenstein_e(4, prec), eisenstein_e(6, prec), delta(prec)
+    rows = [
+        (dl ** c * e4 ** a * e6 ** b).coeffs
+        for c in range(1, k // 12 + 1)
+        for b in range((k - 12 * c) // 6 + 1)
+        for a in [(k - 12 * c - 6 * b) // 4]
+        if 4 * a + 6 * b == k - 12 * c
+    ]
+    r = 0
+    for col in range(prec):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return tuple(QExpansion(k, row) for row in rows[:r])
+
+
+def test_basis_matches_fraction_gauss_jordan():
+    cases = [(k, 60) for k in range(0, 61, 2)] + [(38, 140)]
+    for k, prec in cases:
+        assert basis_S(k, prec) == fraction_basis(k, prec), (k, prec)
+
+
+def test_bases_of_one_precision_share_one_ladder(monkeypatch):
+    calls = []
+    real_delta = g1_modforms.delta
+    monkeypatch.setattr(g1_modforms, "delta", lambda prec: calls.append(prec) or real_delta(prec))
+    g1_modforms.basis_S.cache_clear()
+    g1_modforms._ladder.cache_clear()
+    for k in range(24, 40, 2):
+        assert len(basis_S(k, 128)) == dim_S(k)
+    assert calls == [128]
 
 
 def test_dims_match_computed_basis():
@@ -231,6 +293,33 @@ def test_lambda_functional_equation_weight22():
             lhs = lambda_value_at(f, s, 256)
             rhs = sign * lambda_value_at(f, 22 - s, 256)
             assert abs(lhs - rhs) < mp.mpf(2) ** -128
+
+
+def gammainc_oracle(f, s, prec_bits):
+    """Lambda(f, s) as sum a(n) (x^-s Gamma(s, x) + (-1)^(r/2) x^(s-r) Gamma(r-s, x)),
+    x = 2 pi n, with two incomplete gammas per term."""
+    r = f.weight
+    with mp.workprec(prec_bits + 64):
+        acc = mp.mpf(0)
+        for n in range(1, g1_modforms._n_terms(r, prec_bits) + 1):
+            x = 2 * mp.pi * n
+            acc += f.embed_coeff(n) * (
+                x ** -s * mp.gammainc(s, x)
+                + (-1) ** (r // 2) * x ** (s - r) * mp.gammainc(r - s, x)
+            )
+        return acc
+
+
+@pytest.mark.parametrize("r, which", [(12, 0), (22, 0), (24, 0), (24, 1)])
+def test_lambda_recurrence_matches_gammainc_oracle(r, which):
+    f = eigenforms(r, 140)[which]
+    points = [s for s in range(r // 2, r - 1) if 2 * s != r or r % 4 == 0]
+    points += [2, 2.5, r / 2 + 0.5, r - 1.5]
+    got = lambda_values(f, points, 256)
+    with mp.workprec(320):
+        for s, value in zip(points, got):
+            oracle = gammainc_oracle(f, s, 256)
+            assert abs(value / oracle - 1) < mp.mpf(2) ** -200, s
 
 
 @pytest.mark.parametrize(

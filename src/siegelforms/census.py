@@ -8,7 +8,10 @@ genus-2 enumeration is reduced to monic sextics/quintics: an arbitrary
 squarefree binary sextic is lambda * g with g monic of degree 5 or 6, the
 quadratic twist by lambda flips the sign of the trace term and leaves the
 F_{q^2} data alone, so each monic model stands for (q-1)/2 models per twist
-class.
+class.  A census holds integer counts per class and the unit, the mass of
+one count: 1/group_order for elliptic curves, (q-1)/(2 group_order) for
+genus 2.  This module only counts and caches; every sum of a character
+over a census (sigma_k, the symplectic characters) is cohom's.
 
 Every census runs on one engine, F_p-affine maps of the base-p digits D of
 a model index.  A monic g = x^d + sum c_i x^i over F_q has index
@@ -254,46 +257,44 @@ def _char_sums(q: int, d: int, ext: int, idx: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class EllCensus:
-    """Trace distribution of elliptic curves over F_q, weighted by 1/#Aut."""
+class _Census:
+    """Counts of curves over F_q by class, each count of mass unit."""
 
     q: int
-    counts: dict[int, int]  # Frobenius trace -> number of models
+    counts: dict
     group_order: int
     model_count: int
-    # tables derived from counts (cohom's h-moment tables; on G2Census too),
-    # kept as long as the census is; dataclasses.replace starts them empty
+    # tables derived from counts (cohom's h-moment tables), kept as long as
+    # the census is; dataclasses.replace starts them empty
     _moment_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
-    def masses(self) -> dict[int, Fraction]:
-        return {t: Fraction(c, self.group_order) for t, c in self.counts.items()}
+    def masses(self) -> dict:
+        return {key: c * self.unit for key, c in self.counts.items()}
 
     def mass_sum(self) -> Fraction:
-        return Fraction(sum(self.counts.values()), self.group_order)
+        return sum(self.counts.values()) * self.unit
 
 
-@dataclass
-class G2Census:
+class EllCensus(_Census):
+    """Trace distribution of elliptic curves over F_q, weighted by 1/#Aut:
+    counts maps a Frobenius trace to its number of models."""
+
+    @property
+    def unit(self) -> Fraction:
+        return Fraction(1, self.group_order)
+
+
+class G2Census(_Census):
     """Distribution of (t1, e) = (a1 + a2, a1 a2) for genus-2 curves over F_q.
 
     counts are in (monic model, twist sign) units; each unit carries mass
     (q-1)/2 / group_order.
     """
 
-    q: int
-    counts: dict[tuple[int, int], int]
-    group_order: int
-    model_count: int
-    _moment_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
     @property
-    def masses(self) -> dict[tuple[int, int], Fraction]:
-        u = Fraction(self.q - 1, 2 * self.group_order)
-        return {k: c * u for k, c in self.counts.items()}
-
-    def mass_sum(self) -> Fraction:
-        return sum(self.counts.values()) * Fraction(self.q - 1, 2 * self.group_order)
+    def unit(self) -> Fraction:
+        return Fraction(self.q - 1, 2 * self.group_order)
 
 
 # ---------------------------------------------------------------------------
@@ -590,22 +591,12 @@ def g2_census(q: int) -> G2Census:
 # cross-checked against these in the tests)
 
 
-@dataclass(frozen=True)
-class SexticForm:
-    """Binary sextic F(x, z) = sum c_i x^i z^(6-i) with coefficients in F_q."""
-
-    coeffs: tuple[int, int, int, int, int, int, int]
-    q: int
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.coeffs):
-            raise ValueError("zero form")
-
-
-def squarefree_sextic(F: SexticForm, q: int) -> bool:
-    """True iff F has six distinct roots in P^1 over the algebraic closure."""
+def squarefree_sextic(coeffs: tuple[int, ...], q: int) -> bool:
+    """True iff the binary sextic F(x, z) = sum c_i x^i z^(6-i) with these
+    seven coefficients in F_q has six distinct roots in P^1 over the
+    algebraic closure (False for the zero form)."""
     K = finite_field(q)
-    f = list(F.coeffs)
+    f = list(coeffs)
     while f and f[-1] == 0:
         f.pop()
     if not f:
@@ -644,18 +635,19 @@ def _poly_mod(K: Fq, a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def count_points_g2(F: SexticForm, q: int, ext: int = 1) -> int:
-    """#C(F_{q^ext}) for y^2 = F(x, z) by summing 1 + chi(F(P)) over P^1."""
+def count_points_g2(coeffs: tuple[int, ...], q: int, ext: int = 1) -> int:
+    """#C(F_{q^ext}) for y^2 = F(x, z), F the binary sextic with these
+    coefficients (squarefree_sextic), by summing 1 + chi(F(P)) over P^1."""
     if ext not in (1, 2):
         raise ValueError("ext must be 1 or 2")
     E = finite_field(q ** ext) if ext == 2 else finite_field(q)
     total = 0
     for x in E.elements():
         acc = 0
-        for c in reversed(F.coeffs):
+        for c in reversed(coeffs):
             acc = E.add(E.mul(acc, x), c)
         total += 1 + E.chi(acc)
-    total += 1 + E.chi(F.coeffs[6])  # the point [1:0]
+    total += 1 + E.chi(coeffs[6])  # the point [1:0]
     return total
 
 
@@ -699,55 +691,17 @@ def g2_census_direct_masses(q: int) -> tuple[dict[tuple[int, int], Fraction], in
     models = 0
     for idx in range(1, q ** 7):
         coeffs = tuple((idx // q ** i) % q for i in range(7))
-        form = SexticForm(coeffs, q)
-        if not squarefree_sextic(form, q):
+        if not squarefree_sextic(coeffs, q):
             continue
         models += 1
-        n1 = count_points_g2(form, q, 1)
-        n2 = count_points_g2(form, q, 2)
+        n1 = count_points_g2(coeffs, q, 1)
+        n2 = count_points_g2(coeffs, q, 2)
         t1 = q + 1 - n1
         a_sq = q * q + 1 - n2 + 4 * q
         e = (t1 * t1 - a_sq) // 2
         key = (t1, e)
         masses[key] = masses.get(key, Fraction(0)) + Fraction(1, group)
     return masses, models
-
-
-# ---------------------------------------------------------------------------
-# weighted symmetric-power sums
-
-
-@lru_cache(maxsize=None)
-def _cheb_coeffs(n: int, q: int) -> tuple[int, ...]:
-    """Coefficients of D_n(x) over Z, lowest degree first: D_1 = 1,
-    D_2 = x, D_n = x D_{n-1} - q D_{n-2}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    prev, cur = [0], [1]
-    for _ in range(n - 1):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= q * c
-        prev, cur = cur, nxt
-    return tuple(cur)
-
-
-def cheb_second_kind(n: int, a, q):
-    """D_n(a) for the polynomials of _cheb_coeffs; D_{k+1}(t, q) is the
-    degree-k symmetric power sum alpha^k + alpha^(k-1) conj + ... + conj^k."""
-    acc = a * 0
-    for c in reversed(_cheb_coeffs(n, q)):
-        acc = acc * a + c
-    return acc
-
-
-def sigma_weighted(k: int, q: int) -> Fraction:
-    """sigma_k(q) = -sum_E h(k, E)/#Aut(E) over the elliptic census."""
-    census = ell_census(q)
-    total = 0
-    for t, c in census.counts.items():
-        total += c * cheb_second_kind(k + 1, t, q)
-    return Fraction(-total, census.group_order)
 
 
 # ---------------------------------------------------------------------------

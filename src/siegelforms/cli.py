@@ -2,9 +2,10 @@
 genus-1 data, Satake identities and congruence checks.
 
 The library decides which inputs are invalid and raises InvalidInput (a
-ValueError) for them; main only maps errors to exit codes: 0 ok,
-3 InvalidInput, 2 FieldTooLarge or CacheError (a missing, unbuildable or
-corrupt census), 1 anything else (a failed verdict, a broken invariant).
+ValueError) for them, and the parser raises it for a malformed command
+line; main only maps errors to exit codes: 0 ok, 3 InvalidInput,
+2 FieldTooLarge or CacheError (a missing, unbuildable or corrupt census),
+1 anything else (a failed verdict, a broken invariant).
 All numeric output is exact; --json output is byte-stable (sorted keys,
 canonical rational strings).
 """
@@ -138,15 +139,13 @@ def cmd_satake(args) -> int:
         results = {name: verify_identity(name) for name in ALL_IDENTITIES}
         _emit(args, results, cite="published Hecke-algebra relations")
         return 0 if all(results.values()) else 1
-    if args.spin:
-        j, k, p, lam, lam2 = args.spin
-        factor = spin_factor(j, k, lam, lam2, p)
-        payload = factor.to_json()
-        if args.slopes:
-            payload["slopes"] = [str(s) for s in newton_slopes(factor, p)]
-        _emit(args, payload, cite="published slope table")
-        return 0
-    raise InvalidInput("satake needs --verify-all or --spin")
+    j, k, p, lam, lam2 = args.spin
+    factor = spin_factor(j, k, lam, lam2, p)
+    payload = factor.to_json()
+    if args.slopes:
+        payload["slopes"] = [str(s) for s in newton_slopes(factor, p)]
+    _emit(args, payload, cite="published slope table")
+    return 0
 
 
 def cmd_harder(args) -> int:
@@ -162,15 +161,21 @@ def cmd_harder(args) -> int:
             lines=[f"r={r.r} (j,k)=({r.j},{r.k}) ell={r.ell}: {s}" for r, s in zip(results, states)],
         )
         return 1 if "FAIL" in states else 0
-    if args.row:
-        r, j, k, ell = args.row
-        res = check_congruence(j, k, r, ell, args.pmax)
-        _emit(args, res.to_json(), cite="published congruence verification")
-        if res.untestable:
-            print("untestable: no eigenvalue data in reach", file=sys.stderr)
-            return 2
-        return 0 if res.verdict else 1
-    raise InvalidInput("harder needs --all or --row")
+    r, j, k, ell = args.row
+    res = check_congruence(j, k, r, ell, args.pmax)
+    _emit(args, res.to_json(), cite="published congruence verification")
+    if res.untestable:
+        print("untestable: no eigenvalue data in reach", file=sys.stderr)
+        return 2
+    return 0 if res.verdict else 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an invalid input (exit 3), in subcommands too:
+    add_subparsers builds them of this class."""
+
+    def error(self, message):
+        raise InvalidInput(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cite", action="store_true", help="name the published table each output reproduces")
     common.add_argument("--cache-dir", help="census cache directory (or SIEGELFORMS_CACHE_DIR)")
     common.add_argument("--precision-bits", type=int, dest="precision_bits")
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="siegelforms",
         description="exact genus-2 Siegel modular form computations from curve censuses",
         parents=[common],
@@ -207,20 +212,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("g1", help="elliptic modular form data", parents=[common])
     g.add_argument("--weight", type=int, required=True)
-    g.add_argument("--hecke", type=int, help="print the T(p) matrix")
-    g.add_argument("--ratios", action="store_true")
-    g.add_argument("--congruence-primes", action="store_true", dest="congruence_primes")
+    mode = g.add_mutually_exclusive_group()
+    mode.add_argument("--hecke", type=int, help="print the T(p) matrix")
+    mode.add_argument("--ratios", action="store_true")
+    mode.add_argument("--congruence-primes", action="store_true", dest="congruence_primes")
     g.set_defaults(func=cmd_g1)
 
     s2 = sub.add_parser("satake", help="Hecke-algebra identities and Euler factors", parents=[common])
-    s2.add_argument("--verify-all", action="store_true", dest="verify_all")
-    s2.add_argument("--spin", type=int, nargs=5, metavar=("J", "K", "P", "LAM", "LAMP2"))
+    mode = s2.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--verify-all", action="store_true", dest="verify_all")
+    mode.add_argument("--spin", type=int, nargs=5, metavar=("J", "K", "P", "LAM", "LAMP2"))
     s2.add_argument("--slopes", action="store_true")
     s2.set_defaults(func=cmd_satake)
 
     h = sub.add_parser("harder", help="congruence verification", parents=[common])
-    h.add_argument("--all", action="store_true")
-    h.add_argument("--row", type=int, nargs=4, metavar=("R", "J", "K", "L"))
+    mode = h.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--all", action="store_true")
+    mode.add_argument("--row", type=int, nargs=4, metavar=("R", "J", "K", "L"))
     h.add_argument("--pmax", type=int, default=37)
     h.set_defaults(func=cmd_harder)
     return ap
@@ -228,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     defaults = argparse.Namespace(json=False, cite=False, cache_dir=None, precision_bits=256)
-    args = build_parser().parse_args(argv, defaults)
     try:
+        args = build_parser().parse_args(argv, defaults)
         if args.precision_bits < 128:
             raise InvalidInput("precision_bits must be >= 128")
         cache_dir = args.cache_dir or os.environ.get("SIEGELFORMS_CACHE_DIR")

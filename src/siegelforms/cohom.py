@@ -8,7 +8,7 @@ elliptic curves plus a Frobenius-twisted sector coming from pairs conjugate
 over the quadratic extension.
 
 The character is a divided difference: with A and B the coefficients of
-D_{l+2} and D_{m+1} (census._cheb_coeffs) and, for i > j,
+D_{l+2} and D_{m+1} (_cheb_coeffs) and, for i > j,
 (x^i y^j - x^j y^i)/(x - y) = (xy)^j h_{i-j-1}(x, y), where h_k is the
 complete homogeneous sum of the Frobenius pair (h_0 = 1, h_1 = t1,
 h_k = t1 h_{k-1} - e h_{k-2}),
@@ -23,7 +23,10 @@ not reach grows it to exactly l + m by the antidiagonals 2b + k it lacks:
 the table keeps each e-group's sums of w h_k and each class's last two h
 values, so no recurrence starts over, and the grown table is published as
 a new whole tuple.  sp_char, a sum over the terms of _schar_terms, stays
-as the per-class oracle the tables are tested against.
+as the per-class oracle the tables are tested against.  The elliptic
+curves themselves are one more sector, (t, q) for each trace t: there
+e = q makes h_k = D_{k+1}(t, q), so row 0 of its table holds
+sigma_k(q) = -sum of h_k(E)/#Aut(E) over the curves, in census units.
 
 Subtracting the rank-boundary (Eisenstein) part and the conjectural
 endoscopic part converts that Euler characteristic into the trace of T(p)
@@ -43,7 +46,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul, sub
 
-from .census import _cheb_coeffs, ell_census, g2_census, sigma_weighted
+from .census import ell_census, g2_census
 from .exact_arith import InvalidInput, is_prime, rat_str
 from .g1_modforms import dim_S
 from .g2data import dim_S_jk
@@ -81,6 +84,22 @@ class LocalSystemIndex:
     @staticmethod
     def from_jk(j: int, k: int) -> "LocalSystemIndex":
         return LocalSystemIndex(j + k - 3, k - 3)
+
+
+@lru_cache(maxsize=None)
+def _cheb_coeffs(n: int, q: int) -> tuple[int, ...]:
+    """Coefficients of D_n(x) over Z, lowest degree first: D_1 = 1,
+    D_2 = x, D_n = x D_{n-1} - q D_{n-2}; D_{k+1}(t, q) is the degree-k
+    symmetric power sum alpha^k + alpha^(k-1) conj + ... + conj^k."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    prev, cur = [0], [1]
+    for _ in range(n - 1):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= q * c
+        prev, cur = cur, nxt
+    return tuple(cur)
 
 
 @lru_cache(maxsize=None)
@@ -168,17 +187,23 @@ def _grow(table: tuple, degree: int) -> tuple:
     return degree, tuple(grown), (t1s, es, ws, groups, tuple(h), tuple(h_next), sums)
 
 
-def _sector_sum(classes, census, l: int, m: int, q: int) -> int:
-    """sum of w sp_char(l, m, t1, e, q) over the {(t1, e): w} =
-    classes(census) of one sector, contracted against that sector's
-    h-moment table on the census."""
+def _rows(classes, census, degree: int) -> tuple:
+    """rows[b][k] = sum of w e^b h_k over the {(t1, e): w} = classes(census)
+    of one sector, for 2b + k <= degree at least: the sector's h-moment
+    table on the census, grown when it is short."""
     tables = census._moment_tables
     table = tables.get(classes)
-    if table is None or table[0] < l + m:
+    if table is None or table[0] < degree:
         # a new whole tuple, the old one left as it was: threads sharing
         # the census only ever read whole tables
-        table = tables[classes] = _grow(table or _empty_table(classes(census)), l + m)
-    rows = table[1]
+        table = tables[classes] = _grow(table or _empty_table(classes(census)), degree)
+    return table[1]
+
+
+def _sector_sum(classes, census, l: int, m: int, q: int) -> int:
+    """sum of w sp_char(l, m, t1, e, q) over the {(t1, e): w} =
+    classes(census) of one sector, contracted against its h-moments."""
+    rows = _rows(classes, census, l + m)
     A, B = _cheb_coeffs(l + 2, q), _cheb_coeffs(m + 1, q)
     # sum over i > j of (A_i B_j - A_j B_i) rows[j][i - j - 1]; B stops at
     # m, so j runs over B
@@ -189,6 +214,11 @@ def _sector_sum(classes, census, l: int, m: int, q: int) -> int:
         if a:
             total -= a * sum(map(mul, B[j + 1:], rows[j]))
     return total
+
+
+def _curves(e1) -> dict[tuple[int, int], int]:
+    # each elliptic curve over F_q: alpha beta = q
+    return {(t, e1.q): c for t, c in e1.counts.items()}
 
 
 def _jacobians(g2c) -> dict[tuple[int, int], int]:
@@ -218,13 +248,19 @@ def ec_full_A2(l: int, m: int, q: int) -> tuple[Fraction, Fraction]:
     if not l >= m >= 0:
         raise InvalidInput(f"(l, m) = ({l}, {m}): need l >= m >= 0")
     g2c, e1, e2 = _require_censuses(q)
-    jac_num = _sector_sum(_jacobians, g2c, l, m, q)
-    jac = Fraction(jac_num * (q - 1), 2 * g2c.group_order)
+    jac = _sector_sum(_jacobians, g2c, l, m, q) * g2c.unit
     # product locus: ordered pairs, halved
     unt = _sector_sum(_untwisted_products, e1, l, m, q)
     tw = _sector_sum(_twisted_products, e2, l, m, q)
-    prod = Fraction(unt, 2 * e1.group_order ** 2) + Fraction(tw, 2 * e2.group_order)
-    return jac, prod
+    return jac, (unt * e1.unit ** 2 + tw * e2.unit) / 2
+
+
+def sigma_weighted(k: int, q: int) -> Fraction:
+    """sigma_k(q) = -sum_E h(k, E)/#Aut(E) over the elliptic census."""
+    if k < 0:
+        raise InvalidInput(f"k = {k}: need k >= 0")
+    census = ell_census(q)
+    return -_rows(_curves, census, k)[0][k] * census.unit
 
 
 def motive_trace(k: int, p: int, i: int) -> Fraction:

@@ -2,8 +2,8 @@
 finite fields, Bernoulli machinery and rational reconstruction.
 
 Rationals are plain ``fractions.Fraction`` (kept reduced with positive
-denominator by construction), re-exported as ``Rat``.  High-precision reals
-are mpmath floats; precision is always set explicitly by the caller through
+denominator by construction).  High-precision reals are mpmath floats;
+precision is always set explicitly by the caller through
 ``mpmath.workprec``.
 """
 
@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-
-Rat = Fraction
 
 
 class NoConvergent(Exception):
@@ -37,13 +35,6 @@ class InvalidInput(ValueError):
 def rat_str(x: Fraction | int) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def rat_from_str(s: str) -> Fraction:
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +428,18 @@ class QuadElem:
     def to_json(self) -> dict:
         return {"disc": self.disc, "a": rat_str(self.a), "b": rat_str(self.b)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "QuadElem":
-        return QuadElem(obj["disc"], rat_from_str(obj["a"]), rat_from_str(obj["b"]))
-
     def __str__(self):
         return f"{self.a} + {self.b}*sqrt({self.disc})"
+
+
+def min_poly(value) -> list[int]:
+    """Integer minimal polynomial of a rational or a QuadElem, lowest degree
+    first, content 1 and leading coefficient positive: monic exactly when
+    value is an algebraic integer.  Conjugates share it."""
+    if isinstance(value, QuadElem):
+        return value.min_poly()
+    v = Fraction(value)
+    return [-v.numerator, v.denominator]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ incomplete-gamma recurrence from one seed per n and class of s mod 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -35,6 +35,7 @@ from .exact_arith import (
     bernoulli,
     factorize,
     is_prime,
+    min_poly,
     primes_upto,
     rat_str,
     rational_reconstruct,
@@ -289,7 +290,6 @@ class EigenformG1:
     field_disc: int
     embedding_choice: str
     coeffs: list  # a(0..prec-1), Fraction or QuadElem
-    a_p: dict = field(default_factory=dict)
 
     @property
     def prec(self) -> int:
@@ -301,17 +301,14 @@ class EigenformG1:
         return self.coeffs[n]
 
     def ap(self, p: int):
-        return self.a_p[p]
+        return self.a(p)
 
     def a_min_poly(self, p: int) -> list[int]:
         """Monic-scaled integer minimal polynomial of a(p)."""
-        v = self.a_p[p]
-        if isinstance(v, QuadElem):
-            return v.min_poly()
-        v = Fraction(v)
-        if v.denominator != 1:
-            raise FormInvariantError(f"a({p}) = {v} is not an integer")
-        return [-v.numerator, 1]
+        poly = min_poly(self.a(p))
+        if poly[-1] != 1:
+            raise FormInvariantError(f"a({p}) = {self.a(p)} is not an integer")
+        return poly
 
     def embed_coeff(self, n: int) -> mp.mpf:
         # coefficients already carry the chosen root of the T(2) polynomial,
@@ -323,7 +320,8 @@ class EigenformG1:
 
     def to_json(self) -> dict:
         ap = {}
-        for p, v in sorted(self.a_p.items()):
+        for p in primes_upto(self.prec - 1):
+            v = self.coeffs[p]
             ap[str(p)] = v.to_json() if isinstance(v, QuadElem) else rat_str(v)
         return {"weight": self.weight, "disc": self.field_disc, "a_p": ap}
 
@@ -337,11 +335,8 @@ def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
         raise DimTooLarge(f"dim S_{k} = {d}")
     prec = max(prec, 2 * (d + 1) + 2)
     basis = basis_S(k, prec)
-    ps = primes_upto(prec - 1)
     if d == 1:
-        f = basis[0]
-        ap = {p: f[p] for p in ps}
-        return [EigenformG1(k, 1, "plus", list(f.coeffs), ap)]
+        return [EigenformG1(k, 1, "plus", list(basis[0].coeffs))]
     t, det = char_poly_2x2(hecke_T(k, 2, prec))  # on the basis already built
     disc = t * t - 4 * det
     if disc <= 0:
@@ -359,8 +354,7 @@ def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
             QuadElem(D, b0 + half_t * b1, half_s * b1)
             for b0, b1 in zip(basis[0].coeffs, basis[1].coeffs)
         ]
-        ap = {p: coeffs[p] for p in ps}
-        out.append(EigenformG1(k, D, tag, coeffs, ap))
+        out.append(EigenformG1(k, D, tag, coeffs))
     return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .cohom import trace_T_Sjk
-from .exact_arith import InvalidInput, QuadElem, is_prime, primes_upto
+from .exact_arith import InvalidInput, is_prime, min_poly, primes_upto
 from .g1_modforms import dim_S, eigenforms
 from .g2data import congruence_rows, dim_S_jk, published_a22, published_lambdas, quartic_factors
 from .hecke_satake import _check_jk
@@ -161,15 +161,6 @@ def norm_via_resultant(minpoly_a: list[int], minpoly_lam: list[int], c: int) -> 
     return resultant(minpoly_a, _shift_poly(minpoly_lam, c))
 
 
-def _min_poly_of(value) -> list[int]:
-    if isinstance(value, QuadElem):
-        return value.min_poly()
-    v = Fraction(value)
-    if v.denominator != 1:
-        raise ValueError("eigenvalue is not an algebraic integer")
-    return [-v.numerator, 1]
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue sourcing
 
@@ -206,15 +197,11 @@ def eigen_records(
             if census_val is None:
                 recs.append(EigenRecord(j, k, p, tab_val, "published_table"))
         if p == 2 and quartics and not recs:
-            seen = set()
+            # one candidate per minimal polynomial, which conjugates share
+            candidates = {}
             for factor in quartics:
-                lam = -factor[1] if isinstance(factor[1], QuadElem) else Fraction(-factor[1])
-                key = str(lam)
-                conj = str(lam.conjugate()) if isinstance(lam, QuadElem) else key
-                if key in seen or conj in seen:
-                    continue
-                seen.add(key)
-                recs.append(EigenRecord(j, k, p, lam, "published_table"))
+                candidates.setdefault(tuple(min_poly(-factor[1])), -factor[1])
+            recs += [EigenRecord(j, k, p, lam, "published_table") for lam in candidates.values()]
         if recs:
             out[p] = recs
     return out
@@ -224,7 +211,7 @@ def eigen_records(
 # the congruence checks
 
 
-def _resolve_dim_sjk(j: int, k: int, r: int) -> int:
+def _resolve_dim_sjk(j: int, k: int) -> int:
     """Dimension of S_{j,k} from the bundled tables; 0 means unknown, which
     disables the census source (a trace of a higher-dimensional space is
     not an eigenvalue)."""
@@ -232,7 +219,7 @@ def _resolve_dim_sjk(j: int, k: int, r: int) -> int:
     if d is not None:
         return d
     for row in congruence_rows():
-        if (row.r, row.j, row.k) == (r, j, k):
+        if (row.j, row.k) == (j, k):
             return row.dim_sjk
     return 0
 
@@ -242,14 +229,7 @@ def _check_p_max(p_max: int) -> None:
         raise InvalidInput(f"p_max = {p_max} is below the smallest prime")
 
 
-def check_congruence(
-    j: int,
-    k: int,
-    r: int,
-    ell: int,
-    p_max: int = 37,
-    dim_sjk: int | None = None,
-) -> CongruenceResult:
+def check_congruence(j: int, k: int, r: int, ell: int, p_max: int = 37) -> CongruenceResult:
     """Test lambda(p) = p^(k-2) + a(p) + p^(j+k-1) mod ell for every prime
     p <= p_max with an available eigenvalue record.
 
@@ -262,10 +242,8 @@ def check_congruence(
         raise InvalidInput(f"ell = {ell} is not a prime")
     _check_jk(j, k)
     _check_p_max(p_max)
-    if dim_sjk is None:
-        dim_sjk = _resolve_dim_sjk(j, k, r)
     f = eigenforms(r)[0]
-    records = eigen_records(j, k, dim_sjk, p_max)
+    records = eigen_records(j, k, _resolve_dim_sjk(j, k), p_max)
     result = CongruenceResult(r, j, k, ell)
     result.missing = [p for p in primes_upto(p_max) if p not in records]
     if not records:
@@ -277,7 +255,7 @@ def check_congruence(
         candidate_hit = False
         cand_entries = []
         for rec in records[p]:
-            n = norm_via_resultant(a_poly, _min_poly_of(rec.value), c)
+            n = norm_via_resultant(a_poly, min_poly(rec.value), c)
             divisible = n % ell == 0
             candidate_hit = candidate_hit or divisible
             cand_entries.append(CongruenceEntry(p, rec.provenance, n, divisible))
@@ -298,7 +276,7 @@ def run_table(p_max: int = 37) -> list[CongruenceResult]:
         if not row.primes:
             continue
         for ell in row.primes:
-            results.append(check_congruence(row.j, row.k, row.r, ell, p_max, dim_sjk=row.dim_sjk))
+            results.append(check_congruence(row.j, row.k, row.r, ell, p_max))
     results.sort(key=lambda res: (res.r, res.j, res.k, res.ell))
     return results
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from siegelforms.census import set_cache_dir
@@ -45,3 +46,27 @@ def run_optimized():
         )
 
     return run
+
+
+@pytest.fixture
+def mellin_split():
+    """Lambda(f, s) from the Mellin integral of f(iy) y^s dy/y cut at y = t,
+    the part below t folded by f(i/y) = (-1)^(r/2) y^r f(iy):
+    sum over the stored a(n) of (2 pi n)^-s Gamma(s, 2 pi n t)
+    + (-1)^(r/2) (2 pi n)^(s-r) Gamma(r-s, 2 pi n/t).  At t = 1 that is the
+    symmetric series of g1_modforms.lambda_values; at any other t it equals
+    Lambda(f, s) only when f is modular of weight r, so comparing the two
+    at t != 1 checks the coefficients."""
+
+    def split(f, s, t):
+        r = f.weight
+        acc = mp.mpf(0)
+        for n in range(1, f.prec):
+            x = 2 * mp.pi * n
+            acc += f.embed_coeff(n) * (
+                x ** -s * mp.gammainc(s, x * t)
+                + (-1) ** (r // 2) * x ** (s - r) * mp.gammainc(r - s, x / t)
+            )
+        return acc
+
+    return split

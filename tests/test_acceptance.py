@@ -17,9 +17,8 @@ from siegelforms.census import (
     ell_census,
     g2_census,
     set_cache_dir,
-    sigma_weighted,
 )
-from siegelforms.cohom import ec_full_A2, lambda_psq, trace_T_Sjk, sp_char
+from siegelforms.cohom import ec_full_A2, lambda_psq, sigma_weighted, trace_T_Sjk, sp_char
 from siegelforms.g1_modforms import (
     congruence_prime_scan,
     critical_ratios,
@@ -264,7 +263,7 @@ def test_criterion_11_harder_verification():
     )
 
 
-def test_criterion_12_property_suite():
+def test_criterion_12_property_suite(mellin_split):
     t0 = time.time()
     # census order-independence: the q = 5 quintics in five slices merge to
     # the same histogram forward and reversed
@@ -320,13 +319,14 @@ def test_criterion_12_property_suite():
                         )
                         bound = 2 * mp.mpf(p) ** ((r - 1) / 2.0)
                         assert all(abs(x) <= bound * (1 + mp.mpf(10) ** -20) for x in vals)
-    # functional-equation residuals at 256-bit precision
+    # functional equations: Lambda(s) against the Mellin integral split at
+    # t = 6/5, which only a modular form's coefficients satisfy
     with mp.workprec(320):
         for r in (12, 22):
             f = eigenforms(r)[0]
-            sign = (-1) ** (r // 2)
             for s in (r - 1, r - 2, r - 3, r // 2 + 1, r / 2 + 0.5):
-                resid = abs(lambda_value_at(f, s, 256) - sign * lambda_value_at(f, r - s, 256))
-                assert resid < mp.mpf(2) ** -128
+                want = lambda_value_at(f, s, 256)
+                got = mellin_split(f, s, mp.mpf(6) / 5)
+                assert abs(got - want) < mp.mpf(2) ** -200 * abs(want)
     report(12, time.time() - t0, "order independence, q^3 polynomiality, "
            "Weyl oracle x100, Ramanujan, functional equations")

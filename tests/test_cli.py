@@ -168,12 +168,31 @@ def test_satake_spin_rejects_non_prime(capsys, p):
         ("harder", "--row", "22", "5", "10", "41"),
         ("harder", "--all", "--pmax", "1"),  # no prime to test
         ("harder", "--row", "22", "4", "10", "41", "--pmax", "-5"),
+        # usage errors: 3, not argparse's 2, which names a census fault
+        ("g1", "--weight", "abc"),
+        ("census", "--genus", "3", "--q", "5"),
+        ("trace", "--j", "6", "--k", "8"),  # no --p
+        ("no-such-command",),
+        ("g1", "--weight", "12", "--bogus"),
+        # at most one mode per command
+        ("g1", "--weight", "12", "--hecke", "2", "--ratios"),
+        ("g1", "--weight", "12", "--ratios", "--congruence-primes"),
+        ("g1", "--weight", "12", "--hecke", "2", "--congruence-primes"),
+        ("satake", "--verify-all", "--spin", "6", "8", "2", "0", "-57344"),
+        ("harder", "--all", "--row", "22", "4", "10", "41"),
     ],
 )
 def test_invalid_option_value_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("config error: ") and out == ""
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("g1", "--help")])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 0 and capsys.readouterr().out.startswith("usage: siegelforms")
 
 
 # each call is rejected by the library itself, as the CLI checks no input

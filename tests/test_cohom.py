@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelforms import census, cohom, g1_modforms
-from siegelforms.census import FieldTooLarge, cheb_second_kind
+from siegelforms.census import FieldTooLarge
 from siegelforms.cohom import (
     DimNotOne,
+    _cheb_coeffs,
     LocalSystemIndex,
     NotRegular,
     ec_full_A2,
@@ -65,6 +66,13 @@ def test_motive_trace_rejects_i_below_one():
             motive_trace(12, 3, i)
 
 
+def test_sigma_weighted_rejects_negative_k():
+    # row 0 of the moment table read at index -1 would be its last entry
+    cohom.sigma_weighted(12, 5)
+    with pytest.raises(InvalidInput):
+        cohom.sigma_weighted(-1, 5)
+
+
 def test_motive_trace_rejects_non_prime_p():
     # also where S_k is zero and the trace would be 0 for any p
     for k, p in ((12, 1), (12, 4), (12, 9), (10, 4)):
@@ -73,8 +81,14 @@ def test_motive_trace_rejects_non_prime_p():
 
 
 def test_cheb_D():
-    assert cheb_second_kind(1, Fraction(7), 3) == 1
-    assert cheb_second_kind(3, Fraction(5), 3) == 25 - 3
+    def D(n, a, q):  # Horner over the coefficients of D_n
+        acc = a * 0
+        for c in reversed(_cheb_coeffs(n, q)):
+            acc = acc * a + c
+        return acc
+
+    assert D(1, Fraction(7), 3) == 1
+    assert D(3, Fraction(5), 3) == 25 - 3
 
 
 def test_sp_char_closed_forms():

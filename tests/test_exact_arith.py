@@ -19,9 +19,8 @@ from siegelforms.exact_arith import (
     gen_bernoulli,
     is_fundamental_discriminant,
     kronecker,
+    min_poly,
     mpf_to_fraction,
-    rat_from_str,
-    rat_str,
     rational_reconstruct,
     squarefree_part,
 )
@@ -259,10 +258,16 @@ def test_quadelem_min_poly():
     assert c0 == 540 ** 2 - 144 * 144169
 
 
-def test_quadelem_json_round_trip():
-    x = QuadElem(51349, Fraction(4320), Fraction(96))
-    assert QuadElem.from_json(x.to_json()) == x
-    assert rat_from_str(rat_str(Fraction(-25, 48))) == Fraction(-25, 48)
+def test_min_poly_of_rationals_and_quadelems():
+    x = QuadElem(144169, 540, 12)
+    assert min_poly(x) == min_poly(x.conjugate()) == x.min_poly()
+    assert min_poly(Fraction(-528)) == min_poly(-528) == [528, 1]
+    assert min_poly(Fraction(1, 2)) == [-1, 2]  # not monic: not an integer
+
+
+def test_quadelem_to_json():
+    x = QuadElem(51349, Fraction(4320), Fraction(-25, 48))
+    assert x.to_json() == {"disc": 51349, "a": "4320", "b": "-25/48"}
 
 
 # -- rational reconstruction

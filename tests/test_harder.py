@@ -204,13 +204,13 @@ def test_next_prime_flips_every_verified_row():
 
     for row in congruence_rows():
         for ell in row.primes:
-            base = check_congruence(row.j, row.k, row.r, ell, 37, dim_sjk=row.dim_sjk)
+            base = check_congruence(row.j, row.k, row.r, ell, 37)
             if base.untestable:
                 continue
             nxt = ell + 1
             while not is_prime(nxt):
                 nxt += 1
-            flipped = check_congruence(row.j, row.k, row.r, nxt, 37, dim_sjk=row.dim_sjk)
+            flipped = check_congruence(row.j, row.k, row.r, nxt, 37)
             assert base.verdict is True and flipped.verdict is False, (row, nxt)
 
 

@@ -5,7 +5,8 @@ The library decides which inputs are invalid and raises InvalidInput (a
 ValueError) for them, and the parser raises it for a malformed command
 line; main only maps errors to exit codes: 0 ok, 3 InvalidInput,
 2 FieldTooLarge or CacheError (a missing, unbuildable or corrupt census),
-1 anything else (a failed verdict, a broken invariant).
+1 anything else (a failed verdict, a broken invariant).  `harder --row`
+exits 4 when the row is untestable (no eigenvalue data in reach).
 All numeric output is exact; --json output is byte-stable (sorted keys,
 canonical rational strings).
 """
@@ -166,7 +167,7 @@ def cmd_harder(args) -> int:
     _emit(args, res.to_json(), cite="published congruence verification")
     if res.untestable:
         print("untestable: no eigenvalue data in reach", file=sys.stderr)
-        return 2
+        return 4
     return 0 if res.verdict else 1
 
 

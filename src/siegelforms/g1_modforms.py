@@ -15,7 +15,9 @@ cusp bases.  E4 and E6 are integer lists whose divisor-power sums come from
 one sieve; the powers Delta^c and E4^a live on a cached ladder of integer
 tuples per precision, so every basis of one precision shares them.  Each
 monomial Delta^c E4^a E6^b starts with 1 q^c, so echelonizing the
-monomials is an integer back-substitution.  Lambda(f, s) climbs the
+monomials is an integer back-substitution.  The eigenforms of each
+(weight, prec) are built once per process and are immutable (frozen, with
+tuple coefficients), so every caller shares them.  Lambda(f, s) climbs the
 incomplete-gamma recurrence from one seed per n and class of s mod 1.
 """
 
@@ -277,19 +279,20 @@ def char_poly_2x2(mat) -> tuple[Fraction, Fraction]:
     return t, d
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenformG1:
     """Normalized Hecke eigenform of level 1.
 
     For a 2-dimensional cusp space the coefficients live in Q(sqrt(D));
     embedding_choice tags which root of the T(2) characteristic polynomial
-    was taken ("plus" means b > 0 in a(2) = a + b sqrt(D)).
+    was taken ("plus" means b > 0 in a(2) = a + b sqrt(D)).  Frozen, and
+    eigenforms() stores tuple coefficients, so a shared form cannot change.
     """
 
     weight: int
     field_disc: int
     embedding_choice: str
-    coeffs: list  # a(0..prec-1), Fraction or QuadElem
+    coeffs: tuple  # a(0..prec-1), Fraction or QuadElem
 
     @property
     def prec(self) -> int:
@@ -327,16 +330,25 @@ class EigenformG1:
 
 
 def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
-    """Normalized eigenforms of S_k(Gamma_1); supports dim <= 2."""
+    """Normalized eigenforms of S_k(Gamma_1); supports dim <= 2.
+
+    The forms of each (k, prec) are built and checked once per process and
+    are immutable; each call returns a new list of the shared forms.  A
+    build that raises is not remembered."""
+    return list(_eigenforms(k, prec))
+
+
+@lru_cache(maxsize=None)
+def _eigenforms(k: int, prec: int) -> tuple[EigenformG1, ...]:
     d = dim_S(k)
     if d == 0:
-        return []
+        return ()
     if d > 2:
         raise DimTooLarge(f"dim S_{k} = {d}")
     prec = max(prec, 2 * (d + 1) + 2)
     basis = basis_S(k, prec)
     if d == 1:
-        return [EigenformG1(k, 1, "plus", list(basis[0].coeffs))]
+        return (EigenformG1(k, 1, "plus", tuple(basis[0].coeffs)),)
     t, det = char_poly_2x2(hecke_T(k, 2, prec))  # on the basis already built
     disc = t * t - 4 * det
     if disc <= 0:
@@ -350,12 +362,12 @@ def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
     for tag, sign in (("plus", 1), ("minus", -1)):
         # basis[0] + lam2 basis[1] with lam2 = (t + sign s sqrt(D)) / 2
         half_t, half_s = t / 2, sign * s / 2
-        coeffs = [
+        coeffs = tuple(
             QuadElem(D, b0 + half_t * b1, half_s * b1)
             for b0, b1 in zip(basis[0].coeffs, basis[1].coeffs)
-        ]
+        )
         out.append(EigenformG1(k, D, tag, coeffs))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,12 @@ def _reduced_classes(max_disc: int, sing_max: int) -> tuple[tuple[int, int, int]
 # Cohen's function and the lifted forms
 
 
+@lru_cache(maxsize=None)
 def cohen_H(r: int, N: int) -> Fraction:
     """H(r, N): zeta(1-2r) at N = 0, and the L-value L(1-r, chi_D) with the
-    divisor correction for -N = D f^2, D fundamental; 0 unless N = 0, 3 mod 4."""
+    divisor correction for -N = D f^2, D fundamental; 0 unless N = 0, 3 mod 4.
+    Memoised, so every Jacobi Eisenstein series of one weight (chi10, chi12
+    and eisenstein_g2 at any max_disc) shares each value."""
     if r < 2:
         raise ValueError("r must be >= 2")
     if N < 0 or N % 4 in (1, 2):

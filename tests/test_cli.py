@@ -94,6 +94,24 @@ def test_harder_wrong_modulus_exit_code(capsys):
     assert code == 1
 
 
+def test_harder_untestable_row_exit_code(capsys):
+    # no eigenvalue data in reach is neither a census fault (2) nor a failed verdict (1)
+    code, out, err = run(capsys, "harder", "--row", "28", "6", "12", "823", "--json")
+    assert code == 4
+    assert json.loads(out) == {
+        "conditional": True,
+        "ell": 823,
+        "entries": [],
+        "j": 6,
+        "k": 12,
+        "missing_primes": [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37],
+        "r": 28,
+        "untestable": True,
+        "verdict": None,
+    }
+    assert err == "untestable: no eigenvalue data in reach\n"
+
+
 def test_config_errors(capsys):
     code, _, err = run(capsys, "--precision-bits", "64", "g1", "--weight", "12", "--ratios")
     assert code == 3

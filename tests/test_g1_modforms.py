@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -209,6 +210,7 @@ def test_eigenforms_dim2_field():
 
 def test_eigenforms_build_one_basis(monkeypatch):
     # hecke_T(k, 2) on a two-dimensional space reads the basis eigenforms holds
+    g1_modforms._eigenforms.cache_clear()  # a remembered form builds no basis
     keys = []
     basis = g1_modforms.basis_S
     monkeypatch.setattr(
@@ -218,6 +220,25 @@ def test_eigenforms_build_one_basis(monkeypatch):
         keys.clear()
         eigenforms(k, prec)
         assert set(keys) == {(k, prec)}, k
+
+
+@pytest.mark.parametrize("k", [22, 28])
+def test_shared_eigenforms_cannot_change(k):
+    forms = eigenforms(k)
+    kept = list(forms)
+    assert len(kept) == dim_S(k)
+    forms.append(forms[0])
+    forms.pop(0)
+    assert eigenforms(k) == kept
+    f = kept[0]
+    a2 = f.ap(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.weight = 12
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.coeffs = ()
+    with pytest.raises(TypeError):
+        f.coeffs[2] = 0
+    assert eigenforms(k)[0].ap(2) == a2 and eigenforms(k)[0].weight == k
 
 
 def test_hecke_multiplicativity():

@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from siegelforms import g1_modforms
 from siegelforms.exact_arith import QuadElem
-from siegelforms.g1_modforms import eigenforms
+from siegelforms.g1_modforms import congruence_prime_scan, dim_S, eigenforms
 from siegelforms.g2data import (
     congruence_rows,
     octic_12_9_p2,
@@ -222,6 +225,46 @@ def test_dim2_row_resolves_dimension_without_hint():
     assert res.verdict is True
     assert {e.p for e in res.entries} == {2}
     assert 3 in res.missing and 37 in res.missing
+
+
+def test_each_eigenform_is_built_once(monkeypatch):
+    # the table asks for eigenforms(r) once per row, the scan at another prec
+    builds = []
+    form = g1_modforms.EigenformG1
+
+    def counted(weight, disc, tag, coeffs):
+        builds.append((weight, len(coeffs), tag))
+        return form(weight, disc, tag, coeffs)
+
+    monkeypatch.setattr(g1_modforms, "EigenformG1", counted)
+    g1_modforms._eigenforms.cache_clear()
+    run_table(37)
+    congruence_prime_scan(22)
+    assert len(builds) == len(set(builds))
+    expect = {(row.r, 128) for row in congruence_rows() if row.primes} | {(22, 140)}
+    assert {(k, prec) for k, prec, _ in builds} == expect
+    assert len(builds) == sum(dim_S(k) for k, _ in expect)
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_outputs_match_pinned_digests():
+    # digests of the outputs of the code that rebuilt every eigenform per call
+    assert _sha256([r.to_json() for r in run_table(37)]) == (
+        "9242c321ab22a39b78b1e10de55f8ed1e48435e697b7ef9f9fd5b14c5fe01233"
+    )
+    forms = [
+        [k, prec, [f.to_json() for f in eigenforms(k, prec)]]
+        for k in range(12, 39, 2)
+        if dim_S(k) in (1, 2)
+        for prec in (128, 140)
+    ]
+    assert _sha256(forms) == "641a175bc6e6ad4b2ac5aafa8e9b476d49bfbbed2e1a55a24066b7baa025140a"
+    assert _sha256([congruence_prime_scan(r) for r in range(22, 35, 2)]) == (
+        "235313a70f20985f63716f4e19c47707ccfaf82bae29b1c9998f108c094dc96a"
+    )
 
 
 def test_require_full_coverage():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from siegelforms import siegel_g2
 from siegelforms.exact_arith import bernoulli, sigma_div
 from siegelforms.g1_modforms import delta, eisenstein_e
 from siegelforms.siegel_g2 import (
@@ -56,6 +57,19 @@ def test_cohen_H_non_fundamental_divisor_sum():
     lval = -Fraction(2, 3) / 3
     expect = lval * (sigma_div(2 * r - 1, 2) - (-1) * 2 ** (r - 1))
     assert cohen_H(3, 12) == expect
+
+
+def test_chi10_chi12_evaluate_each_cohen_H_once(monkeypatch):
+    # both lift E_{4,1} and E_{6,1}: one gen_bernoulli per (r, N), N > 0
+    calls = []
+    real = siegel_g2.gen_bernoulli
+    monkeypatch.setattr(siegel_g2, "gen_bernoulli", lambda r, D: calls.append(r) or real(r, D))
+    for memo in (siegel_g2.cohen_H, siegel_g2.chi10, siegel_g2.chi12):
+        memo.cache_clear()
+    chi10(100)
+    chi12(100)
+    per_weight = sum(1 for N in range(1, 101) if N % 4 in (0, 3))
+    assert sorted(calls) == [3] * per_weight + [5] * per_weight
 
 
 # -- reduction

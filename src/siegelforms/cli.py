@@ -137,6 +137,8 @@ def cmd_satake(args) -> int:
     from .hecke_satake import ALL_IDENTITIES, newton_slopes, spin_factor, verify_identity
 
     if args.verify_all:
+        if args.slopes:
+            raise InvalidInput("satake: --slopes needs --spin")
         results = {name: verify_identity(name) for name in ALL_IDENTITIES}
         _emit(args, results, cite="published Hecke-algebra relations")
         return 0 if all(results.values()) else 1

@@ -60,32 +60,6 @@ class DimNotOne(InvalidInput):
     pass
 
 
-@dataclass(frozen=True)
-class LocalSystemIndex:
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if not (self.l >= self.m >= 0):
-            raise InvalidInput(f"(l, m) = ({self.l}, {self.m}): need l >= m >= 0")
-
-    @property
-    def regular(self) -> bool:
-        return self.l > self.m > 0
-
-    @property
-    def weight(self) -> int:
-        return self.l + self.m
-
-    @property
-    def jk(self) -> tuple[int, int]:
-        return (self.l - self.m, self.m + 3)
-
-    @staticmethod
-    def from_jk(j: int, k: int) -> "LocalSystemIndex":
-        return LocalSystemIndex(j + k - 3, k - 3)
-
-
 @lru_cache(maxsize=None)
 def _cheb_coeffs(n: int, q: int) -> tuple[int, ...]:
     """Coefficients of D_n(x) over Z, lowest degree first: D_1 = 1,
@@ -356,8 +330,7 @@ def trace_T_Sjk(j: int, k: int, p: int) -> TraceReport:
     p prime; conditional on the endoscopic contribution conjecture."""
     if j <= 0 or j % 2 != 0 or k < 4:
         raise NotRegular(f"(j, k) = ({j}, {k}) outside the regular range")
-    ls = LocalSystemIndex.from_jk(j, k)
-    return _trace_at(ls.l, ls.m, p, 1)
+    return _trace_at(j + k - 3, k - 3, p, 1)
 
 
 def lambda_psq(j: int, k: int, p: int) -> Fraction:
@@ -365,8 +338,8 @@ def lambda_psq(j: int, k: int, p: int) -> Fraction:
     with the Frobenius trace over F_{p^2} on the same motive."""
     if dim_S_jk(j, k) != 1:
         raise DimNotOne(f"dim S_{{{j},{k}}} is not 1")
-    ls = LocalSystemIndex.from_jk(j, k)
-    lam_p = _trace_at(ls.l, ls.m, p, 1).result
-    tr2 = _trace_at(ls.l, ls.m, p, 2).result
+    l, m = j + k - 3, k - 3
+    lam_p = _trace_at(l, m, p, 1).result
+    tr2 = _trace_at(l, m, p, 2).result
     w = j + 2 * k - 3
     return (lam_p ** 2 + tr2) / 2 - Fraction(p) ** (w - 1)

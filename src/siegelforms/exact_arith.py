@@ -399,9 +399,6 @@ class QuadElem:
     def trace(self) -> Fraction:
         return 2 * self.a
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def embed(self, plus: bool = True) -> mp.mpf:
         """Numeric value a + b*sqrt(disc) (plus) or a - b*sqrt(disc)."""
         root = mp.sqrt(self.disc)

@@ -131,9 +131,6 @@ class QExpansion:
         c = Fraction(c)
         return QExpansion(self.weight, [c * a for a in self.coeffs])
 
-    def is_cusp(self) -> bool:
-        return self.prec > 0 and self.coeffs[0] == 0
-
     def __repr__(self):
         head = ", ".join(rat_str(c) for c in self.coeffs[:6])
         return f"QExpansion(weight={self.weight}, prec={self.prec}, [{head}...])"
@@ -427,11 +424,6 @@ def lambda_values(f: EigenformG1, points, prec_bits: int = 256) -> list:
         an = [f.embed_coeff(n) for n in range(1, n_terms + 1)]
         sums = {m: mp.fdot(an, column) for m, column in columns.items()}
         return [sums[s] + sign * sums[rs] for s, rs in pairs]
-
-
-def lambda_value_at(f: EigenformG1, s, prec_bits: int = 256) -> mp.mpf:
-    """Completed L-value Lambda(f, s) at a single (real) point."""
-    return lambda_values(f, [s], prec_bits)[0]
 
 
 def _critical_entries(f: EigenformG1, g: EigenformG1, prec_bits: int) -> list:

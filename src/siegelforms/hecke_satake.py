@@ -15,8 +15,6 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add
 
-import numpy as np
-
 from .exact_arith import InvalidInput, is_prime
 from .g1_modforms import dim_S
 
@@ -169,28 +167,30 @@ def m_count(h: int, i: int, p: int) -> int:
         for _ in pairs:
             vals.append(rem % p)
             rem //= p
-        A = np.zeros((h, h), dtype=np.int64)
+        A = [[0] * h for _ in range(h)]
         for (a, b), v in zip(pairs, vals):
-            A[a, b] = A[b, a] = v
+            A[a][b] = A[b][a] = v
         if h - _rank_mod_p(A, p) == i:
             count += 1
     return count
 
 
-def _rank_mod_p(A: np.ndarray, p: int) -> int:
-    A = A.copy() % p
-    h = A.shape[0]
+def _rank_mod_p(A: list[list[int]], p: int) -> int:
+    """Rank over F_p of the square integer matrix A (rows as lists)."""
+    A = [[x % p for x in row] for row in A]
+    h = len(A)
     rank = 0
     for col in range(h):
-        piv = next((r for r in range(rank, h) if A[r, col] % p), None)
+        piv = next((r for r in range(rank, h) if A[r][col]), None)
         if piv is None:
             continue
-        A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank] = A[rank] * inv % p
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = pow(A[rank][col], p - 2, p)
+        A[rank] = [x * inv % p for x in A[rank]]
         for r in range(h):
-            if r != rank and A[r, col]:
-                A[r] = (A[r] - A[r, col] * A[rank]) % p
+            c = A[r][col]
+            if r != rank and c:
+                A[r] = [(x - c * y) % p for x, y in zip(A[r], A[rank])]
         rank += 1
     return rank
 
@@ -400,16 +400,6 @@ class EulerFactor:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def functional_shape_ok(self) -> bool:
-        """c_{d-i} = p^{w(d/2-i)} c_i, the self-duality of spin quartics."""
-        d = self.degree
-        if d % 2:
-            return False
-        for i in range(d + 1):
-            if self.coeffs[d - i] != Fraction(self.p) ** (self.weight * (d // 2 - i)) * self.coeffs[i]:
-                return False
-        return True
 
     def to_json(self) -> dict:
         from .exact_arith import rat_str

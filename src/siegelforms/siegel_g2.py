@@ -14,7 +14,6 @@ an error, never a silent zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -71,28 +70,6 @@ def reduce_form(n: int, r: int, m: int) -> tuple[int, int, int]:
         return (n, r, m)
 
 
-@dataclass(frozen=True)
-class HalfIntegralMatrix:
-    n: int
-    r: int
-    m: int
-
-    @property
-    def disc(self) -> int:
-        return 4 * self.n * self.m - self.r * self.r
-
-    def reduced(self) -> "HalfIntegralMatrix":
-        return HalfIntegralMatrix(*reduce_form(self.n, self.r, self.m))
-
-    def transform(self, u) -> "HalfIntegralMatrix":
-        """u^t N u for a 2x2 integer matrix u = ((a, b), (c, d))."""
-        (a, b), (c, d) = u
-        n2 = self.n * a * a + self.r * a * c + self.m * c * c
-        m2 = self.n * b * b + self.r * b * d + self.m * d * d
-        r2 = 2 * self.n * a * b + self.r * (a * d + b * c) + 2 * self.m * c * d
-        return HalfIntegralMatrix(n2, r2, m2)
-
-
 class SiegelCoeffTable:
     """Fourier coefficients of a scalar genus-2 form, one value per reduced
     class, definite classes up to max_disc and rank <= 1 classes [0,0,c]
@@ -125,14 +102,6 @@ class SiegelCoeffTable:
 
     def set(self, n: int, r: int, m: int, value) -> None:
         self.coeffs[reduce_form(n, r, m)] = Fraction(value)
-
-    def is_cusp(self) -> bool:
-        """All stored singular (disc 0) coefficients vanish."""
-        return all(
-            v == 0
-            for (n, r, m), v in self.coeffs.items()
-            if 4 * n * m - r * r == 0
-        )
 
     def scale(self, c) -> "SiegelCoeffTable":
         out = SiegelCoeffTable(self.weight, self.max_disc, self.sing_max)
@@ -224,16 +193,19 @@ def _lifted_cusp_form(k: int, max_disc: int, sing_max: int) -> SiegelCoeffTable:
     """The Maass lift of E_{k-4} E_{4,1} - E_{k-6} E_{6,1}, scaled so that
     a([1,1,1]) = 1.  The Jacobi form is cuspidal (c(0) = 1 - 1), and a
     genus-1 factor f = sum a(i) q^i acts on index-1 coefficients as
-    c(D) -> sum_i a(i) c(D - 4i)."""
+    c(D) -> sum_i a(i) c(D - 4i): on each class D = 4n - s (s = 0, 1) it is
+    the q-expansion product of f with sum_n c(4n - s) q^n."""
     if max_disc < 3:
         raise InvalidInput(f"max_disc = {max_disc}: chi{k} is normalized by a([1,1,1]) of disc 3")
-    prec = max_disc // 4 + 1
+    prec = (max_disc + 1) // 4 + 1
     f4, f6 = eisenstein_e(k - 4, prec), eisenstein_e(k - 6, prec)
     e41, e61 = _jacobi_eisenstein(4, max_disc), _jacobi_eisenstein(6, max_disc)
-    coeffs = {
-        (D, s): sum(f4[i] * e41.c_D(D - 4 * i) - f6[i] * e61.c_D(D - 4 * i) for i in range(D // 4 + 1))
-        for D, s in e41.coeffs
-    }
+    coeffs = {}
+    for s in (0, 1):
+        ns = range((max_disc + s) // 4 + 1)
+        c41, c61 = (QExpansion(e.weight, [e.c_D(4 * n - s) for n in ns]) for e in (e41, e61))
+        jacobi = f4 * c41 - f6 * c61
+        coeffs.update({(4 * n - s, s): c for n, c in enumerate(jacobi.coeffs) if 4 * n >= s})
     lift = maass_lift(JacobiFormQ(k, 1, coeffs), max_disc, sing_max)
     pivot = lift.get(1, 1, 1)
     if pivot == 0:
@@ -269,24 +241,9 @@ def phi_operator(F: SiegelCoeffTable, prec: int | None = None) -> QExpansion:
     return QExpansion(F.weight, [F.get(n, 0, 0) for n in range(prec)])
 
 
-@dataclass
-class TwoVarQExpansion:
-    """sum c(n, m) q1^n q2^m through n, m < prec."""
-
-    weight: int
-    prec: int
-    coeffs: dict
-
-    def __getitem__(self, nm):
-        return self.coeffs.get(nm, Fraction(0))
-
-    def is_symmetric(self) -> bool:
-        return all(self[(n, m)] == self[(m, n)] for (n, m) in self.coeffs)
-
-
-def diagonal_restriction(F: SiegelCoeffTable, prec: int) -> TwoVarQExpansion:
-    """Restriction to the diagonal z = 0: coefficient of q1^n q2^m is
-    sum_r a([n, r, m])."""
+def diagonal_restriction(F: SiegelCoeffTable, prec: int) -> dict[tuple[int, int], Fraction]:
+    """Restriction to the diagonal z = 0, {(n, m): coefficient of q1^n q2^m}
+    for n, m < prec: the coefficient is sum_r a([n, r, m])."""
     coeffs = {}
     for n in range(prec):
         for m in range(prec):
@@ -297,14 +254,7 @@ def diagonal_restriction(F: SiegelCoeffTable, prec: int) -> TwoVarQExpansion:
             for r in range(-b, b + 1):
                 total += F.get(n, r, m)
             coeffs[(n, m)] = total
-    return TwoVarQExpansion(F.weight, prec, coeffs)
-
-
-def tensor_expansion(f: QExpansion, g: QExpansion, prec: int) -> TwoVarQExpansion:
-    coeffs = {
-        (n, m): f[n] * g[m] for n in range(prec) for m in range(prec)
-    }
-    return TwoVarQExpansion(f.weight, prec, coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -422,31 +372,3 @@ def maass_lift(phi: JacobiFormQ, max_disc: int = 20, sing_max: int = 8) -> Siege
 def maass_check(F: SiegelCoeffTable) -> bool:
     """Is F the Maass lift of its index-1 Fourier-Jacobi coefficient?"""
     return maass_lift(fourier_jacobi(F), F.max_disc, F.sing_max).coeffs == F.coeffs
-
-
-# ---------------------------------------------------------------------------
-# dimensions of the classical genus-2 ring
-
-
-@lru_cache(maxsize=None)
-def hilbert_series(parity: str, N: int) -> tuple[int, ...]:
-    """Coefficients 0..N of the dimension generating series of the classical
-    genus-2 ring: 1/((1-t^4)(1-t^6)(1-t^10)(1-t^12)) for the even part, the
-    same series shifted by t^35 for the odd part."""
-    series = [0] * (N + 1)
-    series[0] = 1
-    for d in (4, 6, 10, 12):
-        for i in range(d, N + 1):
-            series[i] += series[i - d]
-    if parity == "even":
-        return tuple(series)
-    if parity == "odd":
-        return tuple(series[i - 35] if i >= 35 else 0 for i in range(N + 1))
-    raise ValueError("parity must be 'even' or 'odd'")
-
-
-def dims_g2(k: int) -> int:
-    """dim M_k(Gamma_2) for classical weight k >= 0."""
-    if k < 0:
-        return 0
-    return hilbert_series("even" if k % 2 == 0 else "odd", k)[k]

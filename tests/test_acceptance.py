@@ -26,7 +26,7 @@ from siegelforms.g1_modforms import (
     eigenforms,
     eisenstein_e,
     hecke_T,
-    lambda_value_at,
+    lambda_values,
     mat_trace,
 )
 from siegelforms.g2data import cusp_dims_jk, published_lambdas, s68_table
@@ -177,12 +177,12 @@ def test_criterion_06_eisenstein_calibration():
 def test_criterion_07_igusa_maass_suite():
     t0 = time.time()
     c10, c12 = chi10(20), chi12(20)
-    assert c10.is_cusp() and c12.is_cusp()
+    assert not any(phi_operator(c10).coeffs) and not any(phi_operator(c12).coeffs)
     assert maass_check(c10) and maass_check(c12)
     assert maass_lift(fourier_jacobi(c10), 20).coeffs == c10.coeffs
     assert maass_lift(fourier_jacobi(c12), 20).coeffs == c12.coeffs
     diag = diagonal_restriction(c10, 3)
-    assert all(v == 0 for v in diag.coeffs.values())
+    assert not any(diag.values())
     for k in (4, 6, 10, 12):
         assert phi_operator(eisenstein_g2(k)).coeffs == eisenstein_e(k, 9).coeffs
     took = time.time() - t0
@@ -325,7 +325,7 @@ def test_criterion_12_property_suite(mellin_split):
         for r in (12, 22):
             f = eigenforms(r)[0]
             for s in (r - 1, r - 2, r - 3, r // 2 + 1, r / 2 + 0.5):
-                want = lambda_value_at(f, s, 256)
+                want = lambda_values(f, [s], 256)[0]
                 got = mellin_split(f, s, mp.mpf(6) / 5)
                 assert abs(got - want) < mp.mpf(2) ** -200 * abs(want)
     report(12, time.time() - t0, "order independence, q^3 polynomiality, "

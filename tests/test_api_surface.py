@@ -1,0 +1,78 @@
+"""The public API of src/siegelforms keeps only names something calls.
+
+A public name is a top-level function or class of a module, or a method of
+such a class, whose name does not start with an underscore.  It is used when
+it appears as a Name or an Attribute in src/ or perfbench/ outside its own
+definition, matched by name alone.  Every unused name must be declared below
+with its reason, so a name whose callers are only tests is either given a
+caller or deleted with its tests.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TEST_ONLY = (
+    # reference oracles that tests compare the library against
+    "census.count_points_ell",  # per-model point count behind the census kernels
+    "census.g2_census_direct_masses",  # per-model genus-2 masses behind g2_census
+    "cohom.sp_char",  # per-class character behind the h-moment tables
+    "exact_arith.bernoulli_poly",  # B_r(x), the sum behind gen_bernoulli
+    "g1_modforms.mat_trace",  # trace of hecke_T, checked against motive_trace
+    "g2data.octic_12_9_p2",  # published octic at p = 2 that the quartic factors multiply to
+    "hecke_satake.m_count",  # brute-force corank counts behind _m_poly
+    "hecke_satake.sk_spin_factor",  # Saito-Kurokawa factor that spin_factor must reproduce
+    "siegel_g2.V_l",  # index-raising operator that fourier_jacobi at index 2 must match
+    # Satake-parameter names for the T(p) check on Siegel coefficients
+    "hecke_satake.SatakeParams.eisenstein",  # Eisenstein parameters to compare with T(p)
+    "hecke_satake.eigen_from_params",  # lambda(p) and lambda_i(p^2) from parameters
+    "hecke_satake.standard_factor",  # standard L-factor of the same parameters
+    # names the acceptance criteria assert
+    "siegel_g2.diagonal_restriction",  # criterion 07
+    "siegel_g2.phi_operator",  # criterion 07
+)
+
+
+def _public_defs(tree: ast.Module, module: str):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{module}.{node.name}.{sub.name}", sub
+
+
+def _uses(node: ast.AST, inside: tuple = ()):
+    """(name, enclosing definitions) for each Name and Attribute under node."""
+    if isinstance(node, ast.Name):
+        yield node.id, inside
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, inside
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside + (node,)
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, inside)
+
+
+def unused_public_names() -> set[str]:
+    defs, uses = [], []
+    for path in sorted((ROOT / "src" / "siegelforms").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs += _public_defs(tree, path.stem)
+        uses += _uses(tree)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        uses += _uses(ast.parse(path.read_text()))
+    return {
+        qualname
+        for qualname, node in defs
+        if not any(
+            name == qualname.rsplit(".", 1)[1] and node not in inside for name, inside in uses
+        )
+    }
+
+
+def test_only_declared_names_lack_a_caller():
+    assert unused_public_names() == set(TEST_ONLY)
+    assert len(TEST_ONLY) == len(set(TEST_ONLY))

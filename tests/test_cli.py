@@ -198,6 +198,7 @@ def test_satake_spin_rejects_non_prime(capsys, p):
         ("g1", "--weight", "12", "--hecke", "2", "--congruence-primes"),
         ("satake", "--verify-all", "--spin", "6", "8", "2", "0", "-57344"),
         ("harder", "--all", "--row", "22", "4", "10", "41"),
+        ("satake", "--verify-all", "--slopes"),  # slopes are of a --spin factor
     ],
 )
 def test_invalid_option_value_exit_code(capsys, argv):

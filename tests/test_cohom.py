@@ -17,7 +17,6 @@ from siegelforms.census import FieldTooLarge
 from siegelforms.cohom import (
     DimNotOne,
     _cheb_coeffs,
-    LocalSystemIndex,
     NotRegular,
     ec_full_A2,
     eis_correction,
@@ -30,22 +29,6 @@ from siegelforms.cohom import (
 from siegelforms.exact_arith import InvalidInput
 from siegelforms.g1_modforms import dim_S, hecke_T, mat_trace
 from siegelforms.g2data import cusp_dims_jk, dim_S_jk, published_lambdas, s68_table
-
-
-def test_local_system_index():
-    ls = LocalSystemIndex.from_jk(6, 8)
-    assert (ls.l, ls.m) == (11, 5)
-    assert ls.regular and ls.weight == 16 and ls.jk == (6, 8)
-    assert not LocalSystemIndex(3, 3).regular
-    assert not LocalSystemIndex(3, 0).regular
-    with pytest.raises(ValueError):
-        LocalSystemIndex(2, 5)
-
-
-def test_local_system_index_rejects_l_below_m_or_negative_m():
-    for l, m in ((2, 5), (3, -1)):
-        with pytest.raises(InvalidInput):
-            LocalSystemIndex(l, m)
 
 
 def test_sp_char_rejects_l_below_m_or_negative_m():
@@ -413,10 +396,9 @@ def test_spin_root_symmetric_function():
     w = 6 + 2 * 8 - 3
     e2 = lam3 ** 2 - lam9 - Fraction(3) ** (w - 1)
     # the Frobenius-square trace is lambda(p)^2 - 2 e2
-    ls = LocalSystemIndex.from_jk(6, 8)
     from siegelforms.cohom import _trace_at
 
-    tr2 = _trace_at(ls.l, ls.m, 3, 2).result
+    tr2 = _trace_at(11, 5, 3, 2).result  # (l, m) = (j + k - 3, k - 3)
     assert tr2 == lam3 ** 2 - 2 * e2
 
 

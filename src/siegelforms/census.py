@@ -17,7 +17,7 @@ Every census runs on one engine, F_p-affine maps of the base-p digits D of
 a model index.  A monic g = x^d + sum c_i x^i over F_q has index
 sum c_i q^i, so D holds the F_p-coordinates of its coefficients, and a
 quantity F_p-affine in them is D @ W + w0 mod p, w0 its value at index 0
-and row j of W its value at index p^j minus w0 (_affine_map).
+and row j of W its value at index p^j minus w0.
 - Points, odd q: g(x) for each fixed x.  One float32 matmul evaluates a
   block of models at all points, the coordinates of g(x) packed into the
   fewest numbers that stay below 2^24 (_point_map).  One gather maps a
@@ -25,17 +25,20 @@ and row j of W its value at index p^j minus w0 (_affine_map).
   81.  Several (F_625, F_{37^2}, ...) are each reduced mod p by a gather,
   added up into the index of g(x) and mapped through chi.  Over F_{q^2}
   one point per Frobenius-conjugate pair is enough: chi(g(x^q)) = chi(g(x)).
-- Squarefree marks: for each monic h of degree 1 to d/2 the lower
-  coefficients of h^2 m, m monic.  Irreducible or not, h^2 | g makes g
-  non-squarefree.  Only the ranges the census reads are marked (below).
+- Squarefree marks: for every monic h of degree 1 to d/2, all h of one
+  degree at once, the lower coefficients of h^2 m, m monic.  Irreducible
+  or not, h^2 | g makes g non-squarefree.  Only the ranges the census
+  reads are marked (below).
 - Characteristic 2 (q = 2, 4, 16): models y^2 + h y = f, h = a1 x + a3,
   f = x^3 + a2 x^2 + a4 x + a6, over a group of order q^3 (q - 1).  For
   fixed (a1, a3) a point x has 1 point over it if h(x) = 0, else 2 or 0 as
   Tr(f(x)/h(x)^2) is 0 or 1; the model is singular iff h = 0, or a1 != 0
   and a1^2 f(x0) + (x0^2 + a4)^2 = 0 at x0 = a3/a1, where both partial
   derivatives vanish.  Both are F_2-affine in the bits of (a2, a4, a6).
-The field arithmetic that builds these maps (exact_arith.Fq) multiplies and
-adds in F_{p^2} and F_{p^4} through log, antilog and Zech log tables.
+The point and mark maps are built by array arithmetic on element indices,
+with no Python call per element: products through exact_arith.Fq's log and
+antilog tables (_log_exp), sums on F_p-coordinates, chi(y) from the parity
+of log y.
 
 In odd characteristic the elliptic censuses count monic cubics, y^2 = g(x).
 For q = 3 and 9 the files count five-coefficient models
@@ -72,8 +75,10 @@ a = u^2 (power 2: x -> u^2 x, y -> u^3 y keeps the points).
 The squarefree marks cover the slab (q^(d-1) entries, built once and sliced
 by the strata) and each p | d line (q^(d-2)), never all q^d models: with
 the top coefficients fixed, h fixes the top coefficients of m as well
-(c_{d-1} = 2 h_{e-1} + m_{dm-1} on the slab), so each h marks q^(s-2e)
-models of a range with s free coefficients.
+(c_{d-1} = 2 h_{e-1} + m_{dm-1} on the slab) or cannot divide, so each h
+that can marks q^(s-2e) models of a range with s free coefficients.  They
+are solved for all h of one degree together, and one matmul of the digits
+of m's free coefficients marks a block of h at once.
 """
 
 from __future__ import annotations
@@ -84,12 +89,12 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .exact_arith import Fq, finite_field, rat_str
+from .exact_arith import Fq, finite_field
 
 CACHE_VERSION = 1
 
@@ -149,14 +154,8 @@ def _coords(y: int, p: int, m: int) -> list[int]:
 
 
 def _digit_matrix(idx: np.ndarray, p: int, n: int) -> np.ndarray:
-    """The n base-p digits of each index, one row per index."""
-    return idx[:, None] // p ** np.arange(n, dtype=np.int64) % p
-
-
-def _monic(q: int, d: int, index: int) -> tuple[int, ...]:
-    """The monic degree-d polynomial over F_q of index sum c_i q^i,
-    coefficients lowest-first including the leading 1."""
-    return tuple(index // q ** i % q for i in range(d)) + (1,)
+    """The n base-p digits of each index, along a new last axis."""
+    return idx[..., None] // p ** np.arange(n, dtype=np.int64) % p
 
 
 def _affine_map(p: int, n: int, f) -> tuple[np.ndarray, np.ndarray]:
@@ -169,30 +168,51 @@ def _affine_map(p: int, n: int, f) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _log_exp(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log, exp) of F_q as int32 arrays: exp[i] = gamma^i for i < 2(q - 1)
+    and log[gamma^i] = i, gamma the generator of Fq's log tables (log[0] is
+    a placeholder 0)."""
+    log, exp, _ = finite_field(q)._log_tables()
+    return np.array(log, dtype=np.int32), np.array(exp, dtype=np.int32)
+
+
+def _mul(q: int, x, y) -> np.ndarray:
+    """x y in F_q, element by element over broadcast arrays of indices."""
+    log, exp = _log_exp(q)
+    return np.where((x == 0) | (y == 0), 0, exp[log[x] + log[y]])
+
+
+def _convolve(q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products of polynomials over F_q whose coefficients, lowest
+    first, run along the last axes of a and b (element indices; the other
+    axes broadcast).  Sums are taken on F_p-coordinates."""
+    p = finite_field(q).p
+    k = round(math.log(q, p))
+    terms = _digit_matrix(_mul(q, a[..., :, None], b[..., None, :]), p, k)
+    la, lb = terms.shape[-3:-1]
+    out = np.zeros(terms.shape[:-3] + (la + lb - 1, k), dtype=np.int64)
+    for i in range(la):
+        out[..., i : i + lb, :] += terms[..., i, :, :]
+    return out % p @ p ** np.arange(k)
+
+
+@lru_cache(maxsize=None)
 def _value_map(q: int, d: int, ext: int) -> tuple[np.ndarray, np.ndarray]:
     """(C, C0): the F_p-coordinates of g(x_j) for a monic degree-d model g
     are (D @ C[:, j] + C0[j]) mod p, x_j running over one point per
     Frobenius orbit of F_{q^ext}: F_q, then for ext = 2 the smaller element
-    of each conjugate pair."""
-    p, E = finite_field(q).p, finite_field(q ** ext)
+    of each conjugate pair.  g is affine in its coefficients, so row
+    (i, b) of C holds the coordinates of p^b x_j^i (p^b the b-th F_p-basis
+    element of F_q, the coefficient c_i at digit b) and C0 those of x_j^d."""
+    p, Q = finite_field(q).p, q ** ext
     k = round(math.log(q, p))  # F_p-coordinates per F_q coefficient
-    points = list(range(q))
-    if ext == 2:
-        points += [x for x in range(q, q * q) if x < E.pow(x, q)]
-    pows = [[E.pow(x, i) for i in range(d + 1)] for x in points]
-
-    def values(index):
-        out = []
-        for xi in pows:
-            y = xi[d]
-            for c, x_i in zip(_monic(q, d, index), xi[:d]):
-                if c:  # one coefficient is nonzero at each digit basis vector
-                    y = E.add(y, E.mul(c, x_i))
-            out += _coords(y, p, k * ext)
-        return out
-
-    C, C0 = _affine_map(p, d * k, values)
-    return C.reshape(d * k, len(pows), k * ext), C0.reshape(len(pows), k * ext)
+    log, exp = _log_exp(Q)
+    x = np.arange(Q)
+    x = x[(x < q) | (x < exp[log[x] * q % (Q - 1)])]
+    powers = exp[np.arange(d + 1)[:, None] * log[x] % (Q - 1)]  # row i: x_j^i
+    powers[1:, x == 0] = 0
+    C = _digit_matrix(_mul(Q, p ** np.arange(k)[:, None, None], powers[:d]), p, k * ext)
+    return C.swapaxes(0, 1).reshape(d * k, len(x), k * ext), _digit_matrix(powers[d], p, k * ext)
 
 
 # entries (models x columns) evaluated by one matmul
@@ -213,7 +233,7 @@ def _point_map(q: int, d: int, ext: int):
     one group table is already composed into chi (chi is None):
     table[D @ W + w0] = chi(g(x_j)).
     """
-    p, E = finite_field(q).p, finite_field(q ** ext)
+    p = finite_field(q).p
     C, C0 = _value_map(q, d, ext)
     m = C.shape[2]
     B = int(((p - 1) * C.sum(axis=0) + C0).max()) + 1
@@ -227,7 +247,9 @@ def _point_map(q: int, d: int, ext: int):
     code = np.zeros(1, dtype=np.min_scalar_type(q ** ext))
     for b in range(s):
         code = np.add.outer((np.arange(B) % p * p ** b).astype(code.dtype), code).ravel()
-    chi = np.array([E.chi(y) for y in range(q ** ext)], dtype=np.int8)
+    # chi(y) = (-1)^log(y): gamma generates F_{q^ext}^*, q odd
+    chi = (1 - 2 * (_log_exp(q ** ext)[0] & 1)).astype(np.int8)
+    chi[0] = 0
     if n == 1:
         code, chi = chi[code], None
     W = (C @ place).reshape(len(C), -1).astype(np.float32)
@@ -391,77 +413,51 @@ def ell_census(q: int) -> EllCensus:
 # genus-2 census
 
 
-def _poly_mul(F: Fq, a, b) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            if ai and bj:  # the marks multiply sparse and monic polynomials
-                out[i + j] = F.add(out[i + j], bj if ai == 1 else F.mul(ai, bj))
-    return tuple(out)
-
-
-def _square_factors(F: Fq, e: int, dm: int, top: tuple[int, ...]):
-    """(h^2, m_top) for each monic h of degree e such that h^2 m, m monic of
-    degree dm, can have the top coefficients `top`, m_top the coefficients
-    of m these fix; all three lowest first.  In x^-d h^2 m = U^2 V, U = x^-e h = 1 + u_1/x + ... and
-    V = x^-dm m = 1 + v_1/x + ..., the coefficient of x^-j is v_j + 2 u_j
-    plus terms of lower j: it fixes v_j for j <= dm, else u_j for j <= e,
-    else it is a condition on h.  The other u_j are searched."""
-    t = top[::-1]  # t[j - 1] = c_{d-j}
-    fixed = min(len(top), dm)  # v_1 .. v_fixed
-    solved = range(dm + 1, min(len(top), e) + 1)  # u_j fixed by c_{d-j}
-    searched = [j for j in range(1, e + 1) if j not in solved]
-    half = (F.p + 1) // 2  # 1/2 in F_p, odd p
-    for index in range(F.q ** len(searched)):
-        u, v = [1] + [0] * e, [1] + [0] * fixed  # highest first
-        for place, j in enumerate(searched):
-            u[j] = index // F.q ** place % F.q
-        for j in range(1, len(t) + 1):
-            u2 = _poly_mul(F, u, u)
-            rest = 0
-            for b in range(min(j, fixed) + 1):
-                rest = F.add(rest, F.mul(u2[j - b], v[b]))
-            diff = F.add(t[j - 1], F.neg(rest))
-            if j <= dm:
-                v[j] = diff
-            elif j <= e:
-                u[j] = F.mul(diff, half)
-            elif diff:
-                break
-        else:
-            yield _poly_mul(F, u, u)[::-1], tuple(v[::-1])
-
-
 def _nonsquarefree_bitmap(q: int, d: int, top: tuple[int, ...]) -> np.ndarray:
     """Bitmap over the monic degree-d polynomials whose coefficients
     c_s .. c_{d-1} are `top`, s = d - len(top), indexed by the sum c_i q^i
     of their free coefficients c_0 .. c_{s-1}, marking every g = h^2 m with
-    h monic of degree 1 to d/2 (_square_factors).  `top` fixes the top
-    coefficients of m (for top = (0,), m_top = -2 h_{e-1}), so each h gives
-    one affine map of the digits of m's other coefficients, q^(s-2e) marks,
-    or one mark when none is left."""
-    F = finite_field(q)
-    p = F.p
+    h monic of degree 1 to d/2, all h of one degree at once.
+
+    In x^-d g = U^2 V, U = x^-e h and V = x^-dm m (dm = d - 2e), the
+    coefficient t_j of x^-j is v_j + sum_{a=1..j} H_a v_{j-a}, H_a that of
+    U^2.  So `top` fixes V = T / U^2 up to x^-len(top): v_j for j <= dm,
+    and for j > dm the condition v_j = 0, which drops the h that cannot
+    divide.  The lower coefficients of h^2 m are then F_p-affine in the
+    digits of m's free coefficients, q^(s-2e) marks per h, or one mark when
+    none is left."""
+    p = finite_field(q).p
     k = round(math.log(q, p))
     s = d - len(top)
-    place = p ** np.arange(s * k, dtype=np.int64)
+    t = _digit_matrix(np.array(top[::-1], dtype=np.int64), p, k)  # t[j - 1]: c_{d-j}
+    basis, place = p ** np.arange(k), p ** np.arange(s * k)
     bitmap = np.zeros(q ** s, dtype=bool)
     for e in range(1, d // 2 + 1):
         dm = d - 2 * e
-        free = max(dm - len(top), 0)  # coefficients of m that top leaves free
+        h = _digit_matrix(np.arange(q ** e), q, e + 1)
+        h[:, e] = 1  # every monic h of degree e, coefficients lowest first
+        h2 = _convolve(q, h, h)
+        H = h2[:, ::-1]  # H[:, a]: the coefficient of x^(2e-a)
+        v = [np.ones(len(h), dtype=np.int64)]
+        for j in range(1, len(top) + 1):
+            rest = sum(
+                _digit_matrix(_mul(q, H[:, a], v[j - a]), p, k) for a in range(1, min(j, 2 * e) + 1)
+            )
+            v.append((t[j - 1] - rest) % p @ basis)
+        v = np.stack(v, axis=1)
+        keep = ~v[:, dm + 1 :].any(axis=1)
+        h2, v = h2[keep], v[keep, : dm + 1]
+        # m with its free coefficients set to zero, lowest first
+        free = dm + 1 - v.shape[1]
+        m = np.hstack([np.zeros((len(v), free), dtype=np.int64), v[:, ::-1]])
+        w0 = _digit_matrix(_convolve(q, h2, m)[:, :s], p, k).reshape(len(m), s * k)
+        # row (i, b): the coordinates of p^b x^i h^2, i < free, b < k
+        W = np.zeros((len(m), free, k, s, k), dtype=np.int64)
+        basis_h2 = _digit_matrix(_mul(q, h2[:, None, :], basis[:, None]), p, k)
+        for i in range(free):
+            W[:, i, :, i : i + 2 * e + 1] = basis_h2
+        W = W.reshape(len(m), free * k, s * k)
         D = _digit_matrix(np.arange(q ** free), p, free * k)
-
-        def lower(h2, m_top, index):  # coordinates of c_0 .. c_{s-1} of h^2 m
-            g = _poly_mul(F, _monic(q, free, index)[:-1] + m_top, h2)
-            return [y for c in g[:s] for y in _coords(c, p, k)]
-
-        maps = [
-            _affine_map(p, free * k, partial(lower, *factors))
-            for factors in _square_factors(F, e, dm, top)
-        ]
-        if not maps:
-            continue
-        W, w0 = (np.stack(a) for a in zip(*maps))
         step = max(1, _BLOCK // (len(D) * s * k))
         for lo in range(0, len(W), step):
             bitmap[(D @ W[lo : lo + step] + w0[lo : lo + step, None]) % p @ place] = True
@@ -715,12 +711,13 @@ def _cache_path(kind: str, q: int) -> Path | None:
 
 
 def _cache_payload(kind: str, q: int, census) -> dict:
-    if kind == "ell":
-        masses = [[t, rat_str(m)] for t, m in sorted(census.masses.items())]
-        counts = [[t, c] for t, c in sorted(census.counts.items())]
-    else:
-        masses = [[t1, e, rat_str(m)] for (t1, e), m in sorted(census.masses.items())]
-        counts = [[t1, e, c] for (t1, e), c in sorted(census.counts.items())]
+    num, den = census.unit.numerator, census.unit.denominator
+    masses, counts = [], []
+    for key, c in sorted(census.counts.items()):
+        key = list(key) if kind == "g2" else [key]
+        g = math.gcd(c * num, den)  # rat_str(c * unit), in integers
+        masses.append(key + [f"{c * num // g}/{den // g}" if g != den else str(c * num // g)])
+        counts.append(key + [c])
     return {
         "q": q,
         "kind": kind,
@@ -733,11 +730,12 @@ def _cache_payload(kind: str, q: int, census) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, sort_keys=True)
     # never leave a partially written file behind
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -23,12 +23,11 @@ from siegelforms.census import (
     _ell_monic,
     _g2_census_compute,
     _g2_pass,
-    _monic,
     _nonsquarefree_bitmap,
     _orbit_reps,
     _point_map,
     _poly_gcd,
-    _poly_mul,
+    _value_map,
     _write_json,
     count_points_ell,
     count_points_g2,
@@ -498,7 +497,7 @@ def test_multi_group_char_sums_match_point_counters(q, d, ext):
             assert got == count_points_g2(_monic_form(q, d, index), q, ext) - q ** ext - 2
         else:
             values = [0] * q
-            for c in reversed(_monic(q, d, index)):  # Horner at every x in F_q
+            for c in reversed(_monic_form(q, d, index)[: d + 1]):  # Horner at every x in F_q
                 values = [E.add(E.mul(v, x), c) for v, x in zip(values, range(q))]
             assert got == sum(E.chi(v) for v in values)
 
@@ -512,15 +511,17 @@ def _squarefree(F, g):
 
 
 @pytest.mark.parametrize(
-    "q, d", [(3, 3), (3, 5), (3, 6), (5, 3), (5, 5), (5, 6), (9, 3), (25, 3), (81, 3)]
+    "q, d",
+    [(3, 3), (3, 5), (3, 6), (5, 3), (5, 5), (5, 6), (7, 6), (9, 3), (9, 6), (25, 3), (81, 3)],
 )
 def test_nonsquarefree_marks_match_gcd(q, d):
     # both directions, model by model: every marked model has a repeated
     # factor and every unmarked one has none, on the slab c_{d-1} = 0, on
-    # each p | d line c_{d-1} = c, c_{d-2} = 0, and below q = 81 on all models
+    # each p | d line c_{d-1} = c, c_{d-2} = 0, and up to q^d = 5^6 on all
+    # models
     F = finite_field(q)
     tops = [(0,)] + [(0, c) for c in range(1, q) if d % F.p == 0]
-    if q < 81:
+    if q ** d <= 5 ** 6:
         tops.append(())
     for top in tops:
         s = d - len(top)
@@ -529,6 +530,51 @@ def test_nonsquarefree_marks_match_gcd(q, d):
         for index in range(q ** s):
             g = [index // q ** j % q for j in range(s)] + list(top) + [1]
             assert bitmap[index] == (not _squarefree(F, g)), (q, d, g)
+
+
+@pytest.mark.parametrize("q", (11, 13, 17))
+@pytest.mark.parametrize("d", (5, 6))
+def test_nonsquarefree_marks_match_gcd_at_random(q, d):
+    # the slab c_{d-1} = 0 at the largest genus-2 fields, 2000 models each
+    F = finite_field(q)
+    bitmap = _nonsquarefree_bitmap(q, d, (0,))
+    rng = random.Random(q * 10 + d)
+    for index in rng.sample(range(q ** (d - 1)), 2000):
+        g = [index // q ** j % q for j in range(d - 1)] + [0, 1]
+        assert bitmap[index] == (not _squarefree(F, g)), (q, d, g)
+
+
+# every (q, d, ext) that a census up to q = 13 and its squares builds, the
+# shapes packed in two coordinate groups, and the char-2 cubics of _ell_char2
+VALUE_MAP_SHAPES = (
+    [(q, d, ext) for q in (3, 5, 7, 9, 11, 13) for d in (5, 6) for ext in (1, 2)]
+    + [(q, 3, 1) for q in (3, 5, 7, 9, 11, 13, 25, 49, 81, 121, 169)]
+    + [(25, 6, 2), (37, 6, 2), (625, 3, 1), (1369, 3, 1)]
+    + [(2, 3, 1), (4, 3, 1), (16, 3, 1)]
+)
+
+
+@pytest.mark.parametrize("q, d, ext", VALUE_MAP_SHAPES)
+def test_value_map_matches_horner(q, d, ext):
+    # the coordinates of g(x) from (C, C0) against Horner through Fq at
+    # every point, for the model 0, each digit basis model (which fix the
+    # affine map) and ten random ones
+    E = finite_field(q ** ext)
+    p = E.p
+    m = round(math.log(q ** ext, p))
+    points = list(range(q)) + [x for x in range(q, q ** ext) if x < E.pow(x, q)]
+    C, C0 = _value_map(q, d, ext)
+    assert C.shape == (len(C), len(points), m) and C0.shape == (len(points), m)
+    rng = random.Random(q * 100 + d * 10 + ext)
+    models = [0] + [p ** j for j in range(len(C))] + [rng.randrange(q ** d) for _ in range(10)]
+    for index in models:
+        digits = [index // p ** j % p for j in range(len(C))]
+        got = (np.array(digits) @ C.reshape(len(C), -1)).reshape(C0.shape) + C0
+        for x, coords in zip(points, got % p):
+            value = 0
+            for c in reversed(_monic_form(q, d, index)[: d + 1]):
+                value = E.add(E.mul(value, x), c)
+            assert coords.tolist() == _coords(value, p, m), (q, d, ext, index, x)
 
 
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11))
@@ -563,6 +609,15 @@ def test_char3_cubics_match_full_enumeration():
     )
 
 
+def _substitute(F, g, a, b):
+    """g(a x + b) over F, coefficients lowest first, by Horner in F[x]."""
+    h = []
+    for c in reversed(g):  # h -> h (a x + b) + c
+        h = [F.add(F.mul(b, lo), F.mul(a, hi)) for lo, hi in zip(h + [0], [0] + h)]
+        h[0] = F.add(h[0], c)
+    return h
+
+
 @pytest.mark.parametrize(
     "q, d", [(3, 3), (3, 5), (3, 6), (5, 5), (5, 6), (7, 3), (7, 6), (9, 3), (9, 6), (13, 3)]
 )
@@ -583,10 +638,7 @@ def test_translation_reps_meet_each_orbit_once(q, d):
     place = p ** np.arange(d * k)
 
     def image(a, t, index):  # coordinates of a^-d g(ax + t), g of this index
-        h = (0,)
-        for c in reversed([index // q ** i % q for i in range(d)] + [1]):
-            h = _poly_mul(F, h, (t, a))
-            h = (F.add(h[0], c),) + h[1:]
+        h = _substitute(F, [index // q ** i % q for i in range(d)] + [1], a, t)
         scale = F.inv(F.pow(a, d))
         return [y for c in h[:d] for y in _coords(F.mul(scale, c), p, k)]
 
@@ -617,10 +669,7 @@ def test_char_sums_under_affine_substitution(data):
     a = data.draw(st.integers(1, q - 1))
     b = data.draw(st.integers(0, q - 1))
     F = finite_field(q)
-    h = (0,)
-    for c in reversed(g):  # Horner in the polynomial ring: h = h (ax + b) + c
-        h = _poly_mul(F, h, (b, a))
-        h = (F.add(h[0], c),) + h[1:]
+    h = _substitute(F, g, a, b)
     scale = F.inv(F.pow(a, d))
     assert h[d] == F.pow(a, d)
     index = np.array(

@@ -186,8 +186,8 @@ def _convolve(q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The products of polynomials over F_q whose coefficients, lowest
     first, run along the last axes of a and b (element indices; the other
     axes broadcast).  Sums are taken on F_p-coordinates."""
-    p = finite_field(q).p
-    k = round(math.log(q, p))
+    F = finite_field(q)
+    p, k = F.p, F.k
     terms = _digit_matrix(_mul(q, a[..., :, None], b[..., None, :]), p, k)
     la, lb = terms.shape[-3:-1]
     out = np.zeros(terms.shape[:-3] + (la + lb - 1, k), dtype=np.int64)
@@ -204,8 +204,8 @@ def _value_map(q: int, d: int, ext: int) -> tuple[np.ndarray, np.ndarray]:
     of each conjugate pair.  g is affine in its coefficients, so row
     (i, b) of C holds the coordinates of p^b x_j^i (p^b the b-th F_p-basis
     element of F_q, the coefficient c_i at digit b) and C0 those of x_j^d."""
-    p, Q = finite_field(q).p, q ** ext
-    k = round(math.log(q, p))  # F_p-coordinates per F_q coefficient
+    F, Q = finite_field(q), q ** ext
+    p, k = F.p, F.k  # F_p-coordinates per F_q coefficient
     log, exp = _log_exp(Q)
     x = np.arange(Q)
     x = x[(x < q) | (x < exp[log[x] * q % (Q - 1)])]
@@ -345,7 +345,7 @@ def _ell_char2(q: int) -> EllCensus:
     F_2-affine map per (a1, a3) (module docstring).  A model's index is
     that of its monic cubic f = x^3 + a2 x^2 + a4 x + a6."""
     F = finite_field(q)
-    k = q.bit_length() - 1
+    k = F.k
     D = _digit_matrix(np.arange(q ** 3), 2, 3 * k).astype(np.float32)
     C, C0 = _value_map(q, 3, 1)  # coordinates of f(x) at every x in F_q
     a4_sq, _ = _affine_map(2, 3 * k, lambda i: _coords(F.pow(i // q % q, 2), 2, k))
@@ -426,8 +426,8 @@ def _nonsquarefree_bitmap(q: int, d: int, top: tuple[int, ...]) -> np.ndarray:
     divide.  The lower coefficients of h^2 m are then F_p-affine in the
     digits of m's free coefficients, q^(s-2e) marks per h, or one mark when
     none is left."""
-    p = finite_field(q).p
-    k = round(math.log(q, p))
+    F = finite_field(q)
+    p, k = F.p, F.k
     s = d - len(top)
     t = _digit_matrix(np.array(top[::-1], dtype=np.int64), p, k)  # t[j - 1]: c_{d-j}
     basis, place = p ** np.arange(k), p ** np.arange(s * k)

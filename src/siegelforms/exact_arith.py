@@ -131,15 +131,7 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 
 def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return n != 0 and all(e == 1 for e in factorize(n).values())
 
 
 def gen_bernoulli(r: int, D: int) -> Fraction:
@@ -195,18 +187,8 @@ def divisors(n: int) -> list[int]:
 def mobius(n: int) -> int:
     if n <= 0:
         raise ValueError("n must be positive")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    exponents = factorize(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def sigma_div(k: int, n: int) -> int:
@@ -454,8 +436,10 @@ class Fq:
     top of these fields are reproducible.
 
     An extension field adds and multiplies through log, antilog and Zech
-    log tables, built from the tower arithmetic on first use (not when the
-    field is made).
+    log tables, built on first use (not when the field is made): the log
+    tables from the tower product, the Zech table from 1 + y, which adds 1
+    to the lowest base-p digit of y.  k is the number of F_p-coordinates
+    (base-p digits) of an element.
     """
 
     def __init__(self, p: int, base: "Fq | None" = None):
@@ -464,11 +448,13 @@ class Fq:
                 raise ValueError(f"{p} is not prime")
             self.p = p
             self.q = p
+            self.k = 1
             self.base = None
             self.modulus = None
         else:
             self.p = base.p
             self.q = base.q ** 2
+            self.k = 2 * base.k
             self.base = base
             self.modulus = self._find_modulus(base)
         self._logs: tuple[list[int], list[int], list[int | None]] | None = None
@@ -495,18 +481,8 @@ class Fq:
         z = zech[log[y] - log[x]]  # log(1 + y/x); a negative index counts mod q - 1
         return 0 if z is None else exp[log[x] + z]
 
-    def _tower_add(self, x: int, y: int) -> int:
-        """The sum from the base field's, coordinate by coordinate."""
-        if self.base is None:
-            return (x + y) % self.p
-        b = self.base
-        return b.add(x % b.q, y % b.q) + b.q * b.add(x // b.q, y // b.q)
-
     def neg(self, x: int) -> int:
-        if self.base is None:
-            return (-x) % self.p
-        b = self.base
-        return b.neg(x % b.q) + b.q * b.neg(x // b.q)
+        return self.mul(x, self.p - 1)  # p - 1 is -1 at every level of the tower
 
     def mul(self, x: int, y: int) -> int:
         if self.base is None:
@@ -535,7 +511,7 @@ class Fq:
     def _log_tables(self) -> tuple[list[int], list[int], list[int | None]]:
         """(log, exp, zech) with exp[i] = g^i for i < 2(q - 1), log[g^i] = i
         and g^zech[i] = 1 + g^i (None where that is 0), g the smallest
-        generator of F_q^*, from the tower arithmetic."""
+        generator of F_q^*, as the class docstring describes."""
         if self._logs is None:
             q = self.q
             for g in range(1, q):
@@ -548,7 +524,8 @@ class Fq:
             log = [0] * q
             for i, y in enumerate(exp):
                 log[y] = i
-            zech = [log[y] if y else None for y in (self._tower_add(1, y) for y in exp)]
+            p = self.p
+            zech = [log[z] if z else None for z in (y - y % p + (y + 1) % p for y in exp)]
             self._logs = (log, exp + exp, zech)
         return self._logs
 
@@ -584,14 +561,10 @@ class Fq:
 
     def trace_to_prime(self, x: int) -> int:
         """Absolute trace to F_p."""
-        out = x
-        y = x
-        deg = 1
-        q = self.q
-        while self.p ** deg < q:
+        out = y = x
+        for _ in range(self.k - 1):
             y = self.frobenius(y)
             out = self.add(out, y)
-            deg += 1
         return out
 
     def elements(self):

@@ -6,15 +6,15 @@ one-dimensional spaces), published tables bundled under data/, and the
 published quartic Frobenius factors at p = 2.  Where census and table
 values coexist they must agree exactly; a mismatch aborts rather than
 picking a side.  Divisibility is always tested on the norm of the
-congruence expression, computed as a resultant of monic integer minimal
-polynomials, so verdicts never depend on an embedding choice.
+congruence expression, computed in Z[x]/(f) for f the monic integer
+minimal polynomial of a(p), so verdicts never depend on an embedding
+choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from .cohom import trace_T_Sjk
 from .exact_arith import InvalidInput, is_prime, min_poly, primes_upto
@@ -92,73 +92,36 @@ class CongruenceResult:
 
 
 # ---------------------------------------------------------------------------
-# integer resultants
-
-
-def _det_bareiss(M: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
-def resultant(f: list[int], g: list[int]) -> int:
-    """Resultant of integer polynomials given lowest-degree-first."""
-    f = f[:]
-    g = g[:]
-    while f and f[-1] == 0:
-        f.pop()
-    while g and g[-1] == 0:
-        g.pop()
-    m, n = len(f) - 1, len(g) - 1
-    if m < 0 or n < 0:
-        raise ValueError("zero polynomial")
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    rows = []
-    fr = f[::-1]
-    gr = g[::-1]
-    for i in range(n):
-        rows.append([0] * i + fr + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gr + [0] * (size - n - 1 - i))
-    return _det_bareiss(rows)
-
-
-def _shift_poly(poly: list[int], c: int) -> list[int]:
-    """Coefficients of poly(x + c), lowest-degree-first integer input."""
-    out = [0] * len(poly)
-    for i, a in enumerate(poly):
-        for j in range(i + 1):
-            out[j] += a * comb(i, j) * c ** (i - j)
-    return out
+# congruence norms
 
 
 def norm_via_resultant(minpoly_a: list[int], minpoly_lam: list[int], c: int) -> int:
     """prod_{i,j} (lambda_j - a_i - c) over all roots, up to sign: the norm
     of the congruence expression in the composite field.  Inputs are
-    monic-scaled integer minimal polynomials, lowest-degree-first."""
+    integer minimal polynomials of degree 1 or 2 with leading coefficient
+    +-1, lowest-degree-first.
+
+    The value is the resultant Res(f, g) = lc(f)^deg g prod_{f(a) = 0} g(a)
+    of f = minpoly_a and g(x) = minpoly_lam(x + c): Horner in Z[x]/(f)
+    gives g(a) = u a + v, whose norm down to Z is v for a linear f and
+    v^2 - f1 u v + f0 u^2 for a monic quadratic x^2 + f1 x + f0."""
     for poly in (minpoly_a, minpoly_lam):
         if poly[-1] not in (1, -1):
             raise ValueError("minimal polynomials must be monic-scaled")
-    return resultant(minpoly_a, _shift_poly(minpoly_lam, c))
+        if len(poly) not in (2, 3):
+            raise ValueError("minimal polynomials must have degree 1 or 2")
+    lead = minpoly_a[-1]
+    f0, f1 = lead * minpoly_a[0], lead * minpoly_a[1]
+    u = v = 0
+    if len(minpoly_a) == 2:  # a = -f0
+        for b in reversed(minpoly_lam):
+            v = v * (c - f0) + b
+        norm = v
+    else:  # a^2 = -f1 a - f0
+        for b in reversed(minpoly_lam):
+            u, v = u * (c - f1) + v, v * c - u * f0 + b
+        norm = v * v - f1 * u * v + f0 * u * u
+    return lead ** (len(minpoly_lam) - 1) * norm
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +197,8 @@ def check_congruence(j: int, k: int, r: int, ell: int, p_max: int = 37) -> Congr
     p <= p_max with an available eigenvalue record.
 
     For quadratic a(p) or lambda(p) the test is ell | Norm(lambda - a - c)
-    with the norm taken in the composite field via resultants.
+    with the norm taken in the composite field, as a norm in Z[x]/(f)
+    (norm_via_resultant).
     """
     if dim_S(r) not in (1, 2):
         raise InvalidInput(f"dim S_{r} = {dim_S(r)}, the congruence needs 1 or 2")

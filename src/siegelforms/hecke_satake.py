@@ -391,10 +391,6 @@ class EulerFactor:
     p: int
     weight: int
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):

@@ -100,9 +100,6 @@ class SiegelCoeffTable:
             f"(max_disc={self.max_disc}, sing_max={self.sing_max})"
         )
 
-    def set(self, n: int, r: int, m: int, value) -> None:
-        self.coeffs[reduce_form(n, r, m)] = Fraction(value)
-
     def scale(self, c) -> "SiegelCoeffTable":
         out = SiegelCoeffTable(self.weight, self.max_disc, self.sing_max)
         c = Fraction(c)

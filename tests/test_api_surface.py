@@ -2,11 +2,13 @@
 
 A public name is a top-level function or class of a module, or a method of
 such a class, whose name does not start with an underscore.  It is used when
-it appears as a Name or an Attribute in src/ or perfbench/ outside its own
-definition and outside every unused one, matched by name alone; so a name
-that only other unused names call is unused too.  Every unused name must be
-declared below with its reason, so a name whose callers are only tests is
-either given a caller or deleted with its tests.
+it appears in src/ or perfbench/ outside its own definition and outside
+every unused one, matched by name alone: a function or class as a Name or
+an Attribute, a method only as an Attribute (x.name), the one way code
+outside its class body reaches it.  So a name that only other unused names
+call is unused too.  Every unused name must be declared below with its reason, so a name
+whose callers are only tests is either given a caller or deleted with its
+tests.
 """
 
 import ast
@@ -22,12 +24,14 @@ TEST_ONLY = (
     "census.squarefree_sextic",  # per-model squarefree test behind g2_census_direct_masses
     "cohom.sp_char",  # per-class character behind the h-moment tables
     "exact_arith.bernoulli_poly",  # B_r(x), the sum behind gen_bernoulli
+    "exact_arith.Fq.chi",  # quadratic character behind count_points_g2
     "exact_arith.Fq.elements",  # the point loop of the per-model counters
     "g1_modforms.mat_trace",  # trace of hecke_T, checked against motive_trace
     "g2data.octic_12_9_p2",  # published octic at p = 2 that the quartic factors multiply to
     "hecke_satake.m_count",  # brute-force corank counts behind _m_poly
     "hecke_satake.poly_mul",  # the product sk_spin_factor and standard_factor build with
     "hecke_satake.sk_spin_factor",  # Saito-Kurokawa factor that spin_factor must reproduce
+    "siegel_g2.JacobiFormQ.max_D",  # discriminant bound behind V_l
     "siegel_g2.V_l",  # index-raising operator that fourier_jacobi at index 2 must match
     # Satake-parameter names for the T(p) check on Siegel coefficients
     "hecke_satake.SatakeParams",  # the parameters the names below take
@@ -53,11 +57,12 @@ def _public_defs(tree: ast.Module, module: str):
 
 
 def _uses(node: ast.AST, inside: tuple = ()):
-    """(name, enclosing definitions) for each Name and Attribute under node."""
+    """(name, enclosing definitions, is an Attribute) for each Name and
+    Attribute under node."""
     if isinstance(node, ast.Name):
-        yield node.id, inside
+        yield node.id, inside, False
     elif isinstance(node, ast.Attribute):
-        yield node.attr, inside
+        yield node.attr, inside, True
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         inside = inside + (node,)
     for child in ast.iter_child_nodes(node):
@@ -81,9 +86,10 @@ def unused_public_names() -> set[str]:
             for qualname, node in defs
             if not any(
                 name == qualname.rsplit(".", 1)[1]
+                and (attr or qualname.count(".") == 1)
                 and node not in inside
                 and dead.isdisjoint(inside)
-                for name, inside in uses
+                for name, inside, attr in uses
             )
         }
         if found.keys() == unused.keys():

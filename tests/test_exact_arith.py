@@ -12,14 +12,17 @@ from siegelforms.exact_arith import (
     Fq,
     NoConvergent,
     QuadElem,
+    _is_squarefree,
     bernoulli,
     bernoulli_poly,
+    divisors,
     factorize,
     finite_field,
     gen_bernoulli,
     is_fundamental_discriminant,
     kronecker,
     min_poly,
+    mobius,
     mpf_to_fraction,
     rational_reconstruct,
     squarefree_part,
@@ -141,6 +144,29 @@ def test_fundamental_discriminants():
     assert fund == [-20, -19, -15, -11, -8, -7, -4, -3, 1, 5, 8, 12, 13, 17]
 
 
+def test_fundamental_discriminants_match_the_definition():
+    # D != 0, D = 0, 1 mod 4, and no square f^2 > 1 leaves D / f^2 = 0, 1 mod 4
+    for D in range(-500, 501):
+        reducible = any(
+            D % (f * f) == 0 and D // (f * f) % 4 in (0, 1) for f in range(2, abs(D) + 1)
+        )
+        assert is_fundamental_discriminant(D) == (D != 0 and D % 4 in (0, 1) and not reducible), D
+
+
+def test_divisors_and_mobius():
+    sieve = [[] for _ in range(3001)]
+    for d in range(1, 3001):
+        for n in range(d, 3001, d):
+            sieve[n].append(d)
+    for n in range(1, 3001):
+        divs = divisors(n)
+        assert divs == sieve[n]
+        # sum_{d | n} mu(d) = [n = 1] fixes mu(n) once mu is right below n
+        assert sum(mobius(d) for d in divs) == (n == 1)
+        assert _is_squarefree(n) == (mobius(n) != 0)
+    assert not _is_squarefree(0)
+
+
 def test_squarefree_part():
     assert squarefree_part(83041344) == (144169, 24)
     assert squarefree_part(1) == (1, 1)
@@ -178,7 +204,7 @@ def test_fq2_frobenius_fixed_field(p):
 
 
 def test_fq_field_axioms_small():
-    for q in (4, 9, 25, 49):
+    for q in (4, 9, 16, 25, 49, 81):
         F = finite_field(q)
         for x in range(1, q):
             assert F.mul(x, F.inv(x)) == 1
@@ -304,6 +330,15 @@ def test_mpf_to_fraction_exact():
         assert mpf_to_fraction(mp.mpf(0)) == 0
 
 
+def _digit_sum(F, x, y, sign=1):
+    # x + sign y on base-p digits mod p
+    p, out, place = F.p, 0, 1
+    while x or y:
+        out += (x + sign * y) % p * place
+        x, y, place = x // p, y // p, place * p
+    return out
+
+
 def _tower_product(F, x, y):
     # the quadratic tower written out down to F_p: (x0 + x1 t)(y0 + y1 t)
     # with t^2 = -B - A t over the base field
@@ -312,26 +347,34 @@ def _tower_product(F, x, y):
     b, (A, B) = F.base, F.modulus
     x0, x1, y0, y1 = x % b.q, x // b.q, y % b.q, y // b.q
     z2 = _tower_product(b, x1, y1)
-    z1 = b.add(_tower_product(b, x0, y1), _tower_product(b, x1, y0))
+    z1 = _digit_sum(b, _tower_product(b, x0, y1), _tower_product(b, x1, y0))
     z0 = _tower_product(b, x0, y0)
-    lo = b.add(z0, b.neg(_tower_product(b, B, z2)))
-    hi = b.add(z1, b.neg(_tower_product(b, A, z2)))
+    lo = _digit_sum(b, z0, _tower_product(b, B, z2), -1)
+    hi = _digit_sum(b, z1, _tower_product(b, A, z2), -1)
     return lo + b.q * hi
 
 
 @pytest.mark.parametrize("q", [4, 9, 16, 25, 49, 81])
 def test_fq_tables_match_the_tower(q):
-    # every product of the log/antilog tables and every sum of the Zech
-    # logs, and pow, inv and chi read from them, against the tower product
-    # and the sum of base-p digits mod p
+    # every product of the log/antilog tables, every sum through the Zech
+    # table (1 + y adds 1 to y's lowest digit) and every negative, and pow,
+    # inv, chi and the trace read from them, against the tower product and
+    # sums and negatives of base-p digits mod p
     F = finite_field(q)
-
-    def digit_sum(x, y):
-        return sum((x // F.p ** b + y // F.p ** b) % F.p * F.p ** b for b in range(4))  # q <= p^4
-
+    p, k = F.p, next(k for k in range(1, 5) if F.p ** k == q)
     for x in range(q):
         assert [F.mul(x, y) for y in range(q)] == [_tower_product(F, x, y) for y in range(q)]
-        assert [F.add(x, y) for y in range(q)] == [digit_sum(x, y) for y in range(q)]
+        assert [F.add(x, y) for y in range(q)] == [_digit_sum(F, x, y) for y in range(q)]
+        assert F.neg(x) == _digit_sum(F, 0, x, -1)
+        assert F.add(x, F.neg(x)) == 0
+        trace = conjugate = x
+        for _ in range(k - 1):
+            power = 1
+            for _ in range(p):
+                power = _tower_product(F, power, conjugate)
+            conjugate = power
+            trace = _digit_sum(F, trace, conjugate)
+        assert F.trace_to_prime(x) == trace < p
     squares = {_tower_product(F, x, x) for x in range(1, q)}
     for x in range(1, q):
         power = 1

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from siegelforms import g1_modforms
+from siegelforms import g1_modforms, harder
 from siegelforms.exact_arith import QuadElem
 from siegelforms.g1_modforms import congruence_prime_scan, dim_S, eigenforms
 from siegelforms.g2data import (
@@ -19,21 +21,74 @@ from siegelforms.harder import (
     check_congruence,
     eigen_records,
     norm_via_resultant,
-    resultant,
     run_table,
     verify_reference_row,
 )
 
 
-def test_resultant_basics():
-    # res(x - a, x - b) = b - a (up to the convention sign)
-    assert abs(resultant([-3, 1], [-5, 1])) == 2
-    # res(x^2 - 2, x^2 - 3): product of (beta - alpha) over roots = 1
-    assert resultant([-2, 0, 1], [-3, 0, 1]) == 1
-    # degenerate degrees
-    assert resultant([7], [0, 0, 1]) == 49
+def _norm_oracle(minpoly_a, minpoly_lam, c):
+    """The resultant Res(f, g(x + c)) from numerical roots:
+    lc(f)^n lc(g)^m (-1)^(m n) prod_{i,j} (lambda_j - a_i - c), m and n the
+    degrees of f = minpoly_a and g = minpoly_lam, with 200 guard bits over
+    the size of the product."""
+    m, n = len(minpoly_a) - 1, len(minpoly_lam) - 1
+    bits = (2 + max(abs(x) for x in [*minpoly_a, *minpoly_lam, c])).bit_length() + 1
+    with mp.workprec(200 + m * n * bits):
+        alphas = mp.polyroots(minpoly_a[::-1], maxsteps=200, extraprec=2 * bits)
+        lams = mp.polyroots(minpoly_lam[::-1], maxsteps=200, extraprec=2 * bits)
+        prod = mp.fprod(lam - a - c for a in alphas for lam in lams)
+        assert abs(mp.im(prod)) < 0.25
+        value = int(mp.nint(mp.re(prod)))
+        assert abs(mp.re(prod) - value) < 0.25
+    return minpoly_a[-1] ** n * minpoly_lam[-1] ** m * (-1) ** (m * n) * value
+
+
+def _random_minpoly(rng):
+    """Degree 1 or 2, leading coefficient +-1 and distinct roots, as a
+    minimal polynomial has."""
+    while True:
+        size = rng.choice((4, 20, 60))
+        poly = [rng.randint(-(2 ** size), 2 ** size) for _ in range(rng.choice((1, 2)))]
+        poly.append(rng.choice((1, -1)))
+        if len(poly) == 2 or poly[1] ** 2 != 4 * poly[0] * poly[2]:
+            return poly
+
+
+def test_norm_matches_numerical_roots():
+    # signed values: Res(x - 3, x - 5) = -2 and Res(x^2 - 2, x^2 - 3) = 1
+    cases = [([-3, 1], [-5, 1], 0), ([-2, 0, 1], [-3, 0, 1], 0)]
+    assert [norm_via_resultant(*case) for case in cases] == [-2, 1]
+    rng = random.Random(24)
+    for _ in range(200):
+        cases.append((_random_minpoly(rng), _random_minpoly(rng), rng.randint(-(2 ** 40), 2 ** 40)))
+    for case in cases:
+        assert norm_via_resultant(*case) == _norm_oracle(*case), case
+
+
+def test_norm_matches_numerical_roots_on_the_table(monkeypatch):
+    # every norm the congruence table asks for
+    calls = []
+    norm = harder.norm_via_resultant
+
+    def recorded(minpoly_a, minpoly_lam, c):
+        calls.append((minpoly_a, minpoly_lam, c))
+        return norm(minpoly_a, minpoly_lam, c)
+
+    monkeypatch.setattr(harder, "norm_via_resultant", recorded)
+    run_table(37)
+    assert len(calls) > 60
+    for case in calls:
+        assert norm(*case) == _norm_oracle(*case), case
+
+
+@pytest.mark.parametrize(
+    "minpoly_a, minpoly_lam",
+    [([1, 2], [-5, 1]), ([-5, 1], [1, 0, 3]), ([1], [-5, 1]), ([-5, 1], [-1]),
+     ([0, 0, 0, 1], [-5, 1]), ([-5, 1], [1, 0, 0, -1])],
+)
+def test_norm_rejects_non_monic_and_degrees_outside_1_2(minpoly_a, minpoly_lam):
     with pytest.raises(ValueError):
-        resultant([0], [1, 1])
+        norm_via_resultant(minpoly_a, minpoly_lam, 3)
 
 
 def test_norm_via_resultant_rational_case():

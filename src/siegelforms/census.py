@@ -23,8 +23,10 @@ and row j of W its value at index p^j minus w0.
   fewest numbers that stay below 2^24 (_point_map).  One gather maps a
   single number to chi(g(x)): every prime q <= 31 and its square, 9 and
   81.  Several (F_625, F_{37^2}, ...) are each reduced mod p by a gather,
-  added up into the index of g(x) and mapped through chi.  Over F_{q^2}
-  one point per Frobenius-conjugate pair is enough: chi(g(x^q)) = chi(g(x)).
+  added up into the index of g(x) and mapped through chi.  The zeros of
+  chi(g(x)) over F_q count the roots of g.  Over F_{q^2} the points of
+  F_q add q minus those roots, as F_q lies in the squares of F_{q^2}, and
+  one point per conjugate pair of the rest is enough: chi(g(x^q)) = chi(g(x)).
 - Squarefree marks: for every monic h of degree 1 to d/2, all h of one
   degree at once, the lower coefficients of h^2 m, m monic.  Irreducible
   or not, h^2 | g makes g non-squarefree.  Only the ranges the census
@@ -72,6 +74,20 @@ a = u^2 (power 2: x -> u^2 x, y -> u^3 y keeps the points).
   w (q - 1)/g, w = q for p not dividing d and w = 1 for p | d.
 - For p | d the lines c_{d-1} = gamma^j, c_{d-2} = 0, j < gcd(power, q - 1),
   stand for the models with c_{d-1} != 0, weight q (q - 1)/gcd(power, q - 1).
+The genus-2 census needs S2 only for the sextics with no root in F_q.
+GL_2(F_q) maps a squarefree binary sextic F to F(a x + b z, c x + d z),
+an isomorphic curve, and is transitive on P^1(F_q).  So with n1(F) the
+number of roots of F in P^1(F_q), the forms with n1 >= 1 add up, class by
+class, to (q + 1) sum w(F)/n1(F) over the forms with F(1, 0) = 0: count
+each form once per root and move that root to infinity.  Those forms are
+the quintic models, n1 = 1 + the roots of g in F_q, which x -> a x + t and
+the twist keep, so the orbit weights stay.  The sextic pass therefore
+keeps the root-free models and the quintic pass weights each by
+(q + 1)/n1; every weight is multiplied by 60 = lcm(1, ..., 6) to stay an
+integer, and each class count divided by 60 at the end, exactly.  h^2 | g
+with h linear gives g a root, so the sextic marks take h of degree 2 and 3
+only.
+
 The squarefree marks cover the slab (q^(d-1) entries, built once and sliced
 by the strata) and each p | d line (q^(d-2)), never all q^d models: with
 the top coefficients fixed, h fixes the top coefficients of m as well
@@ -99,6 +115,9 @@ from .exact_arith import Fq, finite_field
 CACHE_VERSION = 1
 
 MAX_Q_G2 = 17  # hard cap: beyond this the enumeration is out of scope
+
+# lcm(1, ..., 6): the genus-2 weights (q + 1)/n1 times this are integers
+_N1_LCM = 60
 
 
 class FieldTooLarge(Exception):
@@ -199,16 +218,17 @@ def _convolve(q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _value_map(q: int, d: int, ext: int) -> tuple[np.ndarray, np.ndarray]:
     """(C, C0): the F_p-coordinates of g(x_j) for a monic degree-d model g
-    are (D @ C[:, j] + C0[j]) mod p, x_j running over one point per
-    Frobenius orbit of F_{q^ext}: F_q, then for ext = 2 the smaller element
-    of each conjugate pair.  g is affine in its coefficients, so row
-    (i, b) of C holds the coordinates of p^b x_j^i (p^b the b-th F_p-basis
-    element of F_q, the coefficient c_i at digit b) and C0 those of x_j^d."""
+    are (D @ C[:, j] + C0[j]) mod p, x_j running over F_q for ext = 1 and,
+    for ext = 2, over the smaller element of each conjugate pair of
+    F_{q^2} - F_q.  g is affine in its coefficients, so row (i, b) of C
+    holds the coordinates of p^b x_j^i (p^b the b-th F_p-basis element of
+    F_q, the coefficient c_i at digit b) and C0 those of x_j^d."""
     F, Q = finite_field(q), q ** ext
     p, k = F.p, F.k  # F_p-coordinates per F_q coefficient
     log, exp = _log_exp(Q)
     x = np.arange(Q)
-    x = x[(x < q) | (x < exp[log[x] * q % (Q - 1)])]
+    if ext == 2:  # F_q's elements are the indices below q
+        x = x[(x >= q) & (x < exp[log[x] * q % (Q - 1)])]
     powers = exp[np.arange(d + 1)[:, None] * log[x] % (Q - 1)]  # row i: x_j^i
     powers[1:, x == 0] = 0
     C = _digit_matrix(_mul(Q, p ** np.arange(k)[:, None, None], powers[:d]), p, k * ext)
@@ -222,7 +242,7 @@ _BLOCK = 1 << 18
 @lru_cache(maxsize=None)
 def _point_map(q: int, d: int, ext: int):
     """(W, w0, table, chi, shift) evaluating monic degree-d models over odd
-    q at one point per Frobenius orbit of F_{q^ext}, F_q first (_value_map).
+    q at the points x_j of _value_map(q, d, ext).
 
     The m F_p-coordinates y_b of g(x_j) are below B before reduction mod p.
     They fall into n groups of s, n the fewest with B^s < 2^24, below which
@@ -243,35 +263,41 @@ def _point_map(q: int, d: int, ext: int):
     C = np.pad(C, ((0, 0), (0, 0), (0, n * s - m))).reshape(len(C), -1, n, s).swapaxes(1, 2)
     C0 = np.pad(C0, ((0, 0), (0, n * s - m))).reshape(-1, n, s).swapaxes(0, 1)
     place = B ** np.arange(s)
-    # code[v]: sum (y_b mod p) p^b for the base-B digits y_b of v
-    code = np.zeros(1, dtype=np.min_scalar_type(q ** ext))
-    for b in range(s):
-        code = np.add.outer((np.arange(B) % p * p ** b).astype(code.dtype), code).ravel()
     # chi(y) = (-1)^log(y): gamma generates F_{q^ext}^*, q odd
     chi = (1 - 2 * (_log_exp(q ** ext)[0] & 1)).astype(np.int8)
     chi[0] = 0
-    if n == 1:
-        code, chi = chi[code], None
+    # chi (one group) or the index itself (several) of the element
+    # sum y_b p^b, as an array with one axis per y_b (y_0 last), read at
+    # y_b = v_b mod p along each axis for the base-B digits v_b of v
+    table = chi if n == 1 else np.arange(p ** s, dtype=np.min_scalar_type(p ** s))
+    table = table.reshape((p,) * s)
+    for axis in range(s):
+        table = table.take(np.arange(B) % p, axis=axis)
+    table = table.ravel()
     W = (C @ place).reshape(len(C), -1).astype(np.float32)
     w0 = (C0 @ place).ravel().astype(np.float32)
-    return W, w0, code, chi, p ** (s * np.arange(n, dtype=np.int32))
+    return W, w0, table, None if n == 1 else chi, p ** (s * np.arange(n, dtype=np.int32))
 
 
-def _char_sums(q: int, d: int, ext: int, idx: np.ndarray) -> np.ndarray:
-    """sum over x in F_{q^ext} of chi(g(x)) for each monic degree-d model g
-    with index sum c_i q^i in idx."""
+def _char_sums(q: int, d: int, ext: int, idx: np.ndarray):
+    """(sums, roots): for each monic degree-d model g with index
+    sum c_i q^i in idx, the sum of chi(g(x_j)) over the points x_j of
+    _value_map(q, d, ext), and at ext = 1 the number of roots of g in F_q
+    (None at ext = 2)."""
     W, w0, table, chi, shift = _point_map(q, d, ext)
     p = finite_field(q).p
     rows = max(1, _BLOCK // len(w0))
-    out = np.empty(len(idx), dtype=np.int32)
+    sums = np.empty(len(idx), dtype=np.int32)
+    roots = np.empty(len(idx), dtype=np.int32) if ext == 1 else None
     for lo in range(0, len(idx), rows):
         D = _digit_matrix(idx[lo : lo + rows], p, len(W)).astype(np.float32)
         Y = table[(D @ W + w0).astype(np.int32)]
         if chi is not None:  # several groups: add them up into element indices
             Y = chi[np.einsum("rgj,g->rj", Y.reshape(len(D), len(shift), -1), shift)]
-        # the points of F_q, then one per conjugate pair, which counts twice
-        out[lo : lo + rows] = Y.sum(axis=1, dtype=np.int32) + Y[:, q:].sum(axis=1, dtype=np.int32)
-    return out
+        sums[lo : lo + rows] = Y.sum(axis=1, dtype=np.int32)
+        if roots is not None:
+            roots[lo : lo + rows] = Y.shape[1] - np.count_nonzero(Y, axis=1)
+    return sums, roots
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +363,7 @@ def _ell_monic(q: int) -> EllCensus:
         group = q * (q - 1)
     else:
         weights, group = weights * q * q, q ** 3 * (q - 1)
-    return _ell_from_traces(q, -_char_sums(q, 3, 1, idx), group, weights)
+    return _ell_from_traces(q, -_char_sums(q, 3, 1, idx)[0], group, weights)
 
 
 def _ell_char2(q: int) -> EllCensus:
@@ -395,6 +421,10 @@ def _validate_ell(census: EllCensus) -> None:
     q = census.q
     _require(all(t * t <= 4 * q for t in census.counts), f"Hasse bound violated over F_{q}")
     _require(census.mass_sum() == q, f"mass sum {census.mass_sum()} != {q}")
+    _require(
+        census.model_count == census.group_order * q,
+        f"model count {census.model_count} != group order * q",
+    )
 
 
 def _ell_census_compute(q: int) -> EllCensus:
@@ -413,11 +443,11 @@ def ell_census(q: int) -> EllCensus:
 # genus-2 census
 
 
-def _nonsquarefree_bitmap(q: int, d: int, top: tuple[int, ...]) -> np.ndarray:
+def _nonsquarefree_bitmap(q: int, d: int, top: tuple[int, ...], lowest: int = 1) -> np.ndarray:
     """Bitmap over the monic degree-d polynomials whose coefficients
     c_s .. c_{d-1} are `top`, s = d - len(top), indexed by the sum c_i q^i
     of their free coefficients c_0 .. c_{s-1}, marking every g = h^2 m with
-    h monic of degree 1 to d/2, all h of one degree at once.
+    h monic of degree lowest to d/2, all h of one degree at once.
 
     In x^-d g = U^2 V, U = x^-e h and V = x^-dm m (dm = d - 2e), the
     coefficient t_j of x^-j is v_j + sum_{a=1..j} H_a v_{j-a}, H_a that of
@@ -432,7 +462,7 @@ def _nonsquarefree_bitmap(q: int, d: int, top: tuple[int, ...]) -> np.ndarray:
     t = _digit_matrix(np.array(top[::-1], dtype=np.int64), p, k)  # t[j - 1]: c_{d-j}
     basis, place = p ** np.arange(k), p ** np.arange(s * k)
     bitmap = np.zeros(q ** s, dtype=bool)
-    for e in range(1, d // 2 + 1):
+    for e in range(lowest, d // 2 + 1):
         dm = d - 2 * e
         h = _digit_matrix(np.arange(q ** e), q, e + 1)
         h[:, e] = 1  # every monic h of degree e, coefficients lowest first
@@ -487,9 +517,10 @@ def _orbit_reps(q: int, d: int, power: int) -> list[tuple[int, int, int]]:
     return reps
 
 
-def _rep_models(q: int, d: int, power: int) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, weights): the squarefree model indices of the _orbit_reps
-    ranges in order, and the weight of each.  Each range lies in the slab
+def _rep_models(q: int, d: int, power: int, lowest: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, weights): the model indices of the _orbit_reps ranges in order
+    that no h^2 divides, h monic of degree lowest to d/2 (so squarefree for
+    lowest = 1), and the weight of each.  Each range lies in the slab
     c_{d-1} = 0 or in one p | d line c_{d-1} = c, c_{d-2} = 0, whose bitmap
     is built once."""
     reps = _orbit_reps(q, d, power)
@@ -499,7 +530,7 @@ def _rep_models(q: int, d: int, power: int) -> tuple[np.ndarray, np.ndarray]:
         c = lo // top
         key = (0, c) if c else (0,)
         if key not in bitmaps:
-            bitmaps[key] = _nonsquarefree_bitmap(q, d, key)
+            bitmaps[key] = _nonsquarefree_bitmap(q, d, key, lowest)
         marks.append(bitmaps[key][lo - c * top : hi - c * top])
     idx = np.concatenate([np.arange(lo, hi) for lo, hi, _ in reps])
     weights = np.concatenate([np.full(hi - lo, w) for lo, hi, w in reps])
@@ -508,13 +539,23 @@ def _rep_models(q: int, d: int, power: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _g2_pass(q: int, d: int):
-    """Yield one (d, S1, S2chi, weight) over the squarefree monic
-    degree-d representatives, integer arrays with one entry per model."""
-    idx, weights = _rep_models(q, d, 1)
+    """Yield one (d, S1, S2, weight), integer arrays with one entry per
+    model of the degree-d part of the census in units of 1/_N1_LCM (module
+    docstring): for d = 6 the squarefree monic sextic representatives with
+    no root in F_q, for d = 5 every squarefree monic quintic one, weighted
+    (q + 1)/n1, n1 = 1 + its roots in F_q.  The F_q points of F_{q^2} add
+    q - roots to S2, as F_q lies in the squares of F_{q^2}."""
+    # h^2 | g with h linear gives g a root, so such sextics drop out anyway
+    idx, weights = _rep_models(q, d, 1, lowest=2 if d == 6 else 1)
+    S1, roots = _char_sums(q, d, 1, idx)
+    if d == 6:
+        free = roots == 0
+        idx, S1, roots, weights = idx[free], S1[free], roots[free], weights[free] * _N1_LCM
+    else:
+        weights = weights * (_N1_LCM * (q + 1) // (1 + roots))
     at_infinity = int(d == 6)  # the point [1:0], where F is the leading coefficient 1
-    S1 = _char_sums(q, d, 1, idx) + at_infinity
-    S2 = _char_sums(q, d, 2, idx) + at_infinity
-    yield d, S1, S2, weights
+    S2 = q - roots + 2 * _char_sums(q, d, 2, idx)[0] + at_infinity
+    yield d, S1 + at_infinity, S2, weights
 
 
 def _chunk_stats(q: int, S1, S2, weight=1) -> tuple[dict[tuple[int, int], int], int]:
@@ -553,11 +594,15 @@ def _g2_census_compute(q: int) -> G2Census:
         for key, c in part.items():
             counts[key] = counts.get(key, 0) + c
         model_count += models
+    _require(
+        model_count % _N1_LCM == 0 and all(c % _N1_LCM == 0 for c in counts.values()),
+        f"a count in units of 1/{_N1_LCM} is not whole",
+    )
     census = G2Census(
         q,
-        counts,
+        {key: c // _N1_LCM for key, c in counts.items()},
         group_order=(q * q - 1) * (q * q - q),
-        model_count=model_count * (q - 1),
+        model_count=model_count // _N1_LCM * (q - 1),
     )
     _validate_g2(census)
     return census
@@ -566,6 +611,10 @@ def _g2_census_compute(q: int) -> G2Census:
 def _validate_g2(census: G2Census) -> None:
     q = census.q
     _require(census.mass_sum() == q ** 3, "total genus-2 mass must be q^3")
+    _require(
+        census.model_count == census.group_order * q ** 3,
+        f"model count {census.model_count} != group order * q^3",
+    )
     for (t1, e), c in census.counts.items():
         _require(c > 0, f"non-positive count at {(t1, e)}")
         # x^2 - t1 x + e must have two real roots in [-2 sqrt(q), 2 sqrt(q)]

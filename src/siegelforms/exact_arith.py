@@ -511,16 +511,22 @@ class Fq:
     def _log_tables(self) -> tuple[list[int], list[int], list[int | None]]:
         """(log, exp, zech) with exp[i] = g^i for i < 2(q - 1), log[g^i] = i
         and g^zech[i] = 1 + g^i (None where that is 0), g the smallest
-        generator of F_q^*, as the class docstring describes."""
+        generator of F_q^*, as the class docstring describes.  ValueError
+        when the tower product is not a field multiplication: then some
+        element does not return to 1 within q - 1 steps, or none generates."""
         if self._logs is None:
             q = self.q
             for g in range(1, q):
                 exp, y = [1], g
                 while y != 1:
+                    if len(exp) == q - 1:
+                        raise ValueError(f"the tower product of F_{q} is not a field product")
                     exp.append(y)
                     y = self._tower_mul(y, g)
                 if len(exp) == q - 1:
                     break
+            else:
+                raise ValueError(f"the tower product of F_{q} is not a field product")
             log = [0] * q
             for i, y in enumerate(exp):
                 log[y] = i

@@ -19,14 +19,17 @@ from siegelforms.census import (
     _char_sums,
     _chunk_stats,
     _coords,
+    _digit_matrix,
     _ell_from_traces,
     _ell_monic,
     _g2_census_compute,
     _g2_pass,
+    _log_exp,
     _nonsquarefree_bitmap,
     _orbit_reps,
     _point_map,
     _poly_gcd,
+    _rep_models,
     _value_map,
     _write_json,
     count_points_ell,
@@ -406,6 +409,11 @@ def _bump_first_count_and_mass(payload):
     payload["masses"][0][-1] = rat_str(mass)
 
 
+def _bump_model_count(payload):
+    # counts and masses stay as they were, so only the model-count check sees it
+    payload["model_count"] += 2
+
+
 @pytest.mark.parametrize(
     "name, edit",
     [
@@ -418,6 +426,8 @@ def _bump_first_count_and_mass(payload):
         ("g2_q11_v1.json", lambda p: p.update(q=13)),
         ("ell_q11_v1.json", lambda p: p.update(version=CACHE_VERSION + 1)),
         ("ell_q11_v1.json", lambda p: p.update(group_order=0)),
+        ("g2_q11_v1.json", _bump_model_count),
+        ("ell_q121_v1.json", _bump_model_count),
         ("g2_q13_v1.json", lambda p: p.pop("counts")),
     ],
 )
@@ -464,23 +474,48 @@ def _monic_form(q, d, index):
     return tuple(coeffs + [0] * (6 - d))
 
 
+def _horner(E, coeffs, xs):
+    """The polynomial with these coefficients, lowest first, at each x in xs."""
+    values = [0] * len(xs)
+    for c in reversed(coeffs):
+        values = [E.add(E.mul(v, x), c) for v, x in zip(values, xs)]
+    return values
+
+
 @pytest.mark.parametrize("q", (5, 9, 11))
 @pytest.mark.parametrize("d", (5, 6))
 def test_g2_pass_matches_point_counter(q, d):
-    # per-model (S1, S2) from the census kernel against the naive counter;
-    # the pass's models are the representatives that a bitmap over all
-    # models leaves unmarked
+    # per model from the census kernel against the naive counter: the roots
+    # in F_q, S1, and S2 as q - roots plus twice the sum over conjugate
+    # pairs.  The representatives are those that a bitmap over all models
+    # leaves unmarked, and the pass keeps the root-free sextics (weight 60
+    # per model) and every quintic (weight 60 (q + 1)/(1 + roots))
+    F = finite_field(q)
     bitmap = _nonsquarefree_bitmap(q, d, ())
     reps = np.concatenate([np.arange(lo, hi) for lo, hi, _ in _orbit_reps(q, d, 1)])
-    idx = reps[~bitmap[reps]]
-    (_, s1, s2, _), = _g2_pass(q, d)
-    assert len(idx) == len(s1) == len(s2)
+    idx, weights = _rep_models(q, d, 1)
+    assert np.array_equal(idx, reps[~bitmap[reps]])
+    s1, roots = _char_sums(q, d, 1, idx)
+    pairs, _ = _char_sums(q, d, 2, idx)
+    at_infinity = int(d == 6)
     rng = random.Random(q * 10 + d)
     for pos in rng.sample(range(len(idx)), 200):
         form = _monic_form(q, d, int(idx[pos]))
         assert squarefree_sextic(form, q)
-        assert s1[pos] == count_points_g2(form, q, 1) - q - 1
-        assert s2[pos] == count_points_g2(form, q, 2) - q * q - 1
+        assert roots[pos] == _horner(F, form[: d + 1], range(q)).count(0)
+        assert s1[pos] + at_infinity == count_points_g2(form, q, 1) - q - 1
+        s2 = q - roots[pos] + 2 * pairs[pos] + at_infinity
+        assert s2 == count_points_g2(form, q, 2) - q * q - 1
+    if d == 6:
+        keep = roots == 0
+        weights = 60 * weights[keep]
+    else:
+        keep = np.ones(len(idx), dtype=bool)
+        weights = 60 * (q + 1) // (1 + roots) * weights
+    (_, S1, S2, weight), = _g2_pass(q, d)
+    assert np.array_equal(S1, s1[keep] + at_infinity)
+    assert np.array_equal(S2, (q - roots + 2 * pairs + at_infinity)[keep])
+    assert np.array_equal(weight, weights)
 
 
 @pytest.mark.parametrize("q, d, ext", [(25, 6, 2), (37, 6, 2), (625, 3, 1), (1369, 3, 1)])
@@ -488,18 +523,19 @@ def test_multi_group_char_sums_match_point_counters(q, d, ext):
     # these shapes do not pack into one float32 column, so the kernel adds
     # coordinate groups up into element indices
     assert len(_point_map(q, d, ext)[4]) >= 2
-    E = finite_field(q ** ext)
+    F = finite_field(q)
     rng = random.Random(q)
     idx = np.array([rng.randrange(q ** d) for _ in range(40)], dtype=np.int64)
-    sums = _char_sums(q, d, ext, idx)
-    for index, got in zip(idx.tolist(), sums.tolist()):
-        if d == 6:  # the counter adds 1 + chi(1) at infinity
-            assert got == count_points_g2(_monic_form(q, d, index), q, ext) - q ** ext - 2
+    sums, roots = _char_sums(q, d, ext, idx)
+    for pos, index in enumerate(idx.tolist()):
+        form = _monic_form(q, d, index)
+        values = _horner(F, form[: d + 1], range(q))
+        if ext == 2:  # q - roots from F_q, the counter adds 1 + chi(1) at infinity
+            s2 = q - values.count(0) + 2 * sums[pos]
+            assert s2 == count_points_g2(form, q, ext) - q ** ext - 2
         else:
-            values = [0] * q
-            for c in reversed(_monic_form(q, d, index)[: d + 1]):  # Horner at every x in F_q
-                values = [E.add(E.mul(v, x), c) for v, x in zip(values, range(q))]
-            assert got == sum(E.chi(v) for v in values)
+            assert sums[pos] == sum(F.chi(v) for v in values)
+            assert roots[pos] == values.count(0)
 
 
 def _squarefree(F, g):
@@ -544,6 +580,25 @@ def test_nonsquarefree_marks_match_gcd_at_random(q, d):
         assert bitmap[index] == (not _squarefree(F, g)), (q, d, g)
 
 
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11))
+def test_sextic_marks_without_linear_h(q):
+    # the sextic pass marks h^2 | g for h of degree 2 and 3 only: every
+    # marked sextic has a repeated factor and every unmarked one with no
+    # root in F_q has none, on the slab and the p | 6 lines (all models up
+    # to q = 5, then 2000 of each range)
+    F = finite_field(q)
+    rng = random.Random(q)
+    for top in [(0,)] + [(0, c) for c in range(1, q) if F.p == 3]:
+        size = q ** (6 - len(top))
+        bitmap = _nonsquarefree_bitmap(q, 6, top, lowest=2)
+        for index in range(size) if q <= 5 else rng.sample(range(size), 2000):
+            g = [index // q ** j % q for j in range(6 - len(top))] + list(top) + [1]
+            if bitmap[index]:
+                assert not _squarefree(F, g), (q, g)
+            elif 0 not in _horner(F, g, range(q)):
+                assert _squarefree(F, g), (q, g)
+
+
 # every (q, d, ext) that a census up to q = 13 and its squares builds, the
 # shapes packed in two coordinate groups, and the char-2 cubics of _ell_char2
 VALUE_MAP_SHAPES = (
@@ -562,7 +617,8 @@ def test_value_map_matches_horner(q, d, ext):
     E = finite_field(q ** ext)
     p = E.p
     m = round(math.log(q ** ext, p))
-    points = list(range(q)) + [x for x in range(q, q ** ext) if x < E.pow(x, q)]
+    # F_q, or one point per conjugate pair of F_{q^2} - F_q
+    points = list(range(q)) if ext == 1 else [x for x in range(q, q ** ext) if x < E.pow(x, q)]
     C, C0 = _value_map(q, d, ext)
     assert C.shape == (len(C), len(points), m) and C0.shape == (len(points), m)
     rng = random.Random(q * 100 + d * 10 + ext)
@@ -577,24 +633,50 @@ def test_value_map_matches_horner(q, d, ext):
             assert coords.tolist() == _coords(value, p, m), (q, d, ext, index, x)
 
 
+def _full_s2(q, d, idx):
+    """sum over all of F_{q^2} of chi(g(x)) for each monic model index: at
+    x in F_q, chi of F_{q^2} on g(x) in F_q (whose elements keep their
+    indices in F_{q^2}), then twice the sum over the conjugate pairs."""
+    F = finite_field(q)
+    C, C0 = _value_map(q, d, 1)
+    log = _log_exp(q * q)[0]
+    parts = []
+    for block in np.array_split(idx, len(idx) // 4096 + 1):
+        coords = (_digit_matrix(block, F.p, len(C)) @ C.reshape(len(C), -1)).reshape(-1, q, F.k)
+        values = (coords + C0) % F.p @ F.p ** np.arange(F.k)
+        parts.append(np.where(values == 0, 0, 1 - 2 * (log[values] & 1)).sum(axis=1))
+    return np.concatenate(parts) + 2 * _char_sums(q, d, 2, idx)[0]
+
+
+def _two_pass_stats(q, d, idx, weights=1):
+    """_chunk_stats of the models idx of degree d with S1 and the full S2,
+    every point of P^1(F_q) and P^1(F_{q^2}) evaluated, no root-free
+    selection and no 1/n1 weights."""
+    at_infinity = int(d == 6)
+    S1 = _char_sums(q, d, 1, idx)[0] + at_infinity
+    return _chunk_stats(q, S1, _full_s2(q, d, idx) + at_infinity, weights)
+
+
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11))
 @pytest.mark.parametrize("d", (5, 6))
 def test_translation_reps_match_full_enumeration(q, d):
     # slow oracle: the (t1, e) histogram of every squarefree monic model,
     # against the weighted histogram of one model per affine orbit
-    at_infinity = int(d == 6)
     idx = np.flatnonzero(~_nonsquarefree_bitmap(q, d, ()))
-    full = _chunk_stats(
-        q, _char_sums(q, d, 1, idx) + at_infinity, _char_sums(q, d, 2, idx) + at_infinity
-    )
-    counts, models = {}, 0
-    for _, S1, S2, weight in _g2_pass(q, d):
-        part, n = _chunk_stats(q, S1, S2, weight)
-        for key, c in part.items():
-            counts[key] = counts.get(key, 0) + c
-        models += n
-    assert (counts, models) == full
+    assert _two_pass_stats(q, d, *_rep_models(q, d, 1)) == _two_pass_stats(q, d, idx)
     assert sum(hi - lo for lo, hi, _ in _orbit_reps(q, d, 1)) < q ** d
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13, 17))
+def test_census_matches_two_pass_oracle(q):
+    # the census from root-free sextics and 1/n1-weighted quintics against
+    # the two passes it replaces: full S1 and S2 over every squarefree
+    # sextic and quintic representative
+    counts, models = _merged(_two_pass_stats(q, d, *_rep_models(q, d, 1)) for d in (6, 5))
+    census = _g2_census_compute(q)
+    assert (census.counts, census.group_order, census.model_count) == (
+        counts, (q * q - 1) * (q * q - q), models * (q - 1)
+    )
 
 
 def test_char3_cubics_match_full_enumeration():
@@ -602,7 +684,7 @@ def test_char3_cubics_match_full_enumeration():
     # squarefree monic cubics over a group of the same order q(q - 1)
     q = 81
     idx = np.flatnonzero(~_nonsquarefree_bitmap(q, 3, ()))
-    full = _ell_from_traces(q, -_char_sums(q, 3, 1, idx), q * (q - 1))
+    full = _ell_from_traces(q, -_char_sums(q, 3, 1, idx)[0], q * (q - 1))
     fast = _ell_monic(q)
     assert (fast.counts, fast.model_count, fast.group_order) == (
         full.counts, full.model_count, full.group_order
@@ -662,7 +744,7 @@ def test_translation_reps_meet_each_orbit_once(q, d):
 @given(st.data())
 def test_char_sums_under_affine_substitution(data):
     # h = a^-d g(ax + b): sum_x chi(h(x)) = chi(a)^d sum_x chi(g(x)) over
-    # F_q, and over F_{q^2} chi(a) = 1
+    # F_q with as many roots, and over F_{q^2} chi(a) = 1
     q = data.draw(st.sampled_from((3, 5, 7, 9, 11, 13, 25, 37)))
     d = data.draw(st.sampled_from((5, 6)))
     g = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)) + [1]
@@ -677,9 +759,10 @@ def test_char_sums_under_affine_substitution(data):
          sum(F.mul(scale, c) * q ** i for i, c in enumerate(h[:d]))],
         dtype=np.int64,
     )
-    s1 = _char_sums(q, d, 1, index)
-    s2 = _char_sums(q, d, 2, index)
+    s1, roots = _char_sums(q, d, 1, index)
+    s2, _ = _char_sums(q, d, 2, index)
     assert s1[1] == F.chi(a) ** d * s1[0]
+    assert roots[1] == roots[0]
     assert s2[1] == s2[0]
 
 

@@ -234,6 +234,16 @@ def test_fq_tower_deterministic_modulus():
     assert F81.base.q == 9
 
 
+@pytest.mark.parametrize("product", [lambda x, y: x, lambda x, y: 0])
+def test_generator_search_stops_on_a_product_that_is_not_a_field_product(product, monkeypatch):
+    # in a field every power sequence returns to 1 within q - 1 steps; a
+    # broken product must raise there instead of growing its tables forever
+    F = Fq(3, base=finite_field(3))
+    monkeypatch.setattr(F, "_tower_mul", product)
+    with pytest.raises(ValueError, match="not a field product"):
+        F.generator()
+
+
 # -- quadratic field elements
 
 

@@ -18,15 +18,15 @@ a model index.  A monic g = x^d + sum c_i x^i over F_q has index
 sum c_i q^i, so D holds the F_p-coordinates of its coefficients, and a
 quantity F_p-affine in them is D @ W + w0 mod p, w0 its value at index 0
 and row j of W its value at index p^j minus w0.
-- Points, odd q: g(x) for each fixed x.  One float32 matmul evaluates a
-  block of models at all points, the coordinates of g(x) packed into the
-  fewest numbers that stay below 2^24 (_point_map).  One gather maps a
-  single number to chi(g(x)): every prime q <= 31 and its square, 9 and
-  81.  Several (F_625, F_{37^2}, ...) are each reduced mod p by a gather,
-  added up into the index of g(x) and mapped through chi.  The zeros of
-  chi(g(x)) over F_q count the roots of g.  Over F_{q^2} the points of
-  F_q add q minus those roots, as F_q lies in the squares of F_{q^2}, and
-  one point per conjugate pair of the rest is enough: chi(g(x^q)) = chi(g(x)).
+- Points, odd q: g(x) for each fixed x.  A model is g = r + c_0, c_0 its
+  constant term, so sum_x chi(g(x)) = sum_y H_r(y) chi(y + c_0), H_r(y)
+  the number of points where r(x) = y, and g has H_r(-c_0) roots.  Each
+  distinct r is evaluated once, in integers on coordinates reduced mod p;
+  bincount gives H_r and one integer contraction with the table
+  chi(y + c) the sums for all q constant terms (_char_sums), with no
+  float or BLAS call.  Over F_{q^2} the points of F_q add q minus the
+  roots, as F_q lies in the squares of F_{q^2}, and one point per
+  conjugate pair of the rest is enough: chi(g(x^q)) = chi(g(x)).
 - Squarefree marks: for every monic h of degree 1 to d/2, all h of one
   degree at once, the lower coefficients of h^2 m, m monic.  Irreducible
   or not, h^2 | g makes g non-squarefree.  Only the ranges the census
@@ -235,68 +235,66 @@ def _value_map(q: int, d: int, ext: int) -> tuple[np.ndarray, np.ndarray]:
     return C.swapaxes(0, 1).reshape(d * k, len(x), k * ext), _digit_matrix(powers[d], p, k * ext)
 
 
-# entries (models x columns) evaluated by one matmul
+# entries (models x columns) in one block of the census kernels
 _BLOCK = 1 << 18
 
 
 @lru_cache(maxsize=None)
-def _point_map(q: int, d: int, ext: int):
-    """(W, w0, table, chi, shift) evaluating monic degree-d models over odd
-    q at the points x_j of _value_map(q, d, ext).
-
-    The m F_p-coordinates y_b of g(x_j) are below B before reduction mod p.
-    They fall into n groups of s, n the fewest with B^s < 2^24, below which
-    float32 represents integers exactly, and column (i, j) of D @ W + w0
-    packs group i as sum y_b B^b.  table maps a packed group to
-    sum (y_b mod p) p^b, so g(x_j) is the element whose index sums those
-    times shift[i] = p^(s i), and chi of that index is chi(g(x_j)).  With
-    one group table is already composed into chi (chi is None):
-    table[D @ W + w0] = chi(g(x_j)).
-    """
-    p = finite_field(q).p
-    C, C0 = _value_map(q, d, ext)
-    m = C.shape[2]
-    B = int(((p - 1) * C.sum(axis=0) + C0).max()) + 1
-    n = next(n for n in range(1, m + 1) if B ** -(-m // n) < 1 << 24)
-    s = -(-m // n)
-    # coordinates padded to n s and split group-major: (digits, groups, points, s)
-    C = np.pad(C, ((0, 0), (0, 0), (0, n * s - m))).reshape(len(C), -1, n, s).swapaxes(1, 2)
-    C0 = np.pad(C0, ((0, 0), (0, n * s - m))).reshape(-1, n, s).swapaxes(0, 1)
-    place = B ** np.arange(s)
-    # chi(y) = (-1)^log(y): gamma generates F_{q^ext}^*, q odd
-    chi = (1 - 2 * (_log_exp(q ** ext)[0] & 1)).astype(np.int8)
+def _shift_table(q: int, ext: int) -> np.ndarray:
+    """T[c, y] = chi(y + c) for c in F_q (the indices below q) and y in
+    F_{q^ext}, in the smallest signed type that holds +-q^ext.  c moves the
+    low k coordinates of y only, so their axes of chi are padded by
+    wrapping around and read through a sliding window."""
+    F = finite_field(q)
+    p, k, n = F.p, F.k, ext * F.k
+    chi = 1 - 2 * (_log_exp(q ** ext)[0] & 1)  # (-1)^log(y), gamma a generator, q odd
+    chi = chi.astype(np.min_scalar_type(-q ** ext - 1))
     chi[0] = 0
-    # chi (one group) or the index itself (several) of the element
-    # sum y_b p^b, as an array with one axis per y_b (y_0 last), read at
-    # y_b = v_b mod p along each axis for the base-B digits v_b of v
-    table = chi if n == 1 else np.arange(p ** s, dtype=np.min_scalar_type(p ** s))
-    table = table.reshape((p,) * s)
-    for axis in range(s):
-        table = table.take(np.arange(B) % p, axis=axis)
-    table = table.ravel()
-    W = (C @ place).reshape(len(C), -1).astype(np.float32)
-    w0 = (C0 @ place).ravel().astype(np.float32)
-    return W, w0, table, None if n == 1 else chi, p ** (s * np.arange(n, dtype=np.int32))
+    chi = np.pad(chi.reshape((p,) * n), [(0, 0)] * (n - k) + [(0, p - 1)] * k, mode="wrap")
+    T = np.lib.stride_tricks.sliding_window_view(chi, (p,) * k, axis=tuple(range(n - k, n)))
+    # axes: the coordinates of c, then of y, each lowest last
+    return np.moveaxis(T, tuple(range(n, n + k)), tuple(range(k))).reshape(q, q ** ext)
 
 
 def _char_sums(q: int, d: int, ext: int, idx: np.ndarray):
     """(sums, roots): for each monic degree-d model g with index
     sum c_i q^i in idx, the sum of chi(g(x_j)) over the points x_j of
     _value_map(q, d, ext), and at ext = 1 the number of roots of g in F_q
-    (None at ext = 2)."""
-    W, w0, table, chi, shift = _point_map(q, d, ext)
-    p = finite_field(q).p
-    rows = max(1, _BLOCK // len(w0))
+    (None at ext = 2), from the histograms H_r of the module docstring,
+    r = idx // q.  Blocks of about `rows` models are cut where r changes,
+    so the r of a run of models is evaluated once."""
+    F = finite_field(q)
+    p, k = F.p, F.k
+    C, C0 = _value_map(q, d, ext)
+    points, m = C0.shape
+    Q, T = q ** ext, _shift_table(q, ext)
+    # rows: the digits of r; columns (b, j): coordinate b of r(x_j), which
+    # vt holds before its reduction mod p
+    W, w0 = C[k:].transpose(0, 2, 1).reshape(len(C) - k, -1), C0.T.ravel()
+    vt = np.min_scalar_type(int(((p - 1) * W.sum(axis=0) + w0).max()))
+    W, w0 = W.astype(vt), w0.astype(vt)
+    neg = -_digit_matrix(np.arange(q), p, k) % p @ p ** np.arange(k)  # -c as an index
     sums = np.empty(len(idx), dtype=np.int32)
     roots = np.empty(len(idx), dtype=np.int32) if ext == 1 else None
-    for lo in range(0, len(idx), rows):
-        D = _digit_matrix(idx[lo : lo + rows], p, len(W)).astype(np.float32)
-        Y = table[(D @ W + w0).astype(np.int32)]
-        if chi is not None:  # several groups: add them up into element indices
-            Y = chi[np.einsum("rgj,g->rj", Y.reshape(len(D), len(shift), -1), shift)]
-        sums[lo : lo + rows] = Y.sum(axis=1, dtype=np.int32)
+    rows = max(1, _BLOCK // max(Q, points * m))
+    r = idx // q
+    starts = np.flatnonzero(r[1:] != r[:-1]) + 1
+    at = np.searchsorted(starts, np.arange(rows, len(idx), rows))
+    cuts = list(dict.fromkeys(starts[at[at < len(starts)]].tolist()))
+    for lo, hi in zip([0] + cuts, cuts + [len(idx)]):
+        rs, which = np.unique(r[lo:hi], return_inverse=True)
+        c0 = idx[lo:hi] % q
+        Y = np.tile(w0, (len(rs), 1))
+        for row, digit in zip(W, _digit_matrix(rs, p, len(W)).astype(vt).T):
+            Y += digit[:, None] * row
+        Y = (Y - Y // p * p).reshape(len(rs), m, points)  # faster than % p
+        y = Q * np.arange(len(rs))[:, None]  # row i of H starts at i Q
+        for b in range(m):
+            y = y + Y[:, b] * np.intp(p ** b)  # p^b need not fit vt
+        H = np.bincount(y.ravel(), minlength=len(rs) * Q).reshape(len(rs), Q).astype(T.dtype)
+        sums[lo:hi] = np.einsum("ry,cy->rc", H, T)[which, c0]
         if roots is not None:
-            roots[lo : lo + rows] = Y.shape[1] - np.count_nonzero(Y, axis=1)
+            roots[lo:hi] = H[which, neg[c0]]
     return sums, roots
 
 

@@ -27,7 +27,6 @@ from siegelforms.census import (
     _log_exp,
     _nonsquarefree_bitmap,
     _orbit_reps,
-    _point_map,
     _poly_gcd,
     _rep_models,
     _value_map,
@@ -287,7 +286,7 @@ def test_g2_rejects_unsupported():
 
 @pytest.mark.parametrize("p, i", [(5, 4), (37, 2)])
 def test_multi_group_censuses_match_eichler_selberg(p, i):
-    # F_625 and F_1369 pack in two coordinate groups; the census trace on
+    # censuses over F_625 and F_1369, the largest fields here; the trace on
     # S[k] is alpha^i + beta^i, alpha + beta = a(p) and alpha beta = p^(k-1)
     for k in (12, 16, 18, 20, 22, 26):
         a, norm = eigenforms(k)[0].ap(p), p ** (k - 1)
@@ -518,11 +517,11 @@ def test_g2_pass_matches_point_counter(q, d):
     assert np.array_equal(weight, weights)
 
 
-@pytest.mark.parametrize("q, d, ext", [(25, 6, 2), (37, 6, 2), (625, 3, 1), (1369, 3, 1)])
-def test_multi_group_char_sums_match_point_counters(q, d, ext):
-    # these shapes do not pack into one float32 column, so the kernel adds
-    # coordinate groups up into element indices
-    assert len(_point_map(q, d, ext)[4]) >= 2
+@pytest.mark.parametrize(
+    "q, d, ext", [(25, 6, 2), (37, 6, 2), (625, 3, 1), (1369, 3, 1), (2401, 3, 1)]
+)
+def test_char_sums_match_point_counters(q, d, ext):
+    # fields of p^2 and p^4 elements, up to 2401 points per model
     F = finite_field(q)
     rng = random.Random(q)
     idx = np.array([rng.randrange(q ** d) for _ in range(40)], dtype=np.int64)
@@ -536,6 +535,32 @@ def test_multi_group_char_sums_match_point_counters(q, d, ext):
         else:
             assert sums[pos] == sum(F.chi(v) for v in values)
             assert roots[pos] == values.count(0)
+
+
+@pytest.mark.parametrize("q, d", [(9, 5), (13, 6)])
+def test_char_sums_repeat_one_r_over_every_constant_term(q, d):
+    # g = r + c_0 for one r and every c_0, shuffled in twice among as many
+    # random models: each model against the point counters; no models give
+    # empty arrays
+    F = finite_field(q)
+    rng = random.Random(q * 10 + d)
+    r = rng.randrange(q ** (d - 1))
+    models = [r * q + c for c in range(q)] + [rng.randrange(q ** d) for _ in range(q)]
+    idx = np.array(rng.sample(models * 2, 4 * q), dtype=np.int64)
+    s1, roots = _char_sums(q, d, 1, idx)
+    pairs, none = _char_sums(q, d, 2, idx)
+    assert none is None
+    at_infinity = int(d == 6)
+    for pos, index in enumerate(idx.tolist()):
+        form = _monic_form(q, d, index)
+        values = _horner(F, form[: d + 1], range(q))
+        assert roots[pos] == values.count(0)
+        assert s1[pos] == sum(F.chi(v) for v in values)
+        s2 = q - roots[pos] + 2 * pairs[pos] + at_infinity
+        assert s2 == count_points_g2(form, q, 2) - q * q - 1
+    for ext in (1, 2):
+        sums, roots = _char_sums(q, d, ext, idx[:0])
+        assert sums.shape == (0,) and (roots is None if ext == 2 else roots.shape == (0,))
 
 
 def _squarefree(F, g):
@@ -600,7 +625,7 @@ def test_sextic_marks_without_linear_h(q):
 
 
 # every (q, d, ext) that a census up to q = 13 and its squares builds, the
-# shapes packed in two coordinate groups, and the char-2 cubics of _ell_char2
+# largest fields of the kernel tests, and the char-2 cubics of _ell_char2
 VALUE_MAP_SHAPES = (
     [(q, d, ext) for q in (3, 5, 7, 9, 11, 13) for d in (5, 6) for ext in (1, 2)]
     + [(q, 3, 1) for q in (3, 5, 7, 9, 11, 13, 25, 49, 81, 121, 169)]

@@ -50,7 +50,7 @@ def test_census_commands(capsys):
     assert code == 0 and "mass: 3" in out
     code, out, _ = run(capsys, "census", "--genus", "2", "--q", "3", "--cite")
     assert code == 0 and "mass: 27" in out and "reproduces:" in out
-    # F_625 packs its coordinates in two groups
+    # F_625: 625 points per model, 625 constant terms per histogram
     code, out, _ = run(capsys, "census", "--genus", "1", "--q", "625")
     assert code == 0 and "mass: 625" in out
 

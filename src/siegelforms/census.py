@@ -13,34 +13,40 @@ one count: 1/group_order for elliptic curves, (q-1)/(2 group_order) for
 genus 2.  This module only counts and caches; every sum of a character
 over a census (sigma_k, the symplectic characters) is cohom's.
 
-Every census runs on one engine, F_p-affine maps of the base-p digits D of
-a model index.  A monic g = x^d + sum c_i x^i over F_q has index
-sum c_i q^i, so D holds the F_p-coordinates of its coefficients, and a
-quantity F_p-affine in them is D @ W + w0 mod p, w0 its value at index 0
-and row j of W its value at index p^j minus w0.
+Every census computes in integers on arrays of element indices, with no
+float or BLAS call.  The odd-q point sums and the squarefree marks are
+F_p-affine maps of the base-p digits D of a model index.  A monic
+g = x^d + sum c_i x^i over F_q has index sum c_i q^i, so D holds the
+F_p-coordinates of its coefficients, and a quantity F_p-affine in them is
+D @ W + w0 mod p, w0 its value at index 0 and row j of W its value at
+index p^j minus w0.
 - Points, odd q: g(x) for each fixed x.  A model is g = r + c_0, c_0 its
   constant term, so sum_x chi(g(x)) = sum_y H_r(y) chi(y + c_0), H_r(y)
   the number of points where r(x) = y, and g has H_r(-c_0) roots.  Each
   distinct r is evaluated once, in integers on coordinates reduced mod p;
   bincount gives H_r and one integer contraction with the table
-  chi(y + c) the sums for all q constant terms (_char_sums), with no
-  float or BLAS call.  Over F_{q^2} the points of F_q add q minus the
-  roots, as F_q lies in the squares of F_{q^2}, and one point per
-  conjugate pair of the rest is enough: chi(g(x^q)) = chi(g(x)).
+  chi(y + c) the sums for all q constant terms (_char_sums).  Over
+  F_{q^2} the points of F_q add q minus the roots, as F_q lies in the
+  squares of F_{q^2}, and one point per conjugate pair of the rest is
+  enough: chi(g(x^q)) = chi(g(x)).
 - Squarefree marks: for every monic h of degree 1 to d/2, all h of one
   degree at once, the lower coefficients of h^2 m, m monic.  Irreducible
   or not, h^2 | g makes g non-squarefree.  Only the ranges the census
   reads are marked (below).
 - Characteristic 2 (q = 2, 4, 16): models y^2 + h y = f, h = a1 x + a3,
-  f = x^3 + a2 x^2 + a4 x + a6, over a group of order q^3 (q - 1).  For
-  fixed (a1, a3) a point x has 1 point over it if h(x) = 0, else 2 or 0 as
-  Tr(f(x)/h(x)^2) is 0 or 1; the model is singular iff h = 0, or a1 != 0
-  and a1^2 f(x0) + (x0^2 + a4)^2 = 0 at x0 = a3/a1, where both partial
-  derivatives vanish.  Both are F_2-affine in the bits of (a2, a4, a6).
-The point and mark maps are built by array arithmetic on element indices,
-with no Python call per element: products through exact_arith.Fq's log and
-antilog tables (_log_exp), sums on F_p-coordinates, chi(y) from the parity
-of log y.
+  f = r + a6 with r = x^3 + a2 x^2 + a4 x, over a group of order
+  q^3 (q - 1).  A point x has 1 point over it if h(x) = 0, else 2 or 0 as
+  Tr(f(x)/h(x)^2) is 0 or 1.  psi = (-1)^Tr is additive, so with
+  u = 1/h(x)^2 the trace is t = -sum_{h(x) != 0} psi(r(x) u) psi(a6 u):
+  for each h one product of a +-1 table over (a2, a4) x x with one over
+  x x a6 gives all q^3 models, every a6 at once.  The model is singular
+  iff h = 0, or a1 != 0 and a1^2 f(x0) + x0^4 + a4^2 = 0 at x0 = a3/a1,
+  where both partial derivatives vanish: one a6 per (a1, a3, a2, a4).
+The tables are built by array arithmetic on element indices, with no
+Python call per element: products through exact_arith.Fq's log and
+antilog tables (_log_exp), sums on F_p-coordinates (XOR for p = 2),
+chi(y) from the parity of log y and Tr(y) = y + y^2 + ... + y^(q/2) from
+logs doubled mod q - 1.
 
 In odd characteristic the elliptic censuses count monic cubics, y^2 = g(x).
 For q = 3 and 9 the files count five-coefficient models
@@ -115,6 +121,7 @@ from .exact_arith import Fq, finite_field
 CACHE_VERSION = 1
 
 MAX_Q_G2 = 17  # hard cap: beyond this the enumeration is out of scope
+MAX_Q_ELL = 4096  # the elliptic census's bitmap and table grow as q^2
 
 # lcm(1, ..., 6): the genus-2 weights (q + 1)/n1 times this are integers
 _N1_LCM = 60
@@ -167,23 +174,9 @@ def _field(q: int) -> Fq:
 # F_p-affine digit maps
 
 
-def _coords(y: int, p: int, m: int) -> list[int]:
-    """The m F_p-coordinates of the field element y: its base-p digits."""
-    return [y // p ** b % p for b in range(m)]
-
-
 def _digit_matrix(idx: np.ndarray, p: int, n: int) -> np.ndarray:
     """The n base-p digits of each index, along a new last axis."""
     return idx[..., None] // p ** np.arange(n, dtype=np.int64) % p
-
-
-def _affine_map(p: int, n: int, f) -> tuple[np.ndarray, np.ndarray]:
-    """(W, w0) with f(i) = (D @ W + w0) mod p for every index i below p^n,
-    D the base-p digits of i, when f maps indices F_p-affinely to lists of
-    F_p-coordinates: w0 = f(0) and row j of W is f(p^j) - f(0)."""
-    w0 = np.array(f(0), dtype=np.int64)
-    W = np.array([f(p ** j) for j in range(n)], dtype=np.int64).reshape(n, len(w0))
-    return (W - w0) % p, w0
 
 
 @lru_cache(maxsize=None)
@@ -365,42 +358,26 @@ def _ell_monic(q: int) -> EllCensus:
 
 
 def _ell_char2(q: int) -> EllCensus:
-    """Five-coefficient models over q = 2^k, group order q^3 (q - 1), one
-    F_2-affine map per (a1, a3) (module docstring).  A model's index is
-    that of its monic cubic f = x^3 + a2 x^2 + a4 x + a6."""
-    F = finite_field(q)
-    k = F.k
-    D = _digit_matrix(np.arange(q ** 3), 2, 3 * k).astype(np.float32)
-    C, C0 = _value_map(q, 3, 1)  # coordinates of f(x) at every x in F_q
-    a4_sq, _ = _affine_map(2, 3 * k, lambda i: _coords(F.pow(i // q % q, 2), 2, k))
-    # Tr(c u) = coords(c) . tau[u] mod 2
-    tau = np.array([[F.trace_to_prime(F.mul(1 << b, u)) for b in range(k)] for u in range(q)])
-    inv_sq = [0] + [F.inv(F.mul(u, u)) for u in range(1, q)]
-    traces = []
-    for a1 in range(q):
-        # multiplication by a1^2 on coordinates
-        a1_sq, _ = _affine_map(2, k, lambda y: _coords(F.mul(F.pow(a1, 2), y), 2, k))
-        a1x = [F.mul(a1, x) for x in range(q)]
-        a1_inv = F.inv(a1) if a1 else 0
-        for a3 in range(q):
-            h = [F.add(a1x[x], a3) for x in range(q)]
-            xs = [x for x in range(q) if h[x]]
-            if not xs:
-                continue  # h = 0: every model is singular
-            t = tau[[inv_sq[h[x]] for x in xs]]
-            # columns: Tr(f(x)/h(x)^2) at each x in xs, then a1^2 f(x0) + (x0^2 + a4)^2
-            W = [np.einsum("nxb,xb->nx", C[:, xs], t)]
-            w0 = [np.einsum("xb,xb->x", C0[xs], t)]
-            if a1:
-                x0 = F.mul(a3, a1_inv)
-                W.append(C[:, x0] @ a1_sq + a4_sq)
-                w0.append(C0[x0] @ a1_sq + _coords(F.pow(x0, 4), 2, k))
-            Y = (D @ np.hstack(W).astype(np.float32) + np.concatenate(w0)).astype(np.int32) & 1
-            if a1:
-                Y = Y[Y[:, len(xs):].any(axis=1)]
-            # 1 point where h(x) = 0, 2 or 0 elsewhere: t = q - #affine points
-            traces.append(2 * Y[:, : len(xs)].sum(axis=1) - len(xs))
-    return _ell_from_traces(q, np.concatenate(traces), q ** 3 * (q - 1))
+    """Five-coefficient models y^2 + h y = f over q = 2^k, group order
+    q^3 (q - 1), from t = -sum_x psi(r(x) u) psi(a6 u) (module docstring):
+    one integer product per h = a1 x + a3 != 0 gives every (a2, a4, a6)."""
+    log, exp = _log_exp(q)
+    x = np.arange(q)
+    frob = exp[(log << np.arange(finite_field(q).k)[:, None]) % (q - 1)]  # row j: y^(2^j)
+    psi = np.where(x > 0, 1 - 2 * np.bitwise_xor.reduce(frob), 1)  # (-1)^Tr(y)
+    inv = np.where(x > 0, exp[-log % (q - 1)], 0)
+    sq = _mul(q, x, x)
+    a2, a4 = np.divmod(np.arange(q * q)[:, None], q)  # the rows (a2, a4)
+    r = _mul(q, _mul(q, x ^ a2, x) ^ a4, x)  # r(x) = f(x) - a6
+    a1, a3 = np.divmod(np.arange(1, q * q)[:, None], q)  # h = 0 makes every model singular
+    h = _mul(q, a1, x) ^ a3
+    u = inv[sq[h]]  # 1/h(x)^2, and 0 where h(x) = 0
+    psi_a6 = np.where(h[..., None] > 0, psi[_mul(q, u[..., None], x)], 0)  # axes h, x, a6
+    traces = -(psi[_mul(q, r, u[:, None])] @ psi_a6)  # axes h, (a2, a4), a6
+    # a1 != 0: the one singular a6 of each (a2, a4) solves a1^2 f(x0) = x0^4 + a4^2
+    x0 = _mul(q, a3, inv[a1])
+    singular = np.where(a1 > 0, r.T[x0[:, 0]] ^ _mul(q, inv[sq[a1]], sq[sq[x0]] ^ sq[a4.T]), -1)
+    return _ell_from_traces(q, traces[x != singular[..., None]], q ** 3 * (q - 1))
 
 
 def _ell_from_traces(q: int, traces: np.ndarray, group_order: int, weights=None) -> EllCensus:
@@ -426,6 +403,8 @@ def _validate_ell(census: EllCensus) -> None:
 
 
 def _ell_census_compute(q: int) -> EllCensus:
+    if q > MAX_Q_ELL:
+        raise FieldTooLarge(f"elliptic census capped at q <= {MAX_Q_ELL}")
     if _field(q).p == 2:  # q is p, p^2 or p^4, so 2, 4 or 16
         return _ell_char2(q)
     return _ell_monic(q)
@@ -560,38 +539,30 @@ def _chunk_stats(q: int, S1, S2, weight=1) -> tuple[dict[tuple[int, int], int], 
     """(t1, e) histogram over both twists of the models with character
     sums S1, S2, and the number of models, model i counted weight[i] times
     (a number: the same for all)."""
-    counts: dict[tuple[int, int], int] = {}
     weight = np.broadcast_to(weight, S1.shape)
     ssum = S1.astype(np.int64) ** 2 + S2 - 4 * q
     _require(not np.any(ssum & 1), "parity of t1^2 - (a1^2+a2^2) broken")
     e = ssum >> 1
-    for t1 in (-S1, S1):
-        keys = (t1.astype(np.int64) + 2 * q) * (4 * q * q + 1) + (e + 2 * q * q)
-        uniq, which = np.unique(keys, return_inverse=True)
-        cnt = np.bincount(which, weight).astype(np.int64)
-        for kk, cc in zip(uniq.tolist(), cnt.tolist()):
-            t = kk // (4 * q * q + 1) - 2 * q
-            ee = kk % (4 * q * q + 1) - 2 * q * q
-            counts[(t, ee)] = counts.get((t, ee), 0) + cc
+    # (t1 + 2q, e + 2q^2) in base 4q^2 + 1, for t1 = -S1 and then S1
+    t1 = np.concatenate([-S1, S1]).astype(np.int64)
+    keys = (t1 + 2 * q) * (4 * q * q + 1) + np.tile(e + 2 * q * q, 2)
+    uniq, which = np.unique(keys, return_inverse=True)
+    cnt = np.bincount(which, np.tile(weight, 2)).astype(np.int64)
+    t1, e = np.divmod(uniq, 4 * q * q + 1)
+    counts = dict(zip(zip((t1 - 2 * q).tolist(), (e - 2 * q * q).tolist()), cnt.tolist()))
     return counts, int(weight.sum())
 
 
 def _g2_census_compute(q: int) -> G2Census:
-    """Sum the _chunk_stats of the squarefree monic sextics, then the
-    quintics, one per affine orbit and weighted by the orbit size, and
+    """The _chunk_stats of the root-free monic sextics and the quintics
+    together, one per affine orbit and weighted by the orbit size, and
     check the whole census."""
     if q > MAX_Q_G2:
         raise FieldTooLarge(f"genus-2 census capped at q <= {MAX_Q_G2}")
     if _field(q).p == 2:
         raise FieldTooLarge("characteristic-2 genus-2 census is not implemented")
-    counts: dict[tuple[int, int], int] = {}
-    model_count = 0
-    for d in (6, 5):
-        (_, S1, S2, weight), = _g2_pass(q, d)
-        part, models = _chunk_stats(q, S1, S2, weight)
-        for key, c in part.items():
-            counts[key] = counts.get(key, 0) + c
-        model_count += models
+    _, S1, S2, weight = map(np.hstack, zip(*(item for d in (6, 5) for item in _g2_pass(q, d))))
+    counts, model_count = _chunk_stats(q, S1, S2, weight)
     _require(
         model_count % _N1_LCM == 0 and all(c % _N1_LCM == 0 for c in counts.values()),
         f"a count in units of 1/{_N1_LCM} is not whole",

@@ -554,9 +554,6 @@ class Fq:
             raise ZeroDivisionError
         return self.pow(x, self.q - 2)
 
-    def frobenius(self, x: int) -> int:
-        return self.pow(x, self.p)
-
     def chi(self, x: int) -> int:
         """Quadratic character: 1 on nonzero squares, -1 on non-squares, 0 at 0."""
         if x == 0:
@@ -564,14 +561,6 @@ class Fq:
         if self.p == 2:
             return 1
         return 1 if self.pow(x, (self.q - 1) // 2) == 1 else -1
-
-    def trace_to_prime(self, x: int) -> int:
-        """Absolute trace to F_p."""
-        out = y = x
-        for _ in range(self.k - 1):
-            y = self.frobenius(y)
-            out = self.add(out, y)
-        return out
 
     def elements(self):
         return range(self.q)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -15,11 +16,11 @@ from siegelforms.census import (
     EllCensus,
     FieldTooLarge,
     G2Census,
-    _affine_map,
+    _cache_payload,
     _char_sums,
     _chunk_stats,
-    _coords,
     _digit_matrix,
+    _ell_census_compute,
     _ell_from_traces,
     _ell_monic,
     _g2_census_compute,
@@ -126,6 +127,37 @@ def test_weierstrass_reference_examples():
     for q in (2, 3, 4, 5):
         assert count_points_ell((0, 0, 0, 0, 0), q) is None
         assert count_points_ell((0, 1, 0, 0, 0), q) is None
+
+
+# the characteristic-2 censuses, frozen: counts, group order, model count
+# and the sha256 of the cache file they make
+CHAR2_CENSUSES = {
+    2: ({-2: 2, -1: 4, 0: 4, 1: 4, 2: 2}, 8, 16,
+        "014d9a5413d2aa2cfe0ac33cb1d1c61a89b99fff9260c8059cbe4651b3c649e8"),
+    4: ({-4: 8, -3: 96, -2: 64, -1: 192, 0: 48, 1: 192, 2: 64, 3: 96, 4: 8}, 192, 768,
+        "711ad4c5bb38fac480325a4567b45486dbb83dec8151dcf1bbf888f7f1beabc6"),
+    16: (
+        {
+            -8: 2560, -7: 61440, -5: 122880, -4: 20480, -3: 122880, -1: 153600, 0: 15360,
+            1: 153600, 3: 122880, 4: 20480, 5: 122880, 7: 61440, 8: 2560,
+        },
+        61440,
+        983040,
+        "2d65268b92cf06cc786565e665d5d94f5ed6dba3322e935900afce0d60409aba",
+    ),
+}
+
+
+@pytest.mark.parametrize("q", sorted(CHAR2_CENSUSES))
+def test_char2_censuses_are_pinned(q, tmp_path):
+    counts, group_order, model_count, digest = CHAR2_CENSUSES[q]
+    census = _ell_census_compute(q)
+    assert (census.counts, census.group_order, census.model_count) == (
+        counts, group_order, model_count
+    )
+    path = tmp_path / "ell.json"
+    _write_json(path, _cache_payload("ell", q, census))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_sigma10_table():
@@ -284,10 +316,11 @@ def test_g2_rejects_unsupported():
         _g2_census_compute(4)
 
 
-@pytest.mark.parametrize("p, i", [(5, 4), (37, 2)])
+@pytest.mark.parametrize("p, i", [(2, 4), (5, 4), (37, 2)])
 def test_multi_group_censuses_match_eichler_selberg(p, i):
-    # censuses over F_625 and F_1369, the largest fields here; the trace on
-    # S[k] is alpha^i + beta^i, alpha + beta = a(p) and alpha beta = p^(k-1)
+    # censuses over F_16 (characteristic 2), F_625 and F_1369, the largest
+    # fields here; the trace on S[k] is alpha^i + beta^i, alpha + beta = a(p)
+    # and alpha beta = p^(k-1)
     for k in (12, 16, 18, 20, 22, 26):
         a, norm = eigenforms(k)[0].ap(p), p ** (k - 1)
         power_sums = [2, a]  # s_j = a s_(j-1) - norm s_(j-2)
@@ -624,13 +657,12 @@ def test_sextic_marks_without_linear_h(q):
                 assert _squarefree(F, g), (q, g)
 
 
-# every (q, d, ext) that a census up to q = 13 and its squares builds, the
-# largest fields of the kernel tests, and the char-2 cubics of _ell_char2
+# every (q, d, ext) that a census up to q = 13 and its squares builds, and
+# the largest fields of the kernel tests
 VALUE_MAP_SHAPES = (
     [(q, d, ext) for q in (3, 5, 7, 9, 11, 13) for d in (5, 6) for ext in (1, 2)]
     + [(q, 3, 1) for q in (3, 5, 7, 9, 11, 13, 25, 49, 81, 121, 169)]
     + [(25, 6, 2), (37, 6, 2), (625, 3, 1), (1369, 3, 1)]
-    + [(2, 3, 1), (4, 3, 1), (16, 3, 1)]
 )
 
 
@@ -655,7 +687,9 @@ def test_value_map_matches_horner(q, d, ext):
             value = 0
             for c in reversed(_monic_form(q, d, index)[: d + 1]):
                 value = E.add(E.mul(value, x), c)
-            assert coords.tolist() == _coords(value, p, m), (q, d, ext, index, x)
+            assert coords.tolist() == _digit_matrix(np.array(value), p, m).tolist(), (
+                q, d, ext, index, x
+            )
 
 
 def _full_s2(q, d, idx):
@@ -741,19 +775,22 @@ def test_translation_reps_meet_each_orbit_once(q, d):
     reps = [(0, 1, 0)] + _orbit_reps(q, d, power)
     idx = np.concatenate([np.arange(lo, hi) for lo, hi, _ in reps])
     weights = np.concatenate([np.full(hi - lo, w) for lo, hi, w in reps])
-    D = idx[:, None] // p ** np.arange(d * k) % p
+    D = _digit_matrix(idx, p, d * k)
     place = p ** np.arange(d * k)
 
-    def image(a, t, index):  # coordinates of a^-d g(ax + t), g of this index
+    def image(a, t, index):  # the index of a^-d g(ax + t), g of this index
         h = _substitute(F, [index // q ** i % q for i in range(d)] + [1], a, t)
         scale = F.inv(F.pow(a, d))
-        return [y for c in h[:d] for y in _coords(F.mul(scale, c), p, k)]
+        return sum(F.mul(scale, c) * q ** i for i, c in enumerate(h[:d]))
 
     images = []
     for a in {F.pow(u, power) for u in range(1, q)}:
         for t in range(q):
-            W, w0 = _affine_map(p, d * k, lambda i: image(a, t, i))
-            images.append((D @ W + w0) % p @ place)
+            # the image is F_p-affine in the digits: w0 that of index 0 and
+            # row j of W that of index p^j minus w0
+            w0 = _digit_matrix(np.array(image(a, t, 0)), p, d * k)
+            W = _digit_matrix(np.array([image(a, t, p ** j) for j in range(d * k)]), p, d * k)
+            images.append((D @ (W - w0) + w0) % p @ place)
     orbits = np.sort(np.stack(images, axis=1), axis=1)  # each rep's orbit
     sizes = 1 + (np.diff(orbits, axis=1) != 0).sum(axis=1)
     # an orbit is named by its smallest model, so distinct names are

@@ -126,6 +126,13 @@ def test_missing_census_exit_code(capsys):
     assert "census unavailable" in err
 
 
+def test_elliptic_census_cap_exit_code(capsys):
+    # a prime far above the cap stops before any table of q^2 entries is built
+    code, _, err = run(capsys, "census", "--genus", "1", "--q", "65537")
+    assert code == 2
+    assert "capped at q <= 4096" in err
+
+
 def test_genus2_cap_is_shared(capsys):
     # census and trace build the same genus-2 censuses and stop at the same q
     code, out, _ = run(capsys, "census", "--genus", "2", "--q", "11")

@@ -199,8 +199,8 @@ def test_fq2_frobenius_fixed_field(p):
     # Frobenius is an automorphism: (x + y)^p = x^p + y^p, (xy)^p = x^p y^p
     for _ in range(100):
         x, y = rng.randrange(F.q), rng.randrange(F.q)
-        assert F.frobenius(F.add(x, y)) == F.add(F.frobenius(x), F.frobenius(y))
-        assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
+        assert F.pow(F.add(x, y), p) == F.add(F.pow(x, p), F.pow(y, p))
+        assert F.pow(F.mul(x, y), p) == F.mul(F.pow(x, p), F.pow(y, p))
 
 
 def test_fq_field_axioms_small():
@@ -368,23 +368,14 @@ def _tower_product(F, x, y):
 def test_fq_tables_match_the_tower(q):
     # every product of the log/antilog tables, every sum through the Zech
     # table (1 + y adds 1 to y's lowest digit) and every negative, and pow,
-    # inv, chi and the trace read from them, against the tower product and
-    # sums and negatives of base-p digits mod p
+    # inv and chi read from them, against the tower product and sums and
+    # negatives of base-p digits mod p
     F = finite_field(q)
-    p, k = F.p, next(k for k in range(1, 5) if F.p ** k == q)
     for x in range(q):
         assert [F.mul(x, y) for y in range(q)] == [_tower_product(F, x, y) for y in range(q)]
         assert [F.add(x, y) for y in range(q)] == [_digit_sum(F, x, y) for y in range(q)]
         assert F.neg(x) == _digit_sum(F, 0, x, -1)
         assert F.add(x, F.neg(x)) == 0
-        trace = conjugate = x
-        for _ in range(k - 1):
-            power = 1
-            for _ in range(p):
-                power = _tower_product(F, power, conjugate)
-            conjugate = power
-            trace = _digit_sum(F, trace, conjugate)
-        assert F.trace_to_prime(x) == trace < p
     squares = {_tower_product(F, x, x) for x in range(1, q)}
     for x in range(1, q):
         power = 1

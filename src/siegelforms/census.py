@@ -137,8 +137,8 @@ class CacheError(Exception):
 
 class CensusInvariantError(Exception):
     """A census broke an identity every census satisfies (total mass,
-    Hasse and Weil bounds, parity); raised, not asserted, so that the
-    checks also run under python -O."""
+    Hasse and Weil bounds, parity, twist symmetry); raised, not asserted,
+    so that the checks also run under python -O."""
 
 
 def _require(ok, message: str) -> None:
@@ -395,6 +395,11 @@ def _ell_from_traces(q: int, traces: np.ndarray, group_order: int, weights=None)
 def _validate_ell(census: EllCensus) -> None:
     q = census.q
     _require(all(t * t <= 4 * q for t in census.counts), f"Hasse bound violated over F_{q}")
+    # the quadratic twist is a bijection t -> -t that keeps #Aut
+    _require(
+        all(census.counts.get(-t) == c for t, c in census.counts.items()),
+        f"trace counts over F_{q} not symmetric under t -> -t",
+    )
     _require(census.mass_sum() == q, f"mass sum {census.mass_sum()} != {q}")
     _require(
         census.model_count == census.group_order * q,
@@ -586,6 +591,8 @@ def _validate_g2(census: G2Census) -> None:
     )
     for (t1, e), c in census.counts.items():
         _require(c > 0, f"non-positive count at {(t1, e)}")
+        # each monic model is counted with both twist signs, t1 and -t1
+        _require(census.counts.get((-t1, e)) == c, f"count at {(t1, e)} differs from its twist's")
         # x^2 - t1 x + e must have two real roots in [-2 sqrt(q), 2 sqrt(q)]
         _require(t1 * t1 >= 4 * e, f"complex roots at {(t1, e)}")
         _require(

@@ -16,26 +16,37 @@ h_k = t1 h_{k-1} - e h_{k-2}),
     sp_char(l, m, t1, e, q) = sum over i > j of (A_i B_j - A_j B_i) e^j h_{i-j-1}.
 
 A sector's weighted sum over its classes is therefore a contraction of
-(A, B) against its h-moments H[b][k] = sum w e^b h_k, which do not depend
-on (l, m).  ec_full_A2 reads each sector from such a table, held by the
-census object it was built from and grouped by e.  A weight the table does
-not reach grows it to exactly l + m by the antidiagonals 2b + k it lacks:
-the table keeps each e-group's sums of w h_k and each class's last two h
-values, so no recurrence starts over, and the grown table is published as
-a new whole tuple.  sp_char, a sum over the terms of _schar_terms, stays
-as the per-class oracle the tables are tested against.  The elliptic
-curves themselves are one more sector, (t, q) for each trace t: there
-e = q makes h_k = D_{k+1}(t, q), so row 0 of its table holds
-sigma_k(q) = -sum of h_k(E)/#Aut(E) over the curves, in census units.
+(A, B) against its h-moments sum w e^b h_k, which do not depend on (l, m).
+A_i and B_j vanish unless i = l + 1 and j = m (mod 2), so the contraction
+reads only the h_k with k = l - m (mod 2), and each sector keeps two half
+tables, one per parity par of k.  h_{2n} and h_{2n+1}/t1 are polynomials
+x_n in (u, e) = (t1^2, e), both with x_{n+1} = (u - 2e) x_n - e^2 x_{n-1},
+from x_0 = 1 and x_1 = u - e (even) or u - 2e (odd).  So the classes fold
+onto (u, e): the even half weighs (u, e) by the sum of w over its classes
+t1 = +-sqrt(u), the odd half by the sum of t1 w, and the half table holds
+rows[b][n] = sum w e^b x_n for b + n up to (l + m - par) // 2.  Every
+census is symmetric under the twist t1 -> -t1, so its odd half has no
+classes.  ec_full_A2 reads each sector from such tables, held by the
+census object they were built from and grouped by e.  A weight a half does
+not reach grows it to exactly that top by the antidiagonals b + n it
+lacks: the half keeps each e-group's sums of w x_n and each class's last
+two x values, so no recurrence starts over, and the grown half is
+published as a new whole tuple.  sp_char, a sum over the terms of
+_schar_terms, stays as the per-class oracle the tables are tested against.
+The elliptic curves themselves are one more sector, (t, q) for each trace
+t: there e = q makes h_k = D_{k+1}(t, q), so row 0 of its tables holds
+sigma_k(q) = -sum of h_k(E)/#Aut(E) over the curves, an integer once
+divided by the census group order.
 
 Subtracting the rank-boundary (Eisenstein) part and the conjectural
 endoscopic part converts that Euler characteristic into the trace of T(p)
 on S_{j,k} with (j, k) = (l - m, m + 3).  Both corrections need the
 genus-1 traces S[k] of Frobenius over F_{p^i}; motive_trace counts them
 from the elliptic census over F_{p^i} (Eichler-Selberg), the census the
-product locus reads, so no trace builds a q-expansion basis.  Every result
-produced here is conditional on the endoscopic contribution being exactly
-the conjectured one; reports carry that flag.
+product locus reads, so no trace builds a q-expansion basis, and both
+corrections are integers.  Every result produced here is conditional on
+the endoscopic contribution being exactly the conjectured one; reports
+carry that flag.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul, sub
 
-from .census import ell_census, g2_census
+from .census import CensusInvariantError, ell_census, g2_census
 from .exact_arith import InvalidInput, is_prime, rat_str
 from .g1_modforms import dim_S
 from .g2data import dim_S_jk
@@ -126,67 +137,89 @@ def _require_censuses(q: int):
     return g2_census(q), ell_census(q), ell_census(q * q)
 
 
-def _empty_table(classes: dict[tuple[int, int], int]) -> tuple:
-    """The h-moment table of degree -1 of the {(t1, e): w} classes: no rows,
-    the classes ordered by e, and each at h_0 = 1, h_1 = t1."""
-    items = sorted(classes.items(), key=lambda item: item[0][1])
-    t1s = tuple(t1 for (t1, _), _ in items)
-    es = tuple(e for (_, e), _ in items)
+def _fold(classes: dict[tuple[int, int], int], par: int) -> dict[tuple[int, int], int]:
+    """The {(t1, e): w} classes folded onto (e, u) = (e, t1^2) for the
+    parity-par half, each (e, u) weighed by the sum of w t1^par over
+    t1 = +-sqrt(u): w(t1) + w(-t1) for par 0, t1 (w(t1) - w(-t1)) for
+    par 1.  Classes of weight 0 are dropped."""
+    folded: dict[tuple[int, int], int] = {}
+    for (t1, e), w in classes.items():
+        key = (e, t1 * t1)
+        folded[key] = folded.get(key, 0) + w * t1 ** par
+    return {key: w for key, w in folded.items() if w}
+
+
+def _empty_table(classes: dict[tuple[int, int], int], par: int) -> tuple:
+    """The parity-par half of the h-moment table of the {(t1, e): w}
+    classes at top -1: no rows, the folded classes ordered by e, and each
+    at x_0 = 1, x_1 = u - (1 + par) e."""
+    items = sorted(_fold(classes, par).items())
+    es = tuple(e for (e, _), _ in items)
     ws = tuple(w for _, w in items)
     cuts = [i for i in range(len(es) + 1) if i in (0, len(es)) or es[i] != es[i - 1]]
-    return -1, (), (t1s, es, ws, tuple(zip(cuts, cuts[1:])), (1,) * len(es), t1s, ())
+    steps = tuple(u - 2 * e for (e, u), _ in items)
+    x_next = tuple(u - (1 + par) * e for (e, u), _ in items)
+    squares = tuple(e * e for e in es)
+    history = (es, ws, tuple(zip(cuts, cuts[1:])), steps, squares, (1,) * len(es), x_next, ())
+    return -1, (), history
 
 
-def _grow(table: tuple, degree: int) -> tuple:
-    """table = (start, rows, history) grown to degree, as a new tuple, by the
-    antidiagonals start < 2b + k <= degree it lacks: rows[b][k] = sum of
-    w e^b h_k(t1, e) over the classes.  history holds the classes, their
-    groups of equal e, each class's h_k and h_{k+1} at k = start + 1, and
-    sums[k] = (sum of w h_k over each group)."""
-    start, rows, (t1s, es, ws, groups, h, h_next, sums) = table
+def _grow(table: tuple, top: int) -> tuple:
+    """table = (start, rows, history), one parity half, grown to top as a
+    new tuple by the antidiagonals start < b + n <= top it lacks:
+    rows[b][n] = sum of w e^b x_n(u, e) over the folded classes, where
+    x_{n+1} = (u - 2e) x_n - e^2 x_{n-1}.  history holds the classes, their
+    groups of equal e, each class's u - 2e and e^2, its x_n and x_{n+1} at
+    n = start + 1, and sums[n] = (sum of w x_n over each group)."""
+    start, rows, (es, ws, groups, steps, squares, x, x_next, sums) = table
     new_sums = []
-    for _ in range(start, degree):
-        wh = list(map(mul, ws, h))
-        new_sums.append(tuple(sum(wh[lo:hi]) for lo, hi in groups))
-        h, h_next = h_next, list(map(sub, map(mul, t1s, h_next), map(mul, es, h)))
+    for _ in range(start, top):
+        wx = list(map(mul, ws, x))
+        new_sums.append(tuple(sum(wx[lo:hi]) for lo, hi in groups))
+        x, x_next = x_next, list(map(sub, map(mul, steps, x_next), map(mul, squares, x)))
     sums += tuple(new_sums)
     group_es = [es[lo] for lo, _ in groups]
     power = [1] * len(groups)  # e^b per group
     grown = []
-    for b in range(degree // 2 + 1):
+    for b in range(top + 1):
         old = rows[b] if b < len(rows) else ()
-        new = (sum(map(mul, power, sums[k])) for k in range(len(old), degree - 2 * b + 1))
+        new = (sum(map(mul, power, sums[n])) for n in range(len(old), top - b + 1))
         grown.append(old + tuple(new))
         power = list(map(mul, power, group_es))
-    return degree, tuple(grown), (t1s, es, ws, groups, tuple(h), tuple(h_next), sums)
+    history = (es, ws, groups, steps, squares, tuple(x), tuple(x_next), sums)
+    return top, tuple(grown), history
 
 
-def _rows(classes, census, degree: int) -> tuple:
-    """rows[b][k] = sum of w e^b h_k over the {(t1, e): w} = classes(census)
-    of one sector, for 2b + k <= degree at least: the sector's h-moment
-    table on the census, grown when it is short."""
+def _rows(classes, census, par: int, top: int) -> tuple:
+    """rows[b][n] = sum of w e^b h_{2n+par} over the {(t1, e): w} =
+    classes(census) of one sector, for b + n <= top at least: the
+    parity-par half of the sector's h-moment table on the census, grown
+    when it is short."""
     tables = census._moment_tables
-    table = tables.get(classes)
-    if table is None or table[0] < degree:
+    table = tables.get((classes, par))
+    if table is None or table[0] < top:
         # a new whole tuple, the old one left as it was: threads sharing
         # the census only ever read whole tables
-        table = tables[classes] = _grow(table or _empty_table(classes(census)), degree)
+        table = tables[classes, par] = _grow(table or _empty_table(classes(census), par), top)
     return table[1]
 
 
 def _sector_sum(classes, census, l: int, m: int, q: int) -> int:
     """sum of w sp_char(l, m, t1, e, q) over the {(t1, e): w} =
     classes(census) of one sector, contracted against its h-moments."""
-    rows = _rows(classes, census, l + m)
+    # A_i vanishes unless i = l + 1 and B_j unless j = m (mod 2), so both
+    # products in A_i B_j - A_j B_i vanish unless i - j - 1 = l - m (mod 2):
+    # one half of the table, h_{2n+par} = rows[j][n] at i = j + 1 + par + 2n
+    par = (l - m) % 2
+    rows = _rows(classes, census, par, (l + m - par) // 2)
     A, B = _cheb_coeffs(l + 2, q), _cheb_coeffs(m + 1, q)
-    # sum over i > j of (A_i B_j - A_j B_i) rows[j][i - j - 1]; B stops at
-    # m, so j runs over B
+    # B stops at m, so j runs over B
     total = 0
     for j, (a, b) in enumerate(zip(A, B)):
         if b:
-            total += b * sum(map(mul, A[j + 1:], rows[j]))
+            total += b * sum(map(mul, A[j + 1 + par::2], rows[j]))
         if a:
-            total -= a * sum(map(mul, B[j + 1:], rows[j]))
+            total -= a * sum(map(mul, B[j + 1 + par::2], rows[j]))
     return total
 
 
@@ -229,15 +262,20 @@ def ec_full_A2(l: int, m: int, q: int) -> tuple[Fraction, Fraction]:
     return jac, (unt * e1.unit ** 2 + tw * e2.unit) / 2
 
 
-def sigma_weighted(k: int, q: int) -> Fraction:
-    """sigma_k(q) = -sum_E h(k, E)/#Aut(E) over the elliptic census."""
+def sigma_weighted(k: int, q: int) -> int:
+    """sigma_k(q) = -sum_E h(k, E)/#Aut(E) over the elliptic census: the
+    sum over its models divided by group_order, which must be exact."""
     if k < 0:
         raise InvalidInput(f"k = {k}: need k >= 0")
     census = ell_census(q)
-    return -_rows(_curves, census, k)[0][k] * census.unit
+    total = -_rows(_curves, census, k % 2, k // 2)[0][k // 2]
+    value, rest = divmod(total, census.group_order)
+    if rest:
+        raise CensusInvariantError(f"sigma_{k}({q}) = {total}/{census.group_order} is not whole")
+    return value
 
 
-def motive_trace(k: int, p: int, i: int) -> Fraction:
+def motive_trace(k: int, p: int, i: int) -> int:
     """Trace of Frob_{p^i} on the weight-k cusp motive S[k], counted from
     the elliptic census over F_{p^i} (Eichler-Selberg): sigma_{k-2} - 1."""
     if i < 1:
@@ -245,7 +283,7 @@ def motive_trace(k: int, p: int, i: int) -> Fraction:
     if not is_prime(p):
         raise InvalidInput(f"p = {p} is not a prime")
     if dim_S(k) == 0:
-        return Fraction(0)
+        return 0
     return sigma_weighted(k - 2, p ** i) - 1
 
 
@@ -254,7 +292,7 @@ def _check_regular(l: int, m: int) -> None:
         raise NotRegular(f"(l, m) = ({l}, {m}) is not regular")
 
 
-def eis_correction(l: int, m: int, p: int, i: int = 1) -> Fraction:
+def eis_correction(l: int, m: int, p: int, i: int = 1) -> int:
     """Trace of Frob_{p^i} on the rank-boundary part of the cohomology of
     the regular (l, m) local system."""
     _check_regular(l, m)
@@ -262,7 +300,7 @@ def eis_correction(l: int, m: int, p: int, i: int = 1) -> Fraction:
         raise NotRegular("l + m must be even")
     q = p ** i
     out = -motive_trace(l + 3, p, i)
-    out -= dim_S(l + m + 4) * Fraction(q) ** (m + 1)
+    out -= dim_S(l + m + 4) * q ** (m + 1)
     out += motive_trace(m + 2, p, i)
     out += dim_S(l - m + 2)
     if l % 2 == 0:
@@ -270,11 +308,11 @@ def eis_correction(l: int, m: int, p: int, i: int = 1) -> Fraction:
     return out
 
 
-def endo_correction(l: int, m: int, p: int, i: int = 1) -> Fraction:
+def endo_correction(l: int, m: int, p: int, i: int = 1) -> int:
     """Conjectural endoscopic trace: -s_{l+m+4} * S[l-m+2]-trace * q^(m+1)."""
     _check_regular(l, m)
     q = p ** i
-    return -dim_S(l + m + 4) * motive_trace(l - m + 2, p, i) * Fraction(q) ** (m + 1)
+    return -dim_S(l + m + 4) * motive_trace(l - m + 2, p, i) * q ** (m + 1)
 
 
 @dataclass
@@ -288,8 +326,8 @@ class TraceReport:
     full_sum: Fraction
     jac_part: Fraction
     prod_part: Fraction
-    eis: Fraction
-    endo: Fraction
+    eis: int
+    endo: int
     result: Fraction
     conditional: bool = True
     dim: int | None = None

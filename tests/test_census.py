@@ -441,6 +441,16 @@ def _bump_first_count_and_mass(payload):
     payload["masses"][0][-1] = rat_str(mass)
 
 
+def _move_one_count(payload):
+    # one count moves from the first class to the second and the masses
+    # follow, so only the twist-symmetry check sees it
+    unit = Fraction(payload["q"] - 1, 2) if payload["kind"] == "g2" else Fraction(1)
+    for row, delta in zip(payload["counts"], (-1, 1)):
+        row[-1] += delta
+    for row, count in zip(payload["masses"], payload["counts"]):
+        row[-1] = rat_str(count[-1] * unit / payload["group_order"])
+
+
 def _bump_model_count(payload):
     # counts and masses stay as they were, so only the model-count check sees it
     payload["model_count"] += 2
@@ -461,6 +471,8 @@ def _bump_model_count(payload):
         ("g2_q11_v1.json", _bump_model_count),
         ("ell_q121_v1.json", _bump_model_count),
         ("g2_q13_v1.json", lambda p: p.pop("counts")),
+        ("g2_q11_v1.json", _move_one_count),
+        ("ell_q169_v1.json", _move_one_count),
     ],
 )
 def test_tampered_cache_raises(golden_cache, name, edit):

@@ -278,6 +278,26 @@ def test_corrupt_cache_exit_code(tmp_path, capsys):
         census.set_cache_dir(None)
 
 
+def test_twist_asymmetric_cache_exit_code(tmp_path, capsys):
+    from siegelforms import census
+
+    # the t = -6 count of ell_q11 moved to t = -5, masses rewritten to match:
+    # total mass, model count and Hasse bound all still hold
+    golden = Path(__file__).resolve().parents[1] / ".census_cache"
+    target = tmp_path / "ell_q11_v1.json"
+    payload = json.loads((golden / target.name).read_text())
+    assert payload["counts"][:2] == [[-6, 5], [-5, 5]]
+    payload["counts"][:2] = [[-5, 10]]
+    payload["masses"][:2] = [[-5, "1"]]
+    target.write_text(json.dumps(payload, sort_keys=True))
+    try:
+        code, _, err = run(capsys, "--cache-dir", str(tmp_path), "census", "--genus", "1", "--q", "11")
+        assert code == 2
+        assert "corrupt census cache" in err and "not symmetric" in err
+    finally:
+        census.set_cache_dir(None)
+
+
 def test_unreadable_cache_exit_code(tmp_path, capsys):
     from siegelforms import census
 

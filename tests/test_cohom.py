@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelforms import census, cohom, g1_modforms
-from siegelforms.census import FieldTooLarge
+from siegelforms.census import CensusInvariantError, FieldTooLarge
 from siegelforms.cohom import (
     DimNotOne,
     _cheb_coeffs,
@@ -50,10 +50,26 @@ def test_motive_trace_rejects_i_below_one():
 
 
 def test_sigma_weighted_rejects_negative_k():
-    # row 0 of the moment table read at index -1 would be its last entry
+    # k = -1 would read row 0 of the odd half at n = -1, its last entry
     cohom.sigma_weighted(12, 5)
     with pytest.raises(InvalidInput):
         cohom.sigma_weighted(-1, 5)
+
+
+def test_sigma_weighted_rejects_an_asymmetric_census(golden_cache, monkeypatch):
+    # ell_census(11) with its t = -6 count moved to t = -5: the mass and the
+    # model count still hold, but sigma_1 and sigma_2 come out -1/2 and 13/2
+    golden = census.ell_census(11)
+    counts = dict(golden.counts)
+    counts[-5] += counts.pop(-6)
+    stand_in = types.SimpleNamespace(
+        q=11, counts=counts, group_order=golden.group_order, _moment_tables={}
+    )
+    monkeypatch.setattr(cohom, "ell_census", lambda _q: stand_in)
+    with pytest.raises(CensusInvariantError, match="not whole"):
+        cohom.sigma_weighted(1, 11)
+    with pytest.raises(CensusInvariantError, match="not whole"):
+        cohom.sigma_weighted(2, 11)  # the even half
 
 
 def test_motive_trace_rejects_non_prime_p():
@@ -224,31 +240,42 @@ def test_moment_tables_are_safe_to_share_across_threads(golden_cache, monkeypatc
 
 def test_rising_weights_grow_tables_by_antidiagonals(golden_cache, monkeypatch):
     g2c, e1, e2 = (dataclasses.replace(c) for c in cohom._require_censuses(13))
+    # the census sectors have no odd half (twist symmetry); this stand-in has
+    # classes in both, t1 = 0 among them
+    uneven = {(3, 5): 2, (-3, 5): 1, (0, -4): 3, (1, 7): -1, (-5, 7): 4, (5, 7): 4}
     grown = []
     grow = cohom._grow
 
-    def logged(table, degree):
-        grown.append((table[0], degree))
-        return grow(table, degree)
+    def logged(table, top):
+        grown.append((table[0], top))
+        return grow(table, top)
 
     monkeypatch.setattr(cohom, "_grow", logged)
     for classes, c in (
         (cohom._jacobians, g2c),
         (cohom._untwisted_products, e1),
         (cohom._twisted_products, e2),
+        (lambda _c: uneven, types.SimpleNamespace(_moment_tables={})),
     ):
         grown.clear()
         for weight in range(53):
             cohom._sector_sum(classes, c, weight, 0, 13)
-        table = c._moment_tables[classes]
-        direct = grow(cohom._empty_table(classes(c)), 52)
-        assert table[:2] == direct[:2], classes
-        # one start at h_0 (degree -1) and each growth from where the last
-        # ended: every class's recurrence took 53 steps and holds h_53, h_54
-        assert grown == [(w - 1, w) for w in range(53)], classes
-        t1s, es, _, _, h, h_next, _ = table[2]
-        for t1, e, h53, h54 in zip(t1s, es, h, h_next):
-            assert (h53, h54) == (_h(53, t1, e), _h(54, t1, e)), (classes, t1, e)
+        # weight w grows the half of parity w mod 2 to top w // 2, from where
+        # the last growth of that half ended (top -1: x_0 and x_1 only)
+        assert grown == [(w // 2 - 1, w // 2) for w in range(53)], classes
+        for par, top in ((0, 26), (1, 25)):
+            table = c._moment_tables[classes, par]
+            direct = grow(cohom._empty_table(classes(c), par), top)
+            assert table[:2] == direct[:2], (classes, par)
+            # every class's recurrence took top + 1 steps and holds x_{top+1},
+            # x_{top+2}, where x_n = h_{2n+par} / t1^par
+            es, _, _, steps, _, x, x_next, _ = table[2]
+            assert len(es) == len(cohom._fold(classes(c), par)), (classes, par)
+            for e, step, x1, x2 in zip(es, steps, x, x_next):
+                t1 = math.isqrt(step + 2 * e)
+                got = (x1 * t1 ** par, x2 * t1 ** par)
+                want = (_h(2 * top + 2 + par, t1, e), _h(2 * top + 4 + par, t1, e))
+                assert got == want, (classes, par, t1, e)
 
 
 def _h(k, t1, e):
@@ -257,6 +284,22 @@ def _h(k, t1, e):
     return sum(
         (-e) ** i * math.comb(k - i, i) * t1 ** (k - 2 * i) for i in range(k // 2 + 1)
     )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_census_sectors_have_empty_odd_halves(q, golden_cache):
+    # every census is symmetric under the twist t1 -> -t1, so its odd
+    # h-moments h_{2n+1} = t1 x_n(t1^2, e) cancel class by class
+    g2c, e1, e2 = cohom._require_censuses(q)
+    for classes, c in (
+        (cohom._jacobians, g2c),
+        (cohom._untwisted_products, e1),
+        (cohom._twisted_products, e2),
+        (cohom._curves, e1),
+        (cohom._curves, e2),
+    ):
+        assert cohom._fold(classes(c), 1) == {}, (classes, q)
+        assert cohom._fold(classes(c), 0), (classes, q)
 
 
 @settings(max_examples=60, deadline=None)

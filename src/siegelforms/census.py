@@ -31,8 +31,8 @@ index p^j minus w0.
   enough: chi(g(x^q)) = chi(g(x)).
 - Squarefree marks: for every monic h of degree 1 to d/2, all h of one
   degree at once, the lower coefficients of h^2 m, m monic.  Irreducible
-  or not, h^2 | g makes g non-squarefree.  Only the ranges the census
-  reads are marked (below).
+  or not, h^2 | g makes g non-squarefree.  The whole slab is marked once
+  and sliced by the ranges the census reads (below).
 - Characteristic 2 (q = 2, 4, 16): models y^2 + h y = f, h = a1 x + a3,
   f = r + a6 with r = x^3 + a2 x^2 + a4 x, over a group of order
   q^3 (q - 1).  A point x has 1 point over it if h(x) = 0, else 2 or 0 as
@@ -380,12 +380,14 @@ def _ell_char2(q: int) -> EllCensus:
     return _ell_from_traces(q, traces[x != singular[..., None]], q ** 3 * (q - 1))
 
 
-def _ell_from_traces(q: int, traces: np.ndarray, group_order: int, weights=None) -> EllCensus:
+def _ell_from_traces(q: int, traces: np.ndarray, group_order: int, weights=1) -> EllCensus:
     """Census of models with these traces, each counted weights[i] times
-    (once without weights)."""
-    bound = 2 * int(np.sqrt(q)) + 1
-    offset = bound
-    cnt = np.bincount(traces + offset, weights, minlength=2 * bound + 1).astype(np.int64)
+    (once by default)."""
+    offset = math.isqrt(4 * q)  # Hasse: |t| <= 2 sqrt(q)
+    # checked before counting, as add.at would wrap a negative index
+    _require(np.all(np.abs(traces) <= offset), f"Hasse bound violated over F_{q}")
+    cnt = np.zeros(2 * offset + 1, np.int64)
+    np.add.at(cnt, traces + offset, weights)
     counts = {int(t - offset): int(c) for t, c in enumerate(cnt) if c}
     census = EllCensus(q, counts, group_order, int(cnt.sum()))
     _validate_ell(census)
@@ -552,7 +554,8 @@ def _chunk_stats(q: int, S1, S2, weight=1) -> tuple[dict[tuple[int, int], int], 
     t1 = np.concatenate([-S1, S1]).astype(np.int64)
     keys = (t1 + 2 * q) * (4 * q * q + 1) + np.tile(e + 2 * q * q, 2)
     uniq, which = np.unique(keys, return_inverse=True)
-    cnt = np.bincount(which, np.tile(weight, 2)).astype(np.int64)
+    cnt = np.zeros(len(uniq), np.int64)
+    np.add.at(cnt, which, np.tile(weight, 2))
     t1, e = np.divmod(uniq, 4 * q * q + 1)
     counts = dict(zip(zip((t1 - 2 * q).tolist(), (e - 2 * q * q).tolist()), cnt.tolist()))
     return counts, int(weight.sum())

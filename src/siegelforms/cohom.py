@@ -18,25 +18,24 @@ h_k = t1 h_{k-1} - e h_{k-2}),
 A sector's weighted sum over its classes is therefore a contraction of
 (A, B) against its h-moments sum w e^b h_k, which do not depend on (l, m).
 A_i and B_j vanish unless i = l + 1 and j = m (mod 2), so the contraction
-reads only the h_k with k = l - m (mod 2), and each sector keeps two half
-tables, one per parity par of k.  h_{2n} and h_{2n+1}/t1 are polynomials
-x_n in (u, e) = (t1^2, e), both with x_{n+1} = (u - 2e) x_n - e^2 x_{n-1},
-from x_0 = 1 and x_1 = u - e (even) or u - 2e (odd).  So the classes fold
-onto (u, e): the even half weighs (u, e) by the sum of w over its classes
-t1 = +-sqrt(u), the odd half by the sum of t1 w, and the half table holds
-rows[b][n] = sum w e^b x_n for b + n up to (l + m - par) // 2.  Every
-census is symmetric under the twist t1 -> -t1, so its odd half has no
-classes.  ec_full_A2 reads each sector from such tables, held by the
-census object they were built from and grouped by e.  A weight a half does
-not reach grows it to exactly that top by the antidiagonals b + n it
-lacks: the half keeps each e-group's sums of w x_n and each class's last
-two x values, so no recurrence starts over, and the grown half is
-published as a new whole tuple.  sp_char, a sum over the terms of
-_schar_terms, stays as the per-class oracle the tables are tested against.
+reads only the h_k with k = l - m (mod 2).  Every census is symmetric under
+the twist t1 -> -t1, and h_k(-t1, e) = (-1)^k h_k(t1, e), so the odd h_k
+cancel and a sector's sum is 0 for odd l - m.  For even l - m, h_{2n} is a
+polynomial x_n in (u, e) = (t1^2, e), x_{n+1} = (u - 2e) x_n - e^2 x_{n-1}
+from x_0 = 1 and x_1 = u - e.  So the classes fold onto (u, e), each
+weighed by the sum of w over its classes t1 = +-sqrt(u), and a sector's one
+table holds rows[b][n] = sum w e^b x_n for b + n up to (l + m) // 2.
+ec_full_A2 reads each sector from such tables, held by the census object
+they were built from and grouped by e.  A weight a table does not reach
+grows it to exactly that top by the antidiagonals b + n it lacks: the table
+keeps each e-group's sums of w x_n and each class's last two x values, so
+no recurrence starts over, and the grown table is published as a new whole
+tuple.  sp_char, a sum over the terms of _schar_terms, stays as the
+per-class oracle the tables are tested against.
 The elliptic curves themselves are one more sector, (t, q) for each trace
-t: there e = q makes h_k = D_{k+1}(t, q), so row 0 of its tables holds
-sigma_k(q) = -sum of h_k(E)/#Aut(E) over the curves, an integer once
-divided by the census group order.
+t: there e = q makes h_k = D_{k+1}(t, q), so row 0 of its table holds
+sigma_k(q) = -sum of h_k(E)/#Aut(E) over the curves for even k, an
+integer once divided by the census group order; for odd k it is 0.
 
 Subtracting the rank-boundary (Eisenstein) part and the conjectural
 endoscopic part converts that Euler characteristic into the trace of T(p)
@@ -137,37 +136,35 @@ def _require_censuses(q: int):
     return g2_census(q), ell_census(q), ell_census(q * q)
 
 
-def _fold(classes: dict[tuple[int, int], int], par: int) -> dict[tuple[int, int], int]:
-    """The {(t1, e): w} classes folded onto (e, u) = (e, t1^2) for the
-    parity-par half, each (e, u) weighed by the sum of w t1^par over
-    t1 = +-sqrt(u): w(t1) + w(-t1) for par 0, t1 (w(t1) - w(-t1)) for
-    par 1.  Classes of weight 0 are dropped."""
+def _fold(classes: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The {(t1, e): w} classes folded onto (e, u) = (e, t1^2), each (e, u)
+    weighed by the sum of w over t1 = +-sqrt(u).  Classes of weight 0 are
+    dropped."""
     folded: dict[tuple[int, int], int] = {}
     for (t1, e), w in classes.items():
         key = (e, t1 * t1)
-        folded[key] = folded.get(key, 0) + w * t1 ** par
+        folded[key] = folded.get(key, 0) + w
     return {key: w for key, w in folded.items() if w}
 
 
-def _empty_table(classes: dict[tuple[int, int], int], par: int) -> tuple:
-    """The parity-par half of the h-moment table of the {(t1, e): w}
-    classes at top -1: no rows, the folded classes ordered by e, and each
-    at x_0 = 1, x_1 = u - (1 + par) e."""
-    items = sorted(_fold(classes, par).items())
+def _empty_table(classes: dict[tuple[int, int], int]) -> tuple:
+    """The h-moment table of the {(t1, e): w} classes at top -1: no rows,
+    the folded classes ordered by e, and each at x_0 = 1, x_1 = u - e."""
+    items = sorted(_fold(classes).items())
     es = tuple(e for (e, _), _ in items)
     ws = tuple(w for _, w in items)
     cuts = [i for i in range(len(es) + 1) if i in (0, len(es)) or es[i] != es[i - 1]]
     steps = tuple(u - 2 * e for (e, u), _ in items)
-    x_next = tuple(u - (1 + par) * e for (e, u), _ in items)
+    x_next = tuple(u - e for (e, u), _ in items)
     squares = tuple(e * e for e in es)
     history = (es, ws, tuple(zip(cuts, cuts[1:])), steps, squares, (1,) * len(es), x_next, ())
     return -1, (), history
 
 
 def _grow(table: tuple, top: int) -> tuple:
-    """table = (start, rows, history), one parity half, grown to top as a
-    new tuple by the antidiagonals start < b + n <= top it lacks:
-    rows[b][n] = sum of w e^b x_n(u, e) over the folded classes, where
+    """table = (start, rows, history), grown to top as a new tuple by the
+    antidiagonals start < b + n <= top it lacks: rows[b][n] = sum of
+    w e^b x_n(u, e) over the folded classes, where
     x_{n+1} = (u - 2e) x_n - e^2 x_{n-1}.  history holds the classes, their
     groups of equal e, each class's u - 2e and e^2, its x_n and x_{n+1} at
     n = start + 1, and sums[n] = (sum of w x_n over each group)."""
@@ -190,17 +187,16 @@ def _grow(table: tuple, top: int) -> tuple:
     return top, tuple(grown), history
 
 
-def _rows(classes, census, par: int, top: int) -> tuple:
-    """rows[b][n] = sum of w e^b h_{2n+par} over the {(t1, e): w} =
-    classes(census) of one sector, for b + n <= top at least: the
-    parity-par half of the sector's h-moment table on the census, grown
-    when it is short."""
+def _rows(classes, census, top: int) -> tuple:
+    """rows[b][n] = sum of w e^b h_{2n} over the {(t1, e): w} =
+    classes(census) of one sector, for b + n <= top at least: the sector's
+    h-moment table on the census, grown when it is short."""
     tables = census._moment_tables
-    table = tables.get((classes, par))
+    table = tables.get(classes)
     if table is None or table[0] < top:
         # a new whole tuple, the old one left as it was: threads sharing
         # the census only ever read whole tables
-        table = tables[classes, par] = _grow(table or _empty_table(classes(census), par), top)
+        table = tables[classes] = _grow(table or _empty_table(classes(census)), top)
     return table[1]
 
 
@@ -208,18 +204,20 @@ def _sector_sum(classes, census, l: int, m: int, q: int) -> int:
     """sum of w sp_char(l, m, t1, e, q) over the {(t1, e): w} =
     classes(census) of one sector, contracted against its h-moments."""
     # A_i vanishes unless i = l + 1 and B_j unless j = m (mod 2), so both
-    # products in A_i B_j - A_j B_i vanish unless i - j - 1 = l - m (mod 2):
-    # one half of the table, h_{2n+par} = rows[j][n] at i = j + 1 + par + 2n
-    par = (l - m) % 2
-    rows = _rows(classes, census, par, (l + m - par) // 2)
+    # products in A_i B_j - A_j B_i vanish unless i - j - 1 = l - m (mod 2).
+    # For odd l - m only odd h_k remain, and they cancel over the
+    # twist-symmetric classes: h_k(-t1, e) = -h_k(t1, e)
+    if (l - m) % 2:
+        return 0
+    rows = _rows(classes, census, (l + m) // 2)
     A, B = _cheb_coeffs(l + 2, q), _cheb_coeffs(m + 1, q)
-    # B stops at m, so j runs over B
+    # h_{2n} = rows[j][n] at i = j + 1 + 2n; B stops at m, so j runs over B
     total = 0
     for j, (a, b) in enumerate(zip(A, B)):
         if b:
-            total += b * sum(map(mul, A[j + 1 + par::2], rows[j]))
+            total += b * sum(map(mul, A[j + 1::2], rows[j]))
         if a:
-            total -= a * sum(map(mul, B[j + 1 + par::2], rows[j]))
+            total -= a * sum(map(mul, B[j + 1::2], rows[j]))
     return total
 
 
@@ -268,7 +266,9 @@ def sigma_weighted(k: int, q: int) -> int:
     if k < 0:
         raise InvalidInput(f"k = {k}: need k >= 0")
     census = ell_census(q)
-    total = -_rows(_curves, census, k % 2, k // 2)[0][k // 2]
+    if k % 2:
+        return 0  # the census is twist-symmetric: h_k(-t, q) = -h_k(t, q)
+    total = -_rows(_curves, census, k // 2)[0][k // 2]
     value, rest = divmod(total, census.group_order)
     if rest:
         raise CensusInvariantError(f"sigma_{k}({q}) = {total}/{census.group_order} is not whole")

@@ -435,11 +435,12 @@ class Fq:
     over the base.  That choice is deterministic, so census caches built on
     top of these fields are reproducible.
 
-    An extension field adds and multiplies through log, antilog and Zech
-    log tables, built on first use (not when the field is made): the log
-    tables from the tower product, the Zech table from 1 + y, which adds 1
-    to the lowest base-p digit of y.  k is the number of F_p-coordinates
-    (base-p digits) of an element.
+    Every field, prime or not, adds and multiplies through log, antilog
+    and Zech log tables, built on first use (not when the field is made):
+    the log tables from the tower product (residue product for a prime
+    field), the Zech table from 1 + y, which adds 1 to the lowest base-p
+    digit of y.  k is the number of F_p-coordinates (base-p digits) of an
+    element.
     """
 
     def __init__(self, p: int, base: "Fq | None" = None):
@@ -473,8 +474,6 @@ class Fq:
     # -- scalar arithmetic
 
     def add(self, x: int, y: int) -> int:
-        if self.base is None:
-            return (x + y) % self.p
         if x == 0 or y == 0:
             return x or y
         log, exp, zech = self._logs or self._log_tables()
@@ -485,8 +484,6 @@ class Fq:
         return self.mul(x, self.p - 1)  # p - 1 is -1 at every level of the tower
 
     def mul(self, x: int, y: int) -> int:
-        if self.base is None:
-            return (x * y) % self.p
         if x == 0 or y == 0:
             return 0
         log, exp, _ = self._logs or self._log_tables()
@@ -544,8 +541,6 @@ class Fq:
             if n < 0:
                 raise ZeroDivisionError
             return 1 if n == 0 else 0
-        if self.base is None:
-            return pow(x, n % (self.p - 1), self.p)
         log, exp, _ = self._logs or self._log_tables()
         return exp[log[x] * n % (self.q - 1)]
 

@@ -391,12 +391,6 @@ class EulerFactor:
     p: int
     weight: int
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def to_json(self) -> dict:
         from .exact_arith import rat_str
 

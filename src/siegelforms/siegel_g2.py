@@ -115,10 +115,6 @@ class SiegelCoeffTable:
         ]
 
 
-def _isqrt(x: int) -> int:
-    return math.isqrt(x) if x >= 0 else -1
-
-
 @lru_cache(maxsize=None)
 def _reduced_classes(max_disc: int, sing_max: int) -> tuple[tuple[int, int, int], ...]:
     """All reduced classes with 0 < disc <= max_disc, plus [0,0,c] c <= sing_max
@@ -244,7 +240,7 @@ def diagonal_restriction(F: SiegelCoeffTable, prec: int) -> dict[tuple[int, int]
     coeffs = {}
     for n in range(prec):
         for m in range(prec):
-            b = _isqrt(4 * n * m)
+            b = math.isqrt(4 * n * m)
             if 4 * n * m > F.max_disc and n > 0 and m > 0:
                 raise InsufficientTable(f"need disc up to {4 * n * m}")
             total = Fraction(0)
@@ -305,7 +301,7 @@ def fourier_jacobi(F: SiegelCoeffTable, m: int = 1) -> JacobiFormQ:
         raise ValueError("m must be >= 1")
     coeffs: dict[tuple[int, int], Fraction] = {}
     for n in range((F.max_disc + m * m) // (4 * m) + 1):
-        for r in range(-2 * _isqrt(m * n) - 2 * m, 2 * _isqrt(m * n) + 2 * m + 1):
+        for r in range(-2 * math.isqrt(m * n) - 2 * m, 2 * math.isqrt(m * n) + 2 * m + 1):
             D = 4 * m * n - r * r
             if D < 0 or not F.covers(n, r, m):
                 continue
@@ -330,7 +326,7 @@ def V_l(phi: JacobiFormQ, l: int) -> JacobiFormQ:
     coeffs: dict[tuple[int, int], Fraction] = {}
     n_max = phi.max_D // (4 * l) + l + 1
     for n in range(n_max + 1):
-        for r in range(-2 * _isqrt(l * n), 2 * _isqrt(l * n) + 1):
+        for r in range(-2 * math.isqrt(l * n), 2 * math.isqrt(l * n) + 1):
             D = 4 * l * n - r * r
             if D < 0 or D > phi.max_D:
                 continue

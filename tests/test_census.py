@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from siegelforms.census import (
     CACHE_VERSION,
     CacheError,
+    CensusInvariantError,
     EllCensus,
     FieldTooLarge,
     G2Census,
@@ -511,6 +512,27 @@ def test_fresh_censuses_reproduce_golden_cache(tmp_path):
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
     finally:
         set_cache_dir(None)
+
+
+def test_censuses_count_in_integers(golden_cache, monkeypatch):
+    # a weighted bincount counts in float64: exact only below 2^53
+    bincount = np.bincount
+
+    def unweighted(x, weights=None, minlength=0):
+        if weights is not None:
+            raise AssertionError("a weighted bincount counts in float64")
+        return bincount(x, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", unweighted)
+    assert _ell_census_compute(11) == ell_census(11)
+    assert _g2_census_compute(5).mass_sum() == 125
+
+
+def test_traces_beyond_the_hasse_bound_raise():
+    # counted unchecked, t = -7 would wrap onto t = 6 (add.at takes a negative
+    # index from the end), and this census would pass every other check
+    with pytest.raises(CensusInvariantError, match="Hasse"):
+        _ell_from_traces(11, np.array([-7] * 11 + [-6] * 11), 2)
 
 
 def _monic_form(q, d, index):

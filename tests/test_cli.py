@@ -365,3 +365,35 @@ def test_cache_dir_naming_a_file_is_a_config_error(via_env, tmp_path, capsys, mo
         assert "config error" in err and "not_a_directory" in err
     finally:
         census.set_cache_dir(None)
+
+
+# sha256 of the `--json` stdout of each `siegelforms ...` line of README.md
+README_JSON = {
+    "census --genus 1 --q 3": "d0fd34b101891447c4e3ad6fd6c7f1ad0e5baaf0522ac0eca0a6c37962dc9103",
+    "census --genus 1 --q 9": "885fd135cc5390854ccdb34f39e22fe34a35ca6684b9a8162988c295a7eb4c13",
+    "census --genus 1 --q 16": "2ea8090d522de10dca6e322d6ea8ced6f42374d8e8c040070b288b6807a719be",
+    "census --genus 1 --q 625": "830c234d8787fc03af437a473d333fefbc0ee512c77661856e607ac0c8961fe0",
+    "census --genus 2 --q 7": "f3907b06440e0acfa3cdbf3625b3b63dcd03df73268f27f924c5b5f8d6d5d858",
+    "trace --j 6 --k 8 --p 3": "f9090b5e586824abf05ec3a18228acb8fecb1c6bb6f17e380e804ee3d9fd34f6",
+    "trace --j 6 --k 8 --p 3 --psq": "f915513e69a86acd8bac03e6cd06c275b5b5655535daf9c75b0ec5444e23525a",
+    "igusa --form chi10 --max-disc 20": "1fc21fe65aa730cbf438c3527b93e640964134dccd850e9c56d696df06aa5e5c",
+    "g1 --weight 12 --ratios": "716255226c539e44d7bee9a6d08b4e715095175058b808c2f294c14e3baf82ba",
+    "g1 --weight 22 --congruence-primes": "6a166e5a11b8919033608823eaa286c97fb8fadba27c80a3861b2460ecb5c29e",
+    "satake --verify-all": "d209e56c25be08530b16d84caa41f33e952c90dde20652a98c19d16a1c5bbf39",
+    "satake --spin 6 8 2 0 -57344 --slopes": "9506be08ffc2756915bdecda5108935ba51b4ba1903c5a1797f456888dcbd957",
+    "harder --row 22 4 10 41 --pmax 37": "c764cc8329ffb0d65ea3273dad83b4c9e8a6db1ca518341043e73909d49779bd",
+    "harder --all": "07723cd93b34bf865b1f14fd14ffd33f2216f45431d8aff8ffee407462a31302",
+}
+
+
+def test_readme_json_is_frozen(capsys, monkeypatch):
+    import hashlib
+
+    monkeypatch.delenv("SIEGELFORMS_CACHE_DIR", raising=False)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    commands = [line.split("#")[0].split()[1:] for line in readme if line.startswith("siegelforms ")]
+    assert sorted(" ".join(argv) for argv in commands) == sorted(README_JSON)
+    for argv in commands:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == README_JSON[" ".join(argv)], argv

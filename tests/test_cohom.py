@@ -50,15 +50,24 @@ def test_motive_trace_rejects_i_below_one():
 
 
 def test_sigma_weighted_rejects_negative_k():
-    # k = -1 would read row 0 of the odd half at n = -1, its last entry
+    # k = -2 would read row 0 at n = -1, its last entry
     cohom.sigma_weighted(12, 5)
-    with pytest.raises(InvalidInput):
-        cohom.sigma_weighted(-1, 5)
+    for k in (-1, -2):
+        with pytest.raises(InvalidInput):
+            cohom.sigma_weighted(k, 5)
+
+
+def test_odd_weights_load_their_censuses():
+    # odd k and odd l - m sum to 0 without a table, but not without a census
+    with pytest.raises(FieldTooLarge):
+        cohom.sigma_weighted(1, 6)
+    with pytest.raises(FieldTooLarge):
+        ec_full_A2(1, 0, 25)
 
 
 def test_sigma_weighted_rejects_an_asymmetric_census(golden_cache, monkeypatch):
     # ell_census(11) with its t = -6 count moved to t = -5: the mass and the
-    # model count still hold, but sigma_1 and sigma_2 come out -1/2 and 13/2
+    # model count still hold, but sigma_2 comes out 13/2
     golden = census.ell_census(11)
     counts = dict(golden.counts)
     counts[-5] += counts.pop(-6)
@@ -67,9 +76,7 @@ def test_sigma_weighted_rejects_an_asymmetric_census(golden_cache, monkeypatch):
     )
     monkeypatch.setattr(cohom, "ell_census", lambda _q: stand_in)
     with pytest.raises(CensusInvariantError, match="not whole"):
-        cohom.sigma_weighted(1, 11)
-    with pytest.raises(CensusInvariantError, match="not whole"):
-        cohom.sigma_weighted(2, 11)  # the even half
+        cohom.sigma_weighted(2, 11)
 
 
 def test_motive_trace_rejects_non_prime_p():
@@ -240,9 +247,6 @@ def test_moment_tables_are_safe_to_share_across_threads(golden_cache, monkeypatc
 
 def test_rising_weights_grow_tables_by_antidiagonals(golden_cache, monkeypatch):
     g2c, e1, e2 = (dataclasses.replace(c) for c in cohom._require_censuses(13))
-    # the census sectors have no odd half (twist symmetry); this stand-in has
-    # classes in both, t1 = 0 among them
-    uneven = {(3, 5): 2, (-3, 5): 1, (0, -4): 3, (1, 7): -1, (-5, 7): 4, (5, 7): 4}
     grown = []
     grow = cohom._grow
 
@@ -255,27 +259,23 @@ def test_rising_weights_grow_tables_by_antidiagonals(golden_cache, monkeypatch):
         (cohom._jacobians, g2c),
         (cohom._untwisted_products, e1),
         (cohom._twisted_products, e2),
-        (lambda _c: uneven, types.SimpleNamespace(_moment_tables={})),
     ):
         grown.clear()
         for weight in range(53):
             cohom._sector_sum(classes, c, weight, 0, 13)
-        # weight w grows the half of parity w mod 2 to top w // 2, from where
-        # the last growth of that half ended (top -1: x_0 and x_1 only)
-        assert grown == [(w // 2 - 1, w // 2) for w in range(53)], classes
-        for par, top in ((0, 26), (1, 25)):
-            table = c._moment_tables[classes, par]
-            direct = grow(cohom._empty_table(classes(c), par), top)
-            assert table[:2] == direct[:2], (classes, par)
-            # every class's recurrence took top + 1 steps and holds x_{top+1},
-            # x_{top+2}, where x_n = h_{2n+par} / t1^par
-            es, _, _, steps, _, x, x_next, _ = table[2]
-            assert len(es) == len(cohom._fold(classes(c), par)), (classes, par)
-            for e, step, x1, x2 in zip(es, steps, x, x_next):
-                t1 = math.isqrt(step + 2 * e)
-                got = (x1 * t1 ** par, x2 * t1 ** par)
-                want = (_h(2 * top + 2 + par, t1, e), _h(2 * top + 4 + par, t1, e))
-                assert got == want, (classes, par, t1, e)
+        # each even weight w grows the table to top w // 2, from where the
+        # last growth ended (top -1: x_0 and x_1 only); odd weights read none
+        assert grown == [(n - 1, n) for n in range(27)], classes
+        table = c._moment_tables[classes]
+        direct = grow(cohom._empty_table(classes(c)), 26)
+        assert table[:2] == direct[:2], classes
+        # every class's recurrence took 27 steps and holds x_27, x_28,
+        # where x_n = h_{2n}
+        es, _, _, steps, _, x, x_next, _ = table[2]
+        assert len(es) == len(cohom._fold(classes(c))), classes
+        for e, step, x1, x2 in zip(es, steps, x, x_next):
+            t1 = math.isqrt(step + 2 * e)
+            assert (x1, x2) == (_h(54, t1, e), _h(56, t1, e)), (classes, t1, e)
 
 
 def _h(k, t1, e):
@@ -287,9 +287,10 @@ def _h(k, t1, e):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
-def test_census_sectors_have_empty_odd_halves(q, golden_cache):
-    # every census is symmetric under the twist t1 -> -t1, so its odd
-    # h-moments h_{2n+1} = t1 x_n(t1^2, e) cancel class by class
+def test_census_sectors_are_twist_symmetric(q, golden_cache):
+    # the odd h_k = t1 x(t1^2, e) cancel class by class only on classes
+    # symmetric under t1 -> -t1, so _sector_sum and sigma_weighted may
+    # return 0 for odd l - m and odd k
     g2c, e1, e2 = cohom._require_censuses(q)
     for classes, c in (
         (cohom._jacobians, g2c),
@@ -298,8 +299,9 @@ def test_census_sectors_have_empty_odd_halves(q, golden_cache):
         (cohom._curves, e1),
         (cohom._curves, e2),
     ):
-        assert cohom._fold(classes(c), 1) == {}, (classes, q)
-        assert cohom._fold(classes(c), 0), (classes, q)
+        sector = classes(c)
+        assert sector, (classes, q)
+        assert all(sector.get((-t1, e)) == w for (t1, e), w in sector.items()), (classes, q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,9 +316,13 @@ def test_census_sectors_have_empty_odd_halves(q, golden_cache):
     ),
     st.sampled_from([2, 3, 5, 7, 9, 13]),
 )
-def test_sector_sum_is_the_weighted_sp_char(classes, weights, q):
+def test_sector_sum_is_the_weighted_sp_char(drawn, weights, q):
     # one stand-in census and its table serve every weight, in the drawn
-    # order, so rising weights grow the table and falling ones read it
+    # order, so rising weights grow the table and falling ones read it; its
+    # classes are twist-symmetric, as a census's are
+    classes = {
+        (sign * t1, e): w + drawn.get((-t1, e), 0) for (t1, e), w in drawn.items() for sign in (1, -1)
+    }
     census_like = types.SimpleNamespace(_moment_tables={})
 
     def sector(c):

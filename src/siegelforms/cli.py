@@ -40,29 +40,14 @@ def cmd_census(args) -> int:
 
     if args.genus == 1:
         c = census.ell_census(args.q)
-        _emit(
-            args,
-            {
-                "q": c.q,
-                "kind": "ell",
-                "mass": str(c.mass_sum()),
-                "model_count": c.model_count,
-            },
-            cite="mass identity sum 1/#Aut = q over elliptic curves",
-        )
-        return 0
-    c = census.g2_census(args.q)
-    _emit(
-        args,
-        {
-            "q": args.q,
-            "kind": "g2",
-            "mass": str(c.mass_sum()),
-            "model_count": c.model_count,
-            "classes": len(c.counts),
-        },
-        cite="genus-2 mass formula (total mass q^3)",
-    )
+        kind, cite = "ell", "mass identity sum 1/#Aut = q over elliptic curves"
+    else:
+        c = census.g2_census(args.q)
+        kind, cite = "g2", "genus-2 mass formula (total mass q^3)"
+    payload = {"q": args.q, "kind": kind, "mass": str(c.mass_sum()), "model_count": c.model_count}
+    if args.genus == 2:
+        payload["classes"] = len(c.counts)
+    _emit(args, payload, cite=cite)
     return 0
 
 
@@ -87,15 +72,12 @@ def cmd_igusa(args) -> int:
     # the c a product of two tables of this max_disc reaches; the rule fixes
     # which rows --json prints
     size = (args.max_disc, max(8, (args.max_disc + 1) // 4))
-    builders = {
-        "E4": lambda: eisenstein_g2(4, *size),
-        "E6": lambda: eisenstein_g2(6, *size),
-        "E10": lambda: eisenstein_g2(10, *size),
-        "E12": lambda: eisenstein_g2(12, *size),
-        "chi10": lambda: chi10(*size),
-        "chi12": lambda: chi12(*size),
-    }
-    table = builders[args.form]()
+    if args.form == "chi10":
+        table = chi10(*size)
+    elif args.form == "chi12":
+        table = chi12(*size)
+    else:
+        table = eisenstein_g2(int(args.form[1:]), *size)
     rows = table.to_json_rows()
     _emit(
         args,
@@ -117,7 +99,7 @@ def cmd_g1(args) -> int:
     if dim_S(r) == 0:
         raise InvalidInput(f"S_{r} = 0: weight {r} has no cusp eigenform")
     if args.ratios:
-        ratios = critical_ratios(eigenforms(r)[0], args.precision_bits)
+        ratios = critical_ratios(eigenforms(r)[0])
         _emit(
             args,
             {"weight": r, "ratios": ratios},
@@ -125,7 +107,7 @@ def cmd_g1(args) -> int:
         )
         return 0
     if args.congruence_primes:
-        rows = congruence_prime_scan(r, args.precision_bits)
+        rows = congruence_prime_scan(r)
         _emit(args, {"weight": r, "rows": rows}, cite="published congruence-prime table")
         return 0
     f = eigenforms(r)[0]
@@ -188,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="byte-stable JSON output")
     common.add_argument("--cite", action="store_true", help="name the published table each output reproduces")
     common.add_argument("--cache-dir", help="census cache directory (or SIEGELFORMS_CACHE_DIR)")
-    common.add_argument("--precision-bits", type=int, dest="precision_bits")
     ap = _Parser(
         prog="siegelforms",
         description="exact genus-2 Siegel modular form computations from curve censuses",
@@ -238,11 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    defaults = argparse.Namespace(json=False, cite=False, cache_dir=None, precision_bits=256)
+    defaults = argparse.Namespace(json=False, cite=False, cache_dir=None)
     try:
         args = build_parser().parse_args(argv, defaults)
-        if args.precision_bits < 128:
-            raise InvalidInput("precision_bits must be >= 128")
         cache_dir = args.cache_dir or os.environ.get("SIEGELFORMS_CACHE_DIR")
         if cache_dir:
             from .census import set_cache_dir

@@ -18,7 +18,9 @@ monomial Delta^c E4^a E6^b starts with 1 q^c, so echelonizing the
 monomials is an integer back-substitution.  The eigenforms of each
 (weight, prec) are built once per process and are immutable (frozen, with
 tuple coefficients), so every caller shares them.  Lambda(f, s) climbs the
-incomplete-gamma recurrence from one seed per n and class of s mod 1.
+incomplete-gamma recurrence from one seed per n and class of s mod 1, at
+one working precision and on the coefficients eigenforms() stores by
+default, so the L-values read the same forms as every other caller.
 """
 
 from __future__ import annotations
@@ -370,14 +372,16 @@ def _eigenforms(k: int, prec: int) -> tuple[EigenformG1, ...]:
 # ---------------------------------------------------------------------------
 # completed L-function values
 
-# coefficients stored on the eigenforms whose critical values are taken;
-# the _n_terms of a precision must stay below it (800 bits up to weight 26)
-_CRITICAL_PREC = 140
+# working precision of every L-value: ratios and congruence primes read the
+# same integers at 128, 256 and 512 bits up to weight 34 (weight 38 fails in
+# rational_reconstruct at any precision), and _n_terms stays below the 128
+# coefficients eigenforms() stores by default (92 at weight 38)
+_PREC_BITS = 256
 
 
-def _n_terms(r: int, prec_bits: int) -> int:
+def _n_terms(r: int) -> int:
     # tail of sum a(n) (2 pi n)^(s-1) e^(-2 pi n) with |a(n)| <= 2 sigma_0 n^((r-1)/2)
-    target = (prec_bits + 48) * math.log(2)
+    target = (_PREC_BITS + 48) * math.log(2)
     n = 8
     while 2 * math.pi * n - (1.5 * r) * math.log(2 * math.pi * n) < target:
         n += 1
@@ -386,7 +390,7 @@ def _n_terms(r: int, prec_bits: int) -> int:
     return n
 
 
-def lambda_values(f: EigenformG1, points, prec_bits: int = 256) -> list:
+def lambda_values(f: EigenformG1, points) -> list:
     """Lambda(f, s) = Gamma(s)/(2 pi)^s L(f, s) at each real s in points.
 
     Uses the two-sided incomplete-gamma series: with x = 2 pi n and
@@ -398,14 +402,15 @@ def lambda_values(f: EigenformG1, points, prec_bits: int = 256) -> list:
     to the others; the integer critical points make one class.  Each term
     is symmetric under s <-> r-s, so the functional equation
     Lambda(s) = (-1)^(r/2) Lambda(r-s) holds by construction and checks
-    nothing about the coefficients.
+    nothing about the coefficients.  The series takes _n_terms(r)
+    coefficients, and a form storing no more raises PrecisionLoss.
     """
     r = f.weight
-    n_terms = _n_terms(r, prec_bits)
+    n_terms = _n_terms(r)
     if n_terms >= f.prec:
         raise PrecisionLoss(f"need {n_terms} coefficients, eigenform stores {f.prec}")
     sign = (-1) ** (r // 2)
-    with mp.workprec(prec_bits + 64):
+    with mp.workprec(_PREC_BITS + 64):
         pairs = [(mp.mpf(s), mp.mpf(r - s)) for s in points]
         classes = {}  # fractional part -> its exponents m, smallest first
         for m in sorted({m for pair in pairs for m in pair}):
@@ -426,7 +431,7 @@ def lambda_values(f: EigenformG1, points, prec_bits: int = 256) -> list:
         return [sums[s] + sign * sums[rs] for s, rs in pairs]
 
 
-def _critical_entries(f: EigenformG1, g: EigenformG1, prec_bits: int) -> list:
+def _critical_entries(f: EigenformG1, g: EigenformG1) -> list:
     """(t, a_t, b_t) with Lambda(f, t) proportional to a_t + b_t sqrt(D), for
     r/2 <= t <= r-2, each parity class of t a coprime integer vector.
 
@@ -439,10 +444,10 @@ def _critical_entries(f: EigenformG1, g: EigenformG1, prec_bits: int) -> list:
     """
     r, D = f.weight, f.field_disc
     ts = [t for t in range(r - 2, r // 2 - 1, -1) if 2 * t != r or r % 4 == 0]
-    vf = lambda_values(f, ts, prec_bits)
-    vg = vf if g is f else lambda_values(g, ts, prec_bits)
+    vf = lambda_values(f, ts)
+    vg = vf if g is f else lambda_values(g, ts)
     out = []
-    with mp.workprec(prec_bits + 64):
+    with mp.workprec(_PREC_BITS + 64):
         sqrtD = mp.sqrt(D)
         for parity in (0, 1):
             cls = [(t, x, y) for t, x, y in zip(ts, vf, vg) if t % 2 == parity]
@@ -459,18 +464,14 @@ def _critical_entries(f: EigenformG1, g: EigenformG1, prec_bits: int) -> list:
     return out
 
 
-def critical_ratios(f: EigenformG1, prec_bits: int = 256) -> list[int]:
-    """Coprime integers proportional to (Lambda(f, r-2), Lambda(f, r-4), ...).
-
-    A rational level-1 eigenform is fixed by its weight, so the values are
-    taken on its _CRITICAL_PREC coefficients, however many f stores."""
+def critical_ratios(f: EigenformG1) -> list[int]:
+    """Coprime integers proportional to (Lambda(f, r-2), Lambda(f, r-4), ...)."""
     if f.field_disc != 1:
         raise DimTooLarge("rational eigenforms only; use congruence_prime_scan")
-    f = eigenforms(f.weight, _CRITICAL_PREC)[0]
-    return [a for t, a, _ in _critical_entries(f, f, prec_bits) if t % 2 == 0]
+    return [a for t, a, _ in _critical_entries(f, f) if t % 2 == 0]
 
 
-def congruence_prime_scan(r: int, prec_bits: int = 256) -> list[tuple[int, int, int, int]]:
+def congruence_prime_scan(r: int) -> list[tuple[int, int, int, int]]:
     """Primes ell > r dividing the norm a_t^2 - D b_t^2 of a normalized
     critical entry of the weight-r eigenform(s), emitted as (ell, t, j, k)
     with j = 2t-r-2 >= 0 and k = r-t+2 (>= 4, as t <= r-2).
@@ -481,11 +482,11 @@ def congruence_prime_scan(r: int, prec_bits: int = 256) -> list[tuple[int, int, 
     d = dim_S(r)
     if d not in (1, 2):
         raise DimTooLarge(f"dim S_{r} = {d}")
-    forms = eigenforms(r, _CRITICAL_PREC)
+    forms = eigenforms(r)
     f, g = forms[0], forms[-1]
     D = f.field_disc
     out = set()
-    for t, a, b in _critical_entries(f, g, prec_bits):
+    for t, a, b in _critical_entries(f, g):
         j, k = 2 * t - r - 2, r - t + 2
         n = abs(a * a - D * b * b)
         if j >= 0 and n != 0:

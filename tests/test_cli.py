@@ -37,12 +37,25 @@ def test_g1_ratios(capsys):
     assert "[48, 25, 20]" in out
 
 
-def test_g1_ratios_share_the_scan_precision_cap(capsys):
-    # --ratios stores as many coefficients as --congruence-primes
-    code, out, _ = run(capsys, "g1", "--weight", "22", "--ratios", "--precision-bits", "800", "--json")
+def test_g1_ratios_share_the_scan_precision_cap(capsys, monkeypatch):
+    # --ratios, --congruence-primes and the plain form read the one eigenform
+    # of weight 22, built once with the 128 coefficients every caller stores
+    builds = []
+    form = g1_modforms.EigenformG1
+
+    def counted(weight, disc, tag, coeffs):
+        builds.append((weight, len(coeffs)))
+        return form(weight, disc, tag, coeffs)
+
+    monkeypatch.setattr(g1_modforms, "EigenformG1", counted)
+    g1_modforms._eigenforms.cache_clear()
+    code, out, _ = run(capsys, "g1", "--weight", "22", "--ratios", "--json")
     assert code == 0 and json.loads(out)["ratios"] == [82080, 9464, 1365, 246, 42]
-    code, out, _ = run(capsys, "g1", "--weight", "22", "--congruence-primes", "--precision-bits", "800", "--json")
+    code, out, _ = run(capsys, "g1", "--weight", "22", "--congruence-primes", "--json")
     assert code == 0 and json.loads(out)["rows"] == [[41, 14, 4, 10]]
+    code, out, _ = run(capsys, "g1", "--weight", "22", "--json")
+    assert code == 0 and json.loads(out)["a_p"]["2"] == "-288"
+    assert builds == [(22, 128)]
 
 
 def test_census_commands(capsys):
@@ -113,8 +126,16 @@ def test_harder_untestable_row_exit_code(capsys):
 
 
 def test_config_errors(capsys):
-    code, _, err = run(capsys, "--precision-bits", "64", "g1", "--weight", "12", "--ratios")
-    assert code == 3
+    # L-values have one working precision: --precision-bits is an unknown
+    # option, whatever its value and wherever it stands
+    for argv in (
+        ("--precision-bits", "64", "g1", "--weight", "12", "--ratios"),
+        ("g1", "--weight", "22", "--ratios", "--precision-bits", "256"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("config error: ")
+    assert "unrecognized arguments: --precision-bits 256" in err
 
 
 def test_missing_census_exit_code(capsys):
@@ -184,7 +205,7 @@ def test_satake_spin_rejects_non_prime(capsys, p):
         ("harder", "--row", "22", "4", "10", "1"),
         ("igusa", "--form", "chi10", "--max-disc", "0"),  # a([1,1,1]) has disc 3
         ("igusa", "--form", "chi12", "--max-disc", "2"),
-        ("g1", "--weight", "12", "--ratios", "--precision-bits", "20000"),  # beyond the stored coefficients
+        ("g1", "--weight", "24", "--ratios"),  # dim S_24 = 2: no rational eigenform
         ("satake", "--spin", "0", "0", "2", "0", "0", "--slopes"),  # motivic weight -3
         ("satake", "--spin", "-6", "8", "2", "0", "0"),  # negative J
         ("satake", "--spin", "5", "8", "2", "0", "0"),  # S_{J,K} = 0 for odd J

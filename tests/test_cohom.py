@@ -147,13 +147,25 @@ def test_sp_char_vs_weyl_oracle():
 
 
 def test_odd_weight_vanishing():
-    for l in range(9):
-        for m in range(l + 1):
-            if (l + m) % 2 == 0:
-                continue
-            for q in (3, 5, 7):
-                jac, prod = ec_full_A2(l, m, q)
-                assert jac + prod == 0, (l, m, q)
+    # for odd l - m the per-class sp_char oracle sums to 0 over every
+    # sector, since its odd h_k cancel over the twist-symmetric classes;
+    # _sector_sum returns that 0 without building a moment table
+    for q in (3, 5, 7):
+        g2c, e1, e2 = (dataclasses.replace(c) for c in cohom._require_censuses(q))
+        for classes, c in (
+            (cohom._jacobians, g2c),
+            (cohom._untwisted_products, e1),
+            (cohom._twisted_products, e2),
+        ):
+            sector = classes(c)
+            for l in range(9):
+                for m in range((l + 1) % 2, l + 1, 2):
+                    want = sum(w * sp_char(l, m, t1, e, q) for (t1, e), w in sector.items())
+                    assert cohom._sector_sum(classes, c, l, m, q) == want == 0, (classes, l, m, q)
+            assert c._moment_tables == {}, (classes, q)
+        for l in range(9):
+            for m in range((l + 1) % 2, l + 1, 2):
+                assert ec_full_A2(l, m, q) == (0, 0), (l, m, q)
 
 
 def _ec_full_A2_by_class(l, m, q, g2c, e1, e2):

@@ -305,7 +305,7 @@ def test_lambda_functional_equation(mellin_split):
     f = eigenforms(12)[0]
     with mp.workprec(320):
         for s in (11, 10, 9, 8, 6.5):
-            want = lambda_values(f, [s], 256)[0]
+            want = lambda_values(f, [s])[0]
             assert abs(mellin_split(f, s, mp.mpf(6) / 5) - want) < mp.mpf(2) ** -200 * abs(want)
 
 
@@ -313,19 +313,19 @@ def test_lambda_functional_equation_weight22(mellin_split):
     f = eigenforms(22)[0]
     with mp.workprec(320):
         for s in (21, 18, 14, 12.5, 11):
-            want = lambda_values(f, [s], 256)[0]
+            want = lambda_values(f, [s])[0]
             got = mellin_split(f, s, mp.mpf(6) / 5)
             # Lambda(11) = 0: the sign of the functional equation is -1
             assert abs(got - want) < mp.mpf(2) ** -200 * max(abs(want), 1)
 
 
-def gammainc_oracle(f, s, prec_bits):
+def gammainc_oracle(f, s):
     """Lambda(f, s) as sum a(n) (x^-s Gamma(s, x) + (-1)^(r/2) x^(s-r) Gamma(r-s, x)),
     x = 2 pi n, with two incomplete gammas per term."""
     r = f.weight
-    with mp.workprec(prec_bits + 64):
+    with mp.workprec(320):
         acc = mp.mpf(0)
-        for n in range(1, g1_modforms._n_terms(r, prec_bits) + 1):
+        for n in range(1, g1_modforms._n_terms(r) + 1):
             x = 2 * mp.pi * n
             acc += f.embed_coeff(n) * (
                 x ** -s * mp.gammainc(s, x)
@@ -336,13 +336,13 @@ def gammainc_oracle(f, s, prec_bits):
 
 @pytest.mark.parametrize("r, which", [(12, 0), (22, 0), (24, 0), (24, 1)])
 def test_lambda_recurrence_matches_gammainc_oracle(r, which):
-    f = eigenforms(r, 140)[which]
+    f = eigenforms(r)[which]
     points = [s for s in range(r // 2, r - 1) if 2 * s != r or r % 4 == 0]
     points += [2, 2.5, r / 2 + 0.5, r - 1.5]
-    got = lambda_values(f, points, 256)
+    got = lambda_values(f, points)
     with mp.workprec(320):
         for s, value in zip(points, got):
-            oracle = gammainc_oracle(f, s, 256)
+            oracle = gammainc_oracle(f, s)
             assert abs(value / oracle - 1) < mp.mpf(2) ** -200, s
 
 
@@ -374,14 +374,23 @@ def test_critical_ratios_weight22():
         2 * 3 * 41,
         2 * 3 * 7,
     ]
-    for prec_bits in (256, 800):
-        assert critical_ratios(f, prec_bits) == expect
+    assert critical_ratios(f) == expect
+
+
+def test_lvalues_read_the_default_eigenforms():
+    # the series stops below the 128 coefficients every caller shares, for
+    # every weight with dim S_r <= 2; a shorter form is refused, not truncated
+    need = {r: g1_modforms._n_terms(r) for r in range(12, 39, 2) if dim_S(r) in (1, 2)}
+    assert max(need.values()) == need[38] == 92
+    with pytest.raises(g1_modforms.PrecisionLoss, match="need 51 coefficients"):
+        critical_ratios(eigenforms(12, 51)[0])
+    assert critical_ratios(eigenforms(12, 52)[0]) == [48, 25, 20]
 
 
 def test_lambda_values_normalized_matches_ratios():
     # a rational form is its own conjugate pair: every b_t is 0
     f = eigenforms(12)[0]
-    entries = _critical_entries(f, f, 256)
+    entries = _critical_entries(f, f)
     assert [(t, a) for t, a, _ in entries if t % 2 == 0] == [(10, 48), (8, 25), (6, 20)]
     assert [t for t, _, _ in entries] == [10, 8, 6, 9, 7]
     assert all(b == 0 for _, _, b in entries)

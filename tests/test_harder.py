@@ -8,7 +8,7 @@ import pytest
 
 from siegelforms import g1_modforms, harder
 from siegelforms.exact_arith import QuadElem
-from siegelforms.g1_modforms import congruence_prime_scan, dim_S, eigenforms
+from siegelforms.g1_modforms import congruence_prime_scan, critical_ratios, dim_S, eigenforms
 from siegelforms.g2data import (
     congruence_rows,
     octic_12_9_p2,
@@ -283,7 +283,8 @@ def test_dim2_row_resolves_dimension_without_hint():
 
 
 def test_each_eigenform_is_built_once(monkeypatch):
-    # the table asks for eigenforms(r) once per row, the scan at another prec
+    # the table asks for eigenforms(r) once per row; the scan and the ratios
+    # read the same forms
     builds = []
     form = g1_modforms.EigenformG1
 
@@ -295,8 +296,9 @@ def test_each_eigenform_is_built_once(monkeypatch):
     g1_modforms._eigenforms.cache_clear()
     run_table(37)
     congruence_prime_scan(22)
+    critical_ratios(eigenforms(12)[0])
     assert len(builds) == len(set(builds))
-    expect = {(row.r, 128) for row in congruence_rows() if row.primes} | {(22, 140)}
+    expect = {(row.r, 128) for row in congruence_rows() if row.primes} | {(12, 128)}
     assert {(k, prec) for k, prec, _ in builds} == expect
     assert len(builds) == sum(dim_S(k) for k, _ in expect)
 

@@ -10,8 +10,11 @@ quadratic twist by lambda flips the sign of the trace term and leaves the
 F_{q^2} data alone, so each monic model stands for (q-1)/2 models per twist
 class.  A census holds integer counts per class and the unit, the mass of
 one count: 1/group_order for elliptic curves, (q-1)/(2 group_order) for
-genus 2.  This module only counts and caches; every sum of a character
-over a census (sigma_k, the symplectic characters) is cohom's.
+genus 2; the masses add up to q and q^3, so the model count follows from
+them and is not tallied.  The genus-2 counts fill a dense table over the
+Weil box with each model's S1, and the twist -S1 is its mirror image:
+nothing is sorted.  This module only counts and caches; every sum of a
+character over a census (sigma_k, the symplectic characters) is cohom's.
 
 Every census computes in integers on arrays of element indices, with no
 float or BLAS call.  The odd-q point sums and the squarefree marks are
@@ -254,8 +257,9 @@ def _char_sums(q: int, d: int, ext: int, idx: np.ndarray):
     sum c_i q^i in idx, the sum of chi(g(x_j)) over the points x_j of
     _value_map(q, d, ext), and at ext = 1 the number of roots of g in F_q
     (None at ext = 2), from the histograms H_r of the module docstring,
-    r = idx // q.  Blocks of about `rows` models are cut where r changes,
-    so the r of a run of models is evaluated once."""
+    r = idx // q.  The models of one r sit next to each other in idx, so
+    each run of equal r is evaluated once; a block holds the runs that
+    start in one stretch of `rows` models."""
     F = finite_field(q)
     p, k = F.p, F.k
     C, C0 = _value_map(q, d, ext)
@@ -271,11 +275,12 @@ def _char_sums(q: int, d: int, ext: int, idx: np.ndarray):
     roots = np.empty(len(idx), dtype=np.int32) if ext == 1 else None
     rows = max(1, _BLOCK // max(Q, points * m))
     r = idx // q
-    starts = np.flatnonzero(r[1:] != r[:-1]) + 1
-    at = np.searchsorted(starts, np.arange(rows, len(idx), rows))
-    cuts = list(dict.fromkeys(starts[at[at < len(starts)]].tolist()))
-    for lo, hi in zip([0] + cuts, cuts + [len(idx)]):
-        rs, which = np.unique(r[lo:hi], return_inverse=True)
+    new = np.ones(len(idx), dtype=bool)  # where a run of equal r starts
+    new[1:] = r[1:] != r[:-1]
+    starts = np.flatnonzero(new)
+    cuts = starts[np.diff(starts // rows, prepend=-1) != 0]  # first start per `rows` models
+    for lo, hi in zip(cuts, [*cuts[1:], len(idx)]):
+        rs, which = r[lo:hi][new[lo:hi]], np.cumsum(new[lo:hi]) - 1  # which: each model's run
         c0 = idx[lo:hi] % q
         Y = np.tile(w0, (len(rs), 1))
         for row, digit in zip(W, _digit_matrix(rs, p, len(W)).astype(vt).T):
@@ -302,7 +307,6 @@ class _Census:
     q: int
     counts: dict
     group_order: int
-    model_count: int
     # tables derived from counts (cohom's h-moment tables), kept as long as
     # the census is; dataclasses.replace starts them empty
     _moment_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -313,6 +317,12 @@ class _Census:
 
     def mass_sum(self) -> Fraction:
         return sum(self.counts.values()) * self.unit
+
+    @property
+    def model_count(self) -> int:
+        """The models the census stands for: the group order times the
+        mass, which the checks fix at q (elliptic) or q^3 (genus 2)."""
+        return int(self.mass_sum() * self.group_order)
 
 
 class EllCensus(_Census):
@@ -325,11 +335,8 @@ class EllCensus(_Census):
 
 
 class G2Census(_Census):
-    """Distribution of (t1, e) = (a1 + a2, a1 a2) for genus-2 curves over F_q.
-
-    counts are in (monic model, twist sign) units; each unit carries mass
-    (q-1)/2 / group_order.
-    """
+    """Distribution of (t1, e) = (a1 + a2, a1 a2) for genus-2 curves over F_q,
+    in (monic model, twist sign) counts of mass (q-1)/2 / group_order."""
 
     @property
     def unit(self) -> Fraction:
@@ -389,7 +396,7 @@ def _ell_from_traces(q: int, traces: np.ndarray, group_order: int, weights=1) ->
     cnt = np.zeros(2 * offset + 1, np.int64)
     np.add.at(cnt, traces + offset, weights)
     counts = {int(t - offset): int(c) for t, c in enumerate(cnt) if c}
-    census = EllCensus(q, counts, group_order, int(cnt.sum()))
+    census = EllCensus(q, counts, group_order)
     _validate_ell(census)
     return census
 
@@ -403,10 +410,6 @@ def _validate_ell(census: EllCensus) -> None:
         f"trace counts over F_{q} not symmetric under t -> -t",
     )
     _require(census.mass_sum() == q, f"mass sum {census.mass_sum()} != {q}")
-    _require(
-        census.model_count == census.group_order * q,
-        f"model count {census.model_count} != group order * q",
-    )
 
 
 def _ell_census_compute(q: int) -> EllCensus:
@@ -542,23 +545,22 @@ def _g2_pass(q: int, d: int):
     yield d, S1 + at_infinity, S2, weights
 
 
-def _chunk_stats(q: int, S1, S2, weight=1) -> tuple[dict[tuple[int, int], int], int]:
+def _chunk_stats(q: int, S1, S2, weight=1) -> dict[tuple[int, int], int]:
     """(t1, e) histogram over both twists of the models with character
-    sums S1, S2, and the number of models, model i counted weight[i] times
-    (a number: the same for all)."""
-    weight = np.broadcast_to(weight, S1.shape)
+    sums S1, S2, model i counted weight[i] times (a number: the same for
+    all).  S1 is counted into the Weil box |t1| <= 4 sqrt(q), |e| <= 4q, and
+    the twist -S1 added as the mirror image."""
     ssum = S1.astype(np.int64) ** 2 + S2 - 4 * q
     _require(not np.any(ssum & 1), "parity of t1^2 - (a1^2+a2^2) broken")
     e = ssum >> 1
-    # (t1 + 2q, e + 2q^2) in base 4q^2 + 1, for t1 = -S1 and then S1
-    t1 = np.concatenate([-S1, S1]).astype(np.int64)
-    keys = (t1 + 2 * q) * (4 * q * q + 1) + np.tile(e + 2 * q * q, 2)
-    uniq, which = np.unique(keys, return_inverse=True)
-    cnt = np.zeros(len(uniq), np.int64)
-    np.add.at(cnt, which, np.tile(weight, 2))
-    t1, e = np.divmod(uniq, 4 * q * q + 1)
-    counts = dict(zip(zip((t1 - 2 * q).tolist(), (e - 2 * q * q).tolist()), cnt.tolist()))
-    return counts, int(weight.sum())
+    t1_max = math.isqrt(16 * q)
+    # checked before counting, as add.at would wrap a negative index
+    _require(np.all(np.abs(S1) <= t1_max) and np.all(np.abs(e) <= 4 * q), "Weil bound violated")
+    cnt = np.zeros((2 * t1_max + 1, 8 * q + 1), np.int64)
+    np.add.at(cnt, (S1 + t1_max, e + 4 * q), weight)
+    cnt += cnt[::-1]
+    t1, e = np.nonzero(cnt)
+    return dict(zip(zip((t1 - t1_max).tolist(), (e - 4 * q).tolist()), cnt[t1, e].tolist()))
 
 
 def _g2_census_compute(q: int) -> G2Census:
@@ -570,17 +572,9 @@ def _g2_census_compute(q: int) -> G2Census:
     if _field(q).p == 2:
         raise FieldTooLarge("characteristic-2 genus-2 census is not implemented")
     _, S1, S2, weight = map(np.hstack, zip(*(item for d in (6, 5) for item in _g2_pass(q, d))))
-    counts, model_count = _chunk_stats(q, S1, S2, weight)
-    _require(
-        model_count % _N1_LCM == 0 and all(c % _N1_LCM == 0 for c in counts.values()),
-        f"a count in units of 1/{_N1_LCM} is not whole",
-    )
-    census = G2Census(
-        q,
-        {key: c // _N1_LCM for key, c in counts.items()},
-        group_order=(q * q - 1) * (q * q - q),
-        model_count=model_count // _N1_LCM * (q - 1),
-    )
+    counts = _chunk_stats(q, S1, S2, weight)
+    _require(all(c % _N1_LCM == 0 for c in counts.values()), "a count in 1/60 units is not whole")
+    census = G2Census(q, {k: c // _N1_LCM for k, c in counts.items()}, (q * q - 1) * (q * q - q))
     _validate_g2(census)
     return census
 
@@ -588,10 +582,6 @@ def _g2_census_compute(q: int) -> G2Census:
 def _validate_g2(census: G2Census) -> None:
     q = census.q
     _require(census.mass_sum() == q ** 3, "total genus-2 mass must be q^3")
-    _require(
-        census.model_count == census.group_order * q ** 3,
-        f"model count {census.model_count} != group order * q^3",
-    )
     for (t1, e), c in census.counts.items():
         _require(c > 0, f"non-positive count at {(t1, e)}")
         # each monic model is counted with both twist signs, t1 and -t1
@@ -799,11 +789,11 @@ def _load_cache(kind: str, q: int):
         payload = json.loads(path.read_text())
         if kind == "ell":
             counts = {int(t): int(c) for t, c in payload["counts"]}
-            census = EllCensus(q, counts, int(payload["group_order"]), int(payload["model_count"]))
+            census = EllCensus(q, counts, int(payload["group_order"]))
             _validate_ell(census)
         else:
             counts = {(int(t1), int(e)): int(c) for t1, e, c in payload["counts"]}
-            census = G2Census(q, counts, int(payload["group_order"]), int(payload["model_count"]))
+            census = G2Census(q, counts, int(payload["group_order"]))
             _validate_g2(census)
         if payload != _cache_payload(kind, q, census):
             raise ValueError("fields disagree with the counts or the file name")

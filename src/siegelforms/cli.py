@@ -215,13 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--row", type=int, nargs=4, metavar=("R", "J", "K", "L"))
     h.add_argument("--pmax", type=int, default=37)
     h.set_defaults(func=cmd_harder)
+    # the global options alone, the subcommand and all after it left over (see main)
+    ap.globals = _Parser(prog=ap.prog, add_help=False, parents=[common])
+    ap.globals.add_argument("rest", nargs=argparse.REMAINDER)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     defaults = argparse.Namespace(json=False, cite=False, cache_dir=None)
     try:
-        args = build_parser().parse_args(argv, defaults)
+        ap = build_parser()
+        try:
+            args = ap.parse_args(argv, defaults)
+        except InvalidInput:  # an unknown option before the subcommand: name it, not its value
+            ap.globals.parse_args(argv)
+            raise
         cache_dir = args.cache_dir or os.environ.get("SIEGELFORMS_CACHE_DIR")
         if cache_dir:
             from .census import set_cache_dir

@@ -272,12 +272,11 @@ def test_criterion_12_property_suite(mellin_split):
     parts = [_chunk_stats(5, *s) for s in slices]
     merged = []
     for order in (parts, parts[::-1]):
-        counts, models = {}, 0
-        for part, n in order:
+        counts = {}
+        for part in order:
             for key, c in part.items():
                 counts[key] = counts.get(key, 0) + c
-            models += n
-        merged.append((counts, models))
+        merged.append(counts)
     assert len(parts) == 5 and merged[0] == merged[1]
     # polynomiality: one degree-3 polynomial (q^3) fits all available totals
     for q in (3, 5, 7, 9):

@@ -287,12 +287,11 @@ def test_g2_real_weil_invariants():
 
 
 def _merged(parts):
-    counts, models = {}, 0
-    for part, n in parts:
+    counts = {}
+    for part in parts:
         for key, c in part.items():
             counts[key] = counts.get(key, 0) + c
-        models += n
-    return counts, models
+    return counts
 
 
 def test_g2_order_independence():
@@ -302,6 +301,23 @@ def test_g2_order_independence():
     parts = [_chunk_stats(5, *s) for s in slices]
     assert len(parts) == 7
     assert _merged(parts[::-1]) == _merged(parts)
+
+
+@pytest.mark.parametrize("q", (3, 5, 37))
+def test_chunk_stats_checks_the_weil_box(q):
+    # |t1| <= isqrt(16q) and |e| <= 4q; just outside, a negative index would
+    # land in the last row or column of the table, so the check must come
+    # first (and raise, not assert)
+    t1_max = math.isqrt(16 * q)
+    for s1, e in ((t1_max + 1, 0), (-t1_max - 1, 0), (0, -4 * q - 1)):
+        S1 = np.array([0, s1], dtype=np.int32)
+        S2 = 4 * q + 2 * np.array([0, e]) - S1.astype(np.int64) ** 2
+        with pytest.raises(CensusInvariantError, match="Weil bound"):
+            _chunk_stats(q, S1, S2)
+    S1 = np.array([t1_max, 0])
+    assert _chunk_stats(q, S1, 4 * q - S1 ** 2 + 2 * np.array([0, -4 * q])) == {
+        (-t1_max, 0): 1, (0, -4 * q): 2, (t1_max, 0): 1
+    }
 
 
 def test_g2_polynomiality_in_q():
@@ -453,7 +469,8 @@ def _move_one_count(payload):
 
 
 def _bump_model_count(payload):
-    # counts and masses stay as they were, so only the model-count check sees it
+    # counts and masses stay as they were, so only the payload round trip
+    # sees it: the model count is the group order times the mass
     payload["model_count"] += 2
 
 
@@ -764,8 +781,11 @@ def test_translation_reps_match_full_enumeration(q, d):
 def test_census_matches_two_pass_oracle(q):
     # the census from root-free sextics and 1/n1-weighted quintics against
     # the two passes it replaces: full S1 and S2 over every squarefree
-    # sextic and quintic representative
-    counts, models = _merged(_two_pass_stats(q, d, *_rep_models(q, d, 1)) for d in (6, 5))
+    # sextic and quintic representative; each stands for q - 1 binary
+    # sextics per orbit model
+    reps = [_rep_models(q, d, 1) for d in (6, 5)]
+    counts = _merged(_two_pass_stats(q, d, *rep) for d, rep in zip((6, 5), reps))
+    models = sum(int(weights.sum()) for _, weights in reps)
     census = _g2_census_compute(q)
     assert (census.counts, census.group_order, census.model_count) == (
         counts, (q * q - 1) * (q * q - q), models * (q - 1)
@@ -863,16 +883,25 @@ def test_char_sums_under_affine_substitution(data):
 
 
 def test_invariants_survive_optimized_mode(run_optimized):
-    # the mass check raises under python -O, and the CLI exits 1 on it
+    # the mass check and the Weil box of the (t1, e) table raise under
+    # python -O, and the CLI exits 1 on the mass check
     proc = run_optimized("""
+import numpy as np
 from siegelforms import census, cli
-bad = census.G2Census(3, {(0, 0): 1}, group_order=48, model_count=1)
+bad = census.G2Census(3, {(0, 0): 1}, group_order=48)
 try:
     census._validate_g2(bad)
 except census.CensusInvariantError:
     pass
 else:
     raise SystemExit("wrong mass accepted")
+for s1, e in ((9, 0), (-9, 0), (0, -21)):  # q = 5: |t1| <= 8, |e| <= 20
+    try:
+        census._chunk_stats(5, np.array([s1]), np.array([20 + 2 * e - s1 * s1]))
+    except census.CensusInvariantError:
+        pass
+    else:
+        raise SystemExit(f"(t1, e) = {(s1, e)} outside the Weil box accepted")
 def broken(q):
     census._validate_g2(bad)
 census.g2_census = broken

@@ -136,6 +136,12 @@ def test_config_errors(capsys):
         assert code == 3 and out == ""
         assert err.startswith("config error: ")
     assert "unrecognized arguments: --precision-bits 256" in err
+    # an unknown option with a value before the subcommand is named as
+    # such, not its value as an invalid subcommand; a bad subcommand still is
+    code, out, err = run(capsys, "--bogus", "1", "census", "--genus", "1", "--q", "3")
+    assert (code, out) == (3, "") and "unrecognized arguments: --bogus\n" in err
+    code, out, err = run(capsys, "--json", "nope")
+    assert (code, out) == (3, "") and "invalid choice: 'nope'" in err
 
 
 def test_missing_census_exit_code(capsys):

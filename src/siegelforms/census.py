@@ -780,13 +780,16 @@ def _save_cache(kind: str, q: int, census) -> None:
 
 def _load_cache(kind: str, q: int):
     """The census cached for (kind, q), None when there is no file, and
-    CacheError when the file is not exactly what _save_cache writes for a
-    census that passes the checks a fresh one passes."""
+    CacheError when the file's text is not, byte for byte, what _save_cache
+    writes for a census that passes the checks a fresh one passes.  Classes,
+    counts and the group order are parsed with int(), so a 5.0 or a true in
+    the file is written back as 5 or 1 and fails the comparison."""
     path = _cache_path(kind, q)
     if path is None or not path.exists():
         return None
     try:
-        payload = json.loads(path.read_text())
+        text = path.read_text()
+        payload = json.loads(text)
         if kind == "ell":
             counts = {int(t): int(c) for t, c in payload["counts"]}
             census = EllCensus(q, counts, int(payload["group_order"]))
@@ -795,8 +798,8 @@ def _load_cache(kind: str, q: int):
             counts = {(int(t1), int(e)): int(c) for t1, e, c in payload["counts"]}
             census = G2Census(q, counts, int(payload["group_order"]))
             _validate_g2(census)
-        if payload != _cache_payload(kind, q, census):
-            raise ValueError("fields disagree with the counts or the file name")
+        if text != json.dumps(_cache_payload(kind, q, census), sort_keys=True):
+            raise ValueError("not the text the cache writes for its counts and file name")
         return census
     except (
         OSError, KeyError, TypeError, ValueError, ZeroDivisionError, CensusInvariantError

@@ -82,9 +82,6 @@ class SatakeElement:
     def __eq__(self, other):
         return self.g == other.g and self.terms == other.terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- Weyl action: tau_i swaps u_i <-> v_i, index transpositions swap
     # the pairs; on the similitude-consistent monomials this realizes the
     # action on Satake parameters (alpha_0 -> alpha_0 alpha_i,
@@ -266,14 +263,6 @@ def satake_Ti(g: int, i: int) -> SatakeElement:
     return satake_Tp(g) * satake_Tp(g) - _square_tail(g)
 
 
-def satake_Tpsq(g: int) -> SatakeElement:
-    """Image of T(p^2) = sum_i T_i(p^2)."""
-    out = SatakeElement.zero(g)
-    for i in range(g + 1):
-        out = out + satake_Ti(g, i)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # identity verification
 
@@ -310,28 +299,18 @@ def _hecke_quartic_images() -> list[SatakeElement]:
     ]
 
 
-def _hecke_quartic_rewritten() -> list[SatakeElement]:
-    """Same polynomial with the X^2 coefficient rewritten through T(p)^2 and
-    T(p^2)."""
-    g = 2
-    T = satake_Tp(g)
-    c = _hecke_quartic_images()
-    c[2] = T * T - satake_Tpsq(g) - satake_Ti(g, 2) * SatakeElement.prime_power(g, 2)
-    return c
-
-
 def verify_identity(name: str) -> bool:
     """Check one of the genus-2 Hecke-algebra identities as an exact
     Laurent-polynomial identity in the formal prime P.
 
-    The T_0(p^2) image is pinned by the square relation T(p)^2 = sum of the
-    T_i(p^2) with their degree coefficients, so "quartic_rewrite" and
-    "series_consistency" hold by construction for any T_1(p^2), T_2(p^2)
-    images, as does the last comparison of "square_relation" at g = 2.  A
-    wrong T_i(p^2) image shows up in "quartic_phi0", which compares with a
-    product over the Satake parameters, and in the structure checks of
-    "square_relation"."""
-    g = 2
+    Each identity fails for some wrong T_i(p^2) image.  "quartic_phi0"
+    compares the Hecke polynomial written in T(p), T_1(p^2), T_2(p^2) with
+    the product over the Satake parameters.  "square_relation" checks the
+    genus-1 square relation, whose T_0(p^2) image comes from the corank
+    counts, and that the genus-2 T_0(p^2) image, which the square relation
+    T(p)^2 = sum of the T_i(p^2) with their degree coefficients defines,
+    has the structure of a double-coset image.  The genus-2 square relation
+    itself holds by that definition, so nothing here checks it."""
     if name == "square_relation":
         # at g = 1 the relation is independently checkable: the printed
         # T_0(p^2) image comes from the corank-count formula
@@ -343,40 +322,14 @@ def verify_identity(name: str) -> bool:
         if not t0.is_weyl_invariant():
             return False
         # the v_1^2 v_2^2 coefficient, as a polynomial in P, is exactly 1
-        if {k[-1]: c for k, c in t0.terms.items() if k[:-1] == (0, 0, 2, 2)} != {0: 1}:
-            return False
-        return satake_Tp(g) * satake_Tp(g) == t0 + _square_tail(g)
+        return {k[-1]: c for k, c in t0.terms.items() if k[:-1] == (0, 0, 2, 2)} == {0: 1}
     if name == "quartic_phi0":
-        prod_coeffs = _quartic_phi0_coeffs()
-        if prod_coeffs != _hecke_quartic_images():
-            return False
-        # and phi_0 = v_1 v_2 must be a root
-        phi0 = phi(g, 0)
-        acc = SatakeElement.zero(g)
-        for d, c in enumerate(prod_coeffs):
-            acc = acc + c * phi0 ** d
-        return acc.is_zero()
-    if name == "quartic_rewrite":
-        return _hecke_quartic_images() == _hecke_quartic_rewritten()
-    if name == "series_consistency":
-        # z^2 coefficient of (1 - p^2 T_2 z^2) / (z^4 F(1/z)) must be the
-        # image of T(p^2) = T_0 + T_1 + T_2
-        c = _hecke_quartic_images()
-        # z^4 F(1/z) = 1 + c3 z + c2 z^2 + c1 z^3 + c0 z^4 (F monic, c4 = 1)
-        a1, a2 = c[3], c[2]
-        # inverse power series to order 2: 1 - a1 z + (a1^2 - a2) z^2
-        inv2 = a1 * a1 - a2
-        z2 = inv2 - satake_Ti(g, 2) * SatakeElement.prime_power(g, 2)
-        return z2 == satake_Tpsq(g)
+        # the product has phi_0 = v_1 v_2 among its roots by construction
+        return _quartic_phi0_coeffs() == _hecke_quartic_images()
     raise ValueError(f"unknown identity {name!r}")
 
 
-ALL_IDENTITIES = (
-    "square_relation",
-    "quartic_phi0",
-    "quartic_rewrite",
-    "series_consistency",
-)
+ALL_IDENTITIES = ("square_relation", "quartic_phi0")
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +372,12 @@ def _check_jk(j: int, k: int) -> None:
 def spin_factor(j: int, k: int, lam_p, lam_psq, p: int) -> EulerFactor:
     """Degree-4 spin Euler factor at the prime p of an eigenform of
     S_{j,k}, motivic weight w = j + 2k - 3.  Needs even j >= 0
-    (S_{j,k} = 0 for odd j) and w >= 1."""
+    (S_{j,k} = 0 for odd j) and w >= 1.
+
+    The X^2 coefficient lambda(p)^2 - lambda(p^2) - p^(w-1) rests on
+    T(p)^2 = sum of the T_i(p^2) with their degree coefficients.  Here that
+    relation defines the T_0(p^2) image (satake_Ti), so it is assumed, not
+    checked, until T(p) and T(p^2) act on Siegel Fourier coefficients."""
     _check_jk(j, k)
     if not is_prime(p):
         raise InvalidInput(f"p = {p} is not a prime")
@@ -442,7 +400,9 @@ def sk_spin_factor(a_p, k: int, p: int):
     (1 - p^(k-1) X)(1 - p^(k-2) X)(1 - a_p X + p^(2k-3) X^2).
 
     Returns (factor, lambda(p), lambda(p^2)) with lambda(p) = a_p + p^(k-1)
-    + p^(k-2) and lambda(p^2) read off the X^2 coefficient.
+    + p^(k-2) and lambda(p^2) read off the X^2 coefficient; expanding the
+    product gives the X and X^3 coefficients -lambda(p) and
+    -lambda(p) p^(2k-3) that spin_factor has.
     """
     if dim_S(2 * k - 2) == 0:
         raise ValueError(f"no cusp forms of weight {2 * k - 2} to lift")
@@ -453,8 +413,6 @@ def sk_spin_factor(a_p, k: int, p: int):
     factor = EulerFactor(c, p, w)
     lam_p = a_p + Fraction(p) ** (k - 1) + Fraction(p) ** (k - 2)
     lam_psq = lam_p ** 2 - c[2] - Fraction(p) ** (w - 1)
-    if c[1] != -lam_p or c[3] != -lam_p * Fraction(p) ** w:
-        raise ValueError(f"spin factor coefficients disagree with lambda({p}) = {lam_p}")
     return factor, lam_p, lam_psq
 
 
@@ -552,7 +510,4 @@ def newton_slopes(factor: EulerFactor, p: int) -> list[Fraction]:
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         s = Fraction(y2 - y1, x2 - x1)
         slopes.extend([s] * (x2 - x1))
-    total = sum(slopes)
-    if total != hull[-1][1] - hull[0][1]:
-        raise ValueError(f"slopes sum to {total}, not the polygon's rise")
     return slopes

@@ -71,12 +71,7 @@ def test_census_commands(capsys):
 def test_satake_verify_all(capsys):
     code, out, _ = run(capsys, "satake", "--verify-all", "--json")
     assert code == 0
-    assert json.loads(out) == {
-        "quartic_phi0": True,
-        "quartic_rewrite": True,
-        "series_consistency": True,
-        "square_relation": True,
-    }
+    assert json.loads(out) == {"quartic_phi0": True, "square_relation": True}
 
 
 def test_satake_spin_slopes(capsys):
@@ -325,6 +320,35 @@ def test_twist_asymmetric_cache_exit_code(tmp_path, capsys):
         census.set_cache_dir(None)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("[-6, 5]", "[-6, 5.0]", id="float-count"),
+        pytest.param('"group_order": 10', '"group_order": 10.0', id="float-group-order"),
+        pytest.param("[-6, ", "[-6.0, ", id="float-trace"),  # in counts and masses
+        pytest.param("[1, ", "[true, ", id="boolean-trace"),  # int(True) == 1
+        pytest.param('"version": 1', '"version": true', id="boolean-version"),  # True == 1
+        pytest.param(None, lambda text: json.dumps(json.loads(text), sort_keys=True, indent=1), id="pretty-printed"),
+    ],
+)
+def test_noncanonical_cache_exit_code(tmp_path, capsys, old, new):
+    from siegelforms import census
+
+    # each copy still decodes to the counts of the golden file, but is not
+    # the text the cache writes
+    golden = Path(__file__).resolve().parents[1] / ".census_cache" / "ell_q11_v1.json"
+    text = golden.read_text()
+    tampered = new(text) if old is None else text.replace(old, new)
+    assert tampered != text
+    (tmp_path / golden.name).write_text(tampered)
+    try:
+        code, _, err = run(capsys, "--cache-dir", str(tmp_path), "census", "--genus", "1", "--q", "11")
+        assert code == 2
+        assert "corrupt census cache" in err and "not the text" in err
+    finally:
+        census.set_cache_dir(None)
+
+
 def test_unreadable_cache_exit_code(tmp_path, capsys):
     from siegelforms import census
 
@@ -406,7 +430,7 @@ README_JSON = {
     "igusa --form chi10 --max-disc 20": "1fc21fe65aa730cbf438c3527b93e640964134dccd850e9c56d696df06aa5e5c",
     "g1 --weight 12 --ratios": "716255226c539e44d7bee9a6d08b4e715095175058b808c2f294c14e3baf82ba",
     "g1 --weight 22 --congruence-primes": "6a166e5a11b8919033608823eaa286c97fb8fadba27c80a3861b2460ecb5c29e",
-    "satake --verify-all": "d209e56c25be08530b16d84caa41f33e952c90dde20652a98c19d16a1c5bbf39",
+    "satake --verify-all": "6826f3e59fa7e3ea62f1606d75ccc0d3ff56db0b6196aefc10972943a3e92dba",
     "satake --spin 6 8 2 0 -57344 --slopes": "9506be08ffc2756915bdecda5108935ba51b4ba1903c5a1797f456888dcbd957",
     "harder --row 22 4 10 41 --pmax 37": "c764cc8329ffb0d65ea3273dad83b4c9e8a6db1ca518341043e73909d49779bd",
     "harder --all": "07723cd93b34bf865b1f14fd14ffd33f2216f45431d8aff8ffee407462a31302",

@@ -33,22 +33,38 @@ def test_all_identities():
         verify_identity("nonsense")
 
 
-def test_quartic_phi0_catches_a_wrong_T1_image(monkeypatch):
-    # quartic_rewrite and series_consistency hold for any T_1(p^2) image
-    # once T_0(p^2) is pinned by the square relation; quartic_phi0 does not
-    wrong = phi(2, 1) * phi(2, 1)
+# wrong terms added to a T_i(p^2) image, and the identities each one fails:
+# phi_1^2 breaks the Weyl invariance of T_0(p^2), T(p)^2 keeps it and moves
+# the v_1^2 v_2^2 coefficient, and only quartic_phi0 sees the other two
+WRONG_TERMS = {
+    "phi1_squared": (phi(2, 1) * phi(2, 1), {"quartic_phi0", "square_relation"}),
+    "Tp_squared": (satake_Tp(2) * satake_Tp(2), {"quartic_phi0", "square_relation"}),
+    "phi0_phi2": (phi(2, 0) * phi(2, 2), {"quartic_phi0"}),
+    "phi0_phi2_over_P": (phi(2, 0) * phi(2, 2) * SatakeElement.prime_power(2, -1), {"quartic_phi0"}),
+}
+
+
+@pytest.mark.parametrize("term", sorted(WRONG_TERMS))
+@pytest.mark.parametrize("i", [1, 2])
+def test_identities_catch_a_wrong_Ti_image(monkeypatch, i, term):
+    wrong, expected = WRONG_TERMS[term]
     monkeypatch.setattr(
-        hecke_satake, "satake_Ti", lambda g, i: satake_Ti(g, i) + wrong if (g, i) == (2, 1) else satake_Ti(g, i)
+        hecke_satake, "satake_Ti", lambda g, j: satake_Ti(g, j) + wrong if (g, j) == (2, i) else satake_Ti(g, j)
     )
     # satake_Ti(2, 0) memoizes a T_0 built from the module's satake_Ti(2, 1)
+    # and satake_Ti(2, 2)
     satake_Ti.cache_clear()
     try:
-        assert not verify_identity("quartic_phi0")
-        assert not verify_identity("square_relation")
+        assert {name for name in ALL_IDENTITIES if not verify_identity(name)} == expected
     finally:
         monkeypatch.undo()
         satake_Ti.cache_clear()
     assert all(verify_identity(name) for name in ALL_IDENTITIES)
+
+
+def test_every_identity_can_fail():
+    # the test above pins the identities each wrong term fails
+    assert set().union(*(expected for _, expected in WRONG_TERMS.values())) == set(ALL_IDENTITIES)
 
 
 def test_spin_factor_rejects_empty_spaces():
@@ -83,8 +99,6 @@ def test_T0_extension_fails_at_g2():
     # ... but NOT at genus 2, where the square relation pins a different
     # image (phi_0 phi_2 coefficient -2/P, not (P^3 - P^2)/P^3)
     assert satake_T0_extension(2) != satake_Ti(2, 0)
-    diff = satake_T0_extension(2) - satake_Ti(2, 0)
-    assert not diff.is_zero()
 
 
 def test_weyl_invariance_of_images():

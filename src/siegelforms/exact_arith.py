@@ -288,11 +288,9 @@ def factorize(n: int) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class QuadElem:
-    """Element a + b*sqrt(disc) of a real quadratic field.
-
-    disc must be a positive non-square; elements of different fields never
-    mix (raises ValueError), which keeps e.g. Q(sqrt(18209)) and
-    Q(sqrt(25249)) computations honestly separated.
+    """Element a + b*sqrt(disc) of a real quadratic field, disc a positive
+    non-square.  The pipeline builds, negates and embeds these and takes
+    their minimal polynomials (min_poly); it does no field arithmetic.
     """
 
     disc: int
@@ -305,81 +303,8 @@ class QuadElem:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
 
-    def _coerce(self, other) -> "QuadElem":
-        if isinstance(other, QuadElem):
-            if other.disc != self.disc:
-                raise ValueError(f"mixed discriminants {self.disc} and {other.disc}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.disc, Fraction(other), Fraction(0))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadElem(self.disc, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return QuadElem(self.disc, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadElem(self.disc, self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadElem(
-            self.disc,
-            self.a * o.a + self.disc * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero quadratic element")
-        conj = o.conjugate()
-        num = self * conj
-        return QuadElem(self.disc, num.a / n, num.b / n)
-
-    def __rtruediv__(self, other):
-        return QuadElem(self.disc, Fraction(other), Fraction(0)) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return QuadElem(self.disc, 1, 0) / self ** (-n)
-        out = QuadElem(self.disc, 1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conjugate(self) -> "QuadElem":
-        return QuadElem(self.disc, self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.disc * self.b * self.b
-
-    def trace(self) -> Fraction:
-        return 2 * self.a
 
     def embed(self, plus: bool = True) -> mp.mpf:
         """Numeric value a + b*sqrt(disc) (plus) or a - b*sqrt(disc)."""
@@ -387,22 +312,6 @@ class QuadElem:
         return mp.mpf(self.a.numerator) / self.a.denominator + (
             1 if plus else -1
         ) * root * self.b.numerator / self.b.denominator
-
-    def min_poly(self) -> list[int]:
-        """Integer coefficients [c0, c1, c2] of a polynomial vanishing at self.
-
-        Monic-scaled: c2 * x^2 + c1 * x + c0 with content 1, or degree 1
-        [c0, c1] when the element is rational.
-        """
-        if self.b == 0:
-            den = self.a.denominator
-            return [-self.a.numerator, den]
-        tr = self.trace()
-        nm = self.norm()
-        den = math.lcm(tr.denominator, nm.denominator)
-        c2, c1, c0 = den, -tr * den, nm * den
-        g = math.gcd(int(c2), math.gcd(int(c1), int(c0)))
-        return [int(c0) // g, int(c1) // g, int(c2) // g]
 
     def to_json(self) -> dict:
         return {"disc": self.disc, "a": rat_str(self.a), "b": rat_str(self.b)}
@@ -415,10 +324,18 @@ def min_poly(value) -> list[int]:
     """Integer minimal polynomial of a rational or a QuadElem, lowest degree
     first, content 1 and leading coefficient positive: monic exactly when
     value is an algebraic integer.  Conjugates share it."""
-    if isinstance(value, QuadElem):
-        return value.min_poly()
-    v = Fraction(value)
-    return [-v.numerator, v.denominator]
+    if isinstance(value, QuadElem) and value.b == 0:
+        value = value.a
+    if not isinstance(value, QuadElem):
+        v = Fraction(value)
+        return [-v.numerator, v.denominator]
+    # x^2 - trace x + norm, cleared of denominators
+    tr = 2 * value.a
+    nm = value.a * value.a - value.disc * value.b * value.b
+    den = math.lcm(tr.denominator, nm.denominator)
+    c2, c1, c0 = den, int(-tr * den), int(nm * den)
+    g = math.gcd(c2, c1, c0)
+    return [c0 // g, c1 // g, c2 // g]
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +510,17 @@ def mpf_to_fraction(x) -> Fraction:
     return -val if sign else val
 
 
-def rational_reconstruct(
-    x, max_den: int, guard_bits: int | None = None
-) -> Fraction:
-    """Best continued-fraction convergent p/q of x with q <= max_den.
+def rational_reconstruct(x) -> Fraction:
+    """Best continued-fraction convergent p/q of x with q <= 2^(guard/2 - 10),
+    the guard being half the current working precision.
 
-    Raises NoConvergent when the residual exceeds 2^-guard_bits (the guard
-    defaults to half the current working precision), which signals that x
-    wasn't computed accurately enough to pin down a rational.
+    Raises NoConvergent when the residual exceeds 2^-guard, which signals
+    that x wasn't computed accurately enough to pin down a rational.  A
+    convergent that is not the true value passes the guard only when a
+    partial quotient above about 2^19 follows it.
     """
-    if guard_bits is None:
-        guard_bits = mp.mp.prec // 2
+    guard_bits = mp.mp.prec // 2
+    max_den = 2 ** (guard_bits // 2 - 10)
     exact = x if isinstance(x, Fraction) else mpf_to_fraction(x)
     # continued-fraction convergents of `exact`
     p_prev, p_cur = 0, 1

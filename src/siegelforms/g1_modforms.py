@@ -91,14 +91,6 @@ class QExpansion:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if self.weight != other.weight:
-            raise ValueError("weights differ")
-        prec = min(self.prec, other.prec)
-        return QExpansion(
-            self.weight, [self.coeffs[n] + other.coeffs[n] for n in range(prec)]
-        )
-
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         if self.weight != other.weight:
             raise ValueError("weights differ")
@@ -107,9 +99,7 @@ class QExpansion:
             self.weight, [self.coeffs[n] - other.coeffs[n] for n in range(prec)]
         )
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "QExpansion") -> "QExpansion":
         prec = min(self.prec, other.prec)
         na, da = _integral(self.coeffs[:prec])
         nb, db = _integral(other.coeffs[:prec])
@@ -117,21 +107,6 @@ class QExpansion:
         return QExpansion(
             self.weight + other.weight, [Fraction(c, d) for c in _convolve(na, nb)]
         )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QExpansion":
-        if n < 0:
-            raise ValueError(f"negative power {n} of a q-expansion")
-        nums, d = _integral(self.coeffs)
-        power = [int(i == 0) for i in range(self.prec)]
-        for _ in range(n):
-            power = _convolve(power, nums)
-        return QExpansion(self.weight * n, [Fraction(c, d ** n) for c in power])
-
-    def scale(self, c) -> "QExpansion":
-        c = Fraction(c)
-        return QExpansion(self.weight, [c * a for a in self.coeffs])
 
     def __repr__(self):
         head = ", ".join(rat_str(c) for c in self.coeffs[:6])
@@ -282,15 +257,14 @@ def char_poly_2x2(mat) -> tuple[Fraction, Fraction]:
 class EigenformG1:
     """Normalized Hecke eigenform of level 1.
 
-    For a 2-dimensional cusp space the coefficients live in Q(sqrt(D));
-    embedding_choice tags which root of the T(2) characteristic polynomial
-    was taken ("plus" means b > 0 in a(2) = a + b sqrt(D)).  Frozen, and
-    eigenforms() stores tuple coefficients, so a shared form cannot change.
+    For a 2-dimensional cusp space the coefficients live in Q(sqrt(D)), and
+    the two forms carry the two roots of the T(2) characteristic polynomial
+    in the sign of b in a(2) = a + b sqrt(D).  Frozen, and eigenforms()
+    stores tuple coefficients, so a shared form cannot change.
     """
 
     weight: int
     field_disc: int
-    embedding_choice: str
     coeffs: tuple  # a(0..prec-1), Fraction or QuadElem
 
     @property
@@ -301,9 +275,6 @@ class EigenformG1:
         if n >= self.prec:
             raise InsufficientPrecision(f"a({n}) beyond stored precision")
         return self.coeffs[n]
-
-    def ap(self, p: int):
-        return self.a(p)
 
     def a_min_poly(self, p: int) -> list[int]:
         """Monic-scaled integer minimal polynomial of a(p)."""
@@ -347,7 +318,7 @@ def _eigenforms(k: int, prec: int) -> tuple[EigenformG1, ...]:
     prec = max(prec, 2 * (d + 1) + 2)
     basis = basis_S(k, prec)
     if d == 1:
-        return (EigenformG1(k, 1, "plus", tuple(basis[0].coeffs)),)
+        return (EigenformG1(k, 1, tuple(basis[0].coeffs)),)
     t, det = char_poly_2x2(hecke_T(k, 2, prec))  # on the basis already built
     disc = t * t - 4 * det
     if disc <= 0:
@@ -358,14 +329,14 @@ def _eigenforms(k: int, prec: int) -> tuple[EigenformG1, ...]:
     if D * s * s != disc:
         raise FormInvariantError(f"{disc} != {D} * ({s})^2")
     out = []
-    for tag, sign in (("plus", 1), ("minus", -1)):
+    for sign in (1, -1):
         # basis[0] + lam2 basis[1] with lam2 = (t + sign s sqrt(D)) / 2
         half_t, half_s = t / 2, sign * s / 2
         coeffs = tuple(
             QuadElem(D, b0 + half_t * b1, half_s * b1)
             for b0, b1 in zip(basis[0].coeffs, basis[1].coeffs)
         )
-        out.append(EigenformG1(k, D, tag, coeffs))
+        out.append(EigenformG1(k, D, coeffs))
     return tuple(out)
 
 
@@ -373,9 +344,10 @@ def _eigenforms(k: int, prec: int) -> tuple[EigenformG1, ...]:
 # completed L-function values
 
 # working precision of every L-value: ratios and congruence primes read the
-# same integers at 128, 256 and 512 bits up to weight 34 (weight 38 fails in
-# rational_reconstruct at any precision), and _n_terms stays below the 128
-# coefficients eigenforms() stores by default (92 at weight 38)
+# same integers at 256 and 512 bits up to weight 38, whose 66-bit
+# denominators stay below the 2^70 that rational_reconstruct accepts here,
+# and _n_terms stays below the 128 coefficients eigenforms() stores by
+# default (92 at weight 38)
 _PREC_BITS = 256
 
 
@@ -455,8 +427,8 @@ def _critical_entries(f: EigenformG1, g: EigenformG1) -> list:
             coords = []
             for t, x, y in cls:
                 xp, xm = x / x0, y / y0
-                a = rational_reconstruct((xp + xm) / 2, 10 ** 18, guard_bits=140)
-                b = rational_reconstruct((xp - xm) / (2 * sqrtD), 10 ** 18, guard_bits=140)
+                a = rational_reconstruct((xp + xm) / 2)
+                b = rational_reconstruct((xp - xm) / (2 * sqrtD))
                 coords.append((t, a, b))
             lcm = math.lcm(*(x.denominator for _, a, b in coords for x in (a, b)))
             gcd = math.gcd(*(int(x * lcm) for _, a, b in coords for x in (a, b)))

@@ -29,8 +29,13 @@ def cusp_dims_jk() -> dict[tuple[int, int], int]:
 
 
 def dim_S_jk(j: int, k: int) -> int | None:
-    """Bundled dimension, or None when outside the table."""
-    return cusp_dims_jk().get((j, k))
+    """Bundled dimension, or None when outside the tables: cusp_dims_jk(),
+    then the dim_sjk column of the congruence rows, which also lists
+    spaces with j > 18."""
+    d = cusp_dims_jk().get((j, k))
+    if d is None:
+        d = next((row.dim_sjk for row in congruence_rows() if (row.j, row.k) == (j, k)), None)
+    return d
 
 
 @lru_cache(maxsize=None)

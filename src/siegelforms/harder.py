@@ -135,7 +135,7 @@ def _census_lambda(j: int, k: int, p: int) -> Fraction:
 def eigen_records(
     j: int,
     k: int,
-    dim_sjk: int,
+    dim_sjk: int | None,
     p_max: int,
 ) -> dict[int, list[EigenRecord]]:
     """Available lambda(p) records for p <= p_max, keyed by p.  A key maps
@@ -174,19 +174,6 @@ def eigen_records(
 # the congruence checks
 
 
-def _resolve_dim_sjk(j: int, k: int) -> int:
-    """Dimension of S_{j,k} from the bundled tables; 0 means unknown, which
-    disables the census source (a trace of a higher-dimensional space is
-    not an eigenvalue)."""
-    d = dim_S_jk(j, k)
-    if d is not None:
-        return d
-    for row in congruence_rows():
-        if (row.j, row.k) == (j, k):
-            return row.dim_sjk
-    return 0
-
-
 def _check_p_max(p_max: int) -> None:
     if p_max < 2:
         raise InvalidInput(f"p_max = {p_max} is below the smallest prime")
@@ -207,7 +194,7 @@ def check_congruence(j: int, k: int, r: int, ell: int, p_max: int = 37) -> Congr
     _check_jk(j, k)
     _check_p_max(p_max)
     f = eigenforms(r)[0]
-    records = eigen_records(j, k, _resolve_dim_sjk(j, k), p_max)
+    records = eigen_records(j, k, dim_S_jk(j, k), p_max)
     result = CongruenceResult(r, j, k, ell)
     result.missing = [p for p in primes_upto(p_max) if p not in records]
     if not records:
@@ -264,7 +251,7 @@ def verify_reference_row(p_max: int = 37) -> bool:
     f22 = eigenforms(22)[0]
     for p, ap in a22.items():
         if p < f22.prec:
-            if f22.ap(p) != ap:
+            if f22.a(p) != ap:
                 raise EigenvalueMismatch(f"published a({p}) disagrees with the basis")
     return bool(res.verdict) and len(res.entries) == sum(
         1 for p in a22 if p <= p_max

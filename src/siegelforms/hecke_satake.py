@@ -73,12 +73,6 @@ class SatakeElement:
                 out[k] = out.get(k, 0) + c1 * c2
         return SatakeElement(self.g, out)
 
-    def __pow__(self, n: int) -> "SatakeElement":
-        out = SatakeElement.one(self.g)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return self.g == other.g and self.terms == other.terms
 

@@ -43,7 +43,7 @@ from siegelforms.hecke_satake import (
     spin_factor,
     verify_identity,
 )
-from siegelforms.exact_arith import QuadElem, primes_upto
+from siegelforms.exact_arith import QuadElem, min_poly, primes_upto
 from siegelforms.siegel_g2 import (
     chi10,
     chi12,
@@ -247,7 +247,7 @@ def test_criterion_11_harder_verification():
     assert abs(n) == 282720345772032 and n % 3779 == 0
     f28 = eigenforms(28)[0]
     lam = QuadElem(25249, -6216, 72)
-    n2 = norm_via_resultant(f28.a_min_poly(2), lam.min_poly(), 2 ** 20 + 2 ** 7)
+    n2 = norm_via_resultant(f28.a_min_poly(2), min_poly(lam), 2 ** 20 + 2 ** 7)
     assert n2 % 4057 == 0
     results = run_table()
     testable = [r for r in results if not r.untestable]
@@ -310,7 +310,7 @@ def test_criterion_12_property_suite(mellin_split):
             if dim_S(r) in (1, 2):
                 for f in eigenforms(r, prec=40):
                     for p in primes_upto(37):
-                        v = f.ap(p)
+                        v = f.a(p)
                         vals = (
                             [v.embed(True), v.embed(False)]
                             if isinstance(v, QuadElem)

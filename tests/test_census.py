@@ -339,7 +339,7 @@ def test_multi_group_censuses_match_eichler_selberg(p, i):
     # fields here; the trace on S[k] is alpha^i + beta^i, alpha + beta = a(p)
     # and alpha beta = p^(k-1)
     for k in (12, 16, 18, 20, 22, 26):
-        a, norm = eigenforms(k)[0].ap(p), p ** (k - 1)
+        a, norm = eigenforms(k)[0].a(p), p ** (k - 1)
         power_sums = [2, a]  # s_j = a s_(j-1) - norm s_(j-2)
         while len(power_sums) <= i:
             power_sums.append(a * power_sums[-1] - norm * power_sums[-2])

@@ -43,9 +43,9 @@ def test_g1_ratios_share_the_scan_precision_cap(capsys, monkeypatch):
     builds = []
     form = g1_modforms.EigenformG1
 
-    def counted(weight, disc, tag, coeffs):
+    def counted(weight, disc, coeffs):
         builds.append((weight, len(coeffs)))
-        return form(weight, disc, tag, coeffs)
+        return form(weight, disc, coeffs)
 
     monkeypatch.setattr(g1_modforms, "EigenformG1", counted)
     g1_modforms._eigenforms.cache_clear()
@@ -430,6 +430,7 @@ README_JSON = {
     "igusa --form chi10 --max-disc 20": "1fc21fe65aa730cbf438c3527b93e640964134dccd850e9c56d696df06aa5e5c",
     "g1 --weight 12 --ratios": "716255226c539e44d7bee9a6d08b4e715095175058b808c2f294c14e3baf82ba",
     "g1 --weight 22 --congruence-primes": "6a166e5a11b8919033608823eaa286c97fb8fadba27c80a3861b2460ecb5c29e",
+    "g1 --weight 38 --congruence-primes": "a93b804fe3ec73bf0dde24b2bf4f55e3407d98755a38422bce41a1650db57229",
     "satake --verify-all": "6826f3e59fa7e3ea62f1606d75ccc0d3ff56db0b6196aefc10972943a3e92dba",
     "satake --spin 6 8 2 0 -57344 --slopes": "9506be08ffc2756915bdecda5108935ba51b4ba1903c5a1797f456888dcbd957",
     "harder --row 22 4 10 41 --pmax 37": "c764cc8329ffb0d65ea3273dad83b4c9e8a6db1ca518341043e73909d49779bd",

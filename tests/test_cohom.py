@@ -28,7 +28,7 @@ from siegelforms.cohom import (
 )
 from siegelforms.exact_arith import InvalidInput
 from siegelforms.g1_modforms import dim_S, hecke_T, mat_trace
-from siegelforms.g2data import cusp_dims_jk, dim_S_jk, published_lambdas, s68_table
+from siegelforms.g2data import congruence_rows, cusp_dims_jk, dim_S_jk, published_lambdas, s68_table
 
 
 def test_sp_char_rejects_l_below_m_or_negative_m():
@@ -448,6 +448,28 @@ def test_lambda_psq():
         lambda_psq(8, 10, 3)  # two-dimensional space
     with pytest.raises(FieldTooLarge):
         lambda_psq(6, 8, 5)  # g2_census(25) is above MAX_Q_G2
+
+
+def test_dimensions_listed_only_in_the_congruence_rows():
+    rows = {(row.j, row.k): row.dim_sjk for row in congruence_rows()}
+    dims = cusp_dims_jk()
+    assert all(rows[jk] == d for jk, d in dims.items() if jk in rows)
+    only_rows = sorted(jk for jk in rows if jk not in dims)
+    assert only_rows == [(20, 5), (20, 6), (22, 6), (24, 4), (24, 5), (26, 5), (28, 4), (32, 4)]
+    assert [dim_S_jk(*jk) for jk in only_rows] == [rows[jk] for jk in only_rows]
+    rep = trace_T_Sjk(28, 4, 3)
+    assert rep.dim == 1 and rep.to_json()["is_eigenvalue"]
+
+
+def test_lambda_psq_on_a_space_only_the_congruence_rows_list():
+    # lambda(9) on S_{28,4}: the spinor roots a have |a| = p^(w/2), so both
+    # roots y = a + p^w/a of y^2 - lambda y + c, c = e2 - 2 p^w, are real
+    # and |y| <= 2 p^(w/2)
+    p, w = 3, 28 + 2 * 4 - 3
+    lam = trace_T_Sjk(28, 4, p).result
+    c = lam ** 2 - lambda_psq(28, 4, p) - p ** (w - 1) - 2 * p ** w
+    assert c.denominator == 1 and lam ** 2 >= 4 * c and lam ** 2 <= 16 * p ** w
+    assert 4 * p ** w + c >= 0 and (4 * p ** w + c) ** 2 >= 4 * p ** w * lam ** 2
 
 
 def test_spin_root_symmetric_function():

@@ -20,6 +20,7 @@ from siegelforms.exact_arith import (
     finite_field,
     gen_bernoulli,
     is_fundamental_discriminant,
+    is_prime,
     kronecker,
     min_poly,
     mobius,
@@ -247,56 +248,24 @@ def test_generator_search_stops_on_a_product_that_is_not_a_field_product(product
 # -- quadratic field elements
 
 
-quad_rats = st.fractions(
-    min_value=-20, max_value=20, max_denominator=12
-)
-
-
-@given(quad_rats, quad_rats, quad_rats, quad_rats)
-@settings(max_examples=100)
-def test_quadelem_norm_multiplicative(a, b, c, d):
-    x = QuadElem(144169, a, b)
-    y = QuadElem(144169, c, d)
-    assert (x * y).norm() == x.norm() * y.norm()
-
-
-@given(quad_rats, quad_rats, quad_rats, quad_rats)
-@settings(max_examples=100)
-def test_quadelem_conjugate_homomorphism(a, b, c, d):
-    x = QuadElem(5, a, b)
-    y = QuadElem(5, c, d)
-    assert (x + y).conjugate() == x.conjugate() + y.conjugate()
-    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-
-
 def test_quadelem_mixed_disc_rejected():
-    x = QuadElem(18209, 1, 1)
-    y = QuadElem(25249, 1, 1)
-    with pytest.raises(ValueError):
-        _ = x + y
     with pytest.raises(ValueError):
         QuadElem(9, 1, 1)  # perfect square
     with pytest.raises(ValueError):
         QuadElem(-5, 1, 1)
 
 
-def test_quadelem_division_and_powers():
-    x = QuadElem(5, Fraction(3), Fraction(2))
-    assert x / x == QuadElem(5, 1, 0)
-    assert x ** 3 == x * x * x
-    assert (1 / x) * x == QuadElem(5, 1, 0)
-
-
 def test_quadelem_min_poly():
     x = QuadElem(144169, 540, 12)
-    c0, c1, c2 = x.min_poly()
+    c0, c1, c2 = min_poly(x)
     assert c2 == 1 and c1 == -1080
     assert c0 == 540 ** 2 - 144 * 144169
 
 
 def test_min_poly_of_rationals_and_quadelems():
     x = QuadElem(144169, 540, 12)
-    assert min_poly(x) == min_poly(x.conjugate()) == x.min_poly()
+    assert min_poly(x) == min_poly(QuadElem(144169, 540, -12))
+    assert min_poly(QuadElem(5, Fraction(-3, 2), 0)) == [3, 2]
     assert min_poly(Fraction(-528)) == min_poly(-528) == [528, 1]
     assert min_poly(Fraction(1, 2)) == [-1, 2]  # not monic: not an integer
 
@@ -311,9 +280,9 @@ def test_quadelem_to_json():
 
 def test_rational_reconstruct_trivial():
     with mp.workprec(256):
-        assert rational_reconstruct(mp.mpf(0.5), 10) == Fraction(1, 2)
+        assert rational_reconstruct(mp.mpf(0.5)) == Fraction(1, 2)
     with mp.workprec(200):
-        assert rational_reconstruct(mp.mpf(25) / 48, 10 ** 6) == Fraction(25, 48)
+        assert rational_reconstruct(mp.mpf(25) / 48) == Fraction(25, 48)
 
 
 def test_rational_reconstruct_round_trip():
@@ -324,13 +293,31 @@ def test_rational_reconstruct_round_trip():
             num = rng.randrange(-10 ** 9, 10 ** 9)
             x = Fraction(num, den)
             approx = mp.mpf(num) / den
-            assert rational_reconstruct(approx, 10 ** 6) == x
+            assert rational_reconstruct(approx) == x
 
 
 def test_rational_reconstruct_pi_rejected():
     with mp.workprec(200):
         with pytest.raises(NoConvergent):
-            rational_reconstruct(mp.pi, 10, guard_bits=100)
+            rational_reconstruct(mp.pi)
+
+
+def test_rational_reconstruct_denominator_bound():
+    # at 320 bits the guard is 160 and denominators up to 2^70 are accepted
+    rng = random.Random(11)
+
+    def random_fraction(bits):
+        while not is_prime(d := rng.getrandbits(bits) | 1 << (bits - 1) | 1):
+            pass
+        return Fraction(rng.randrange(-d, d), d)
+
+    with mp.workprec(320):
+        for bits in (53, 66, 70):
+            x = random_fraction(bits)
+            assert rational_reconstruct(mp.mpf(x.numerator) / x.denominator) == x
+        x = random_fraction(72)
+        with pytest.raises(NoConvergent):
+            rational_reconstruct(mp.mpf(x.numerator) / x.denominator)
 
 
 def test_mpf_to_fraction_exact():

@@ -1,6 +1,8 @@
 import dataclasses
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import mpmath as mp
 import pytest
@@ -37,18 +39,6 @@ def test_eisenstein_sieve_matches_divisor_sums():
         assert eisenstein_e(k, 60).coeffs == expect, k
 
 
-def test_negative_power_raises():
-    e4 = eisenstein_e(4, 5)
-    for n in (-1, -2):
-        with pytest.raises(ValueError):
-            e4 ** n
-    assert e4 ** 0 == QExpansion(0, [1], 5)
-    assert e4 ** 1 == e4
-    assert e4 ** 3 == e4 * e4 * e4
-    half = QExpansion(2, [Fraction(1, 2), Fraction(1, 3)])
-    assert half ** 2 == QExpansion(4, [Fraction(1, 4), Fraction(1, 3)])
-
-
 def test_eisenstein_coefficients():
     e4 = eisenstein_e(4, 3)
     assert e4.coeffs == [1, 240, 2160]
@@ -73,9 +63,9 @@ def test_qexpansion_truncation_bookkeeping():
     a = eisenstein_e(4, 5)
     b = eisenstein_e(6, 3)
     assert (a * b).prec == 3
-    assert (a + eisenstein_e(4, 7)).prec == 5
+    assert (a - eisenstein_e(4, 7)).prec == 5
     with pytest.raises(ValueError):
-        _ = a + b
+        _ = a - b
 
 
 def naive_product(a, b):
@@ -114,7 +104,7 @@ def fraction_basis(k, prec):
     Delta^c e4^a e6^b, c >= 1, built as QExpansion products."""
     e4, e6, dl = eisenstein_e(4, prec), eisenstein_e(6, prec), delta(prec)
     rows = [
-        (dl ** c * e4 ** a * e6 ** b).coeffs
+        reduce(operator.mul, [dl] * c + [e4] * a + [e6] * b).coeffs
         for c in range(1, k // 12 + 1)
         for b in range((k - 12 * c) // 6 + 1)
         for a in [(k - 12 * c - 6 * b) // 4]
@@ -183,25 +173,24 @@ def test_hecke_trace_spot_value():
 
 def test_eigenforms_dim1():
     f18 = eigenforms(18)[0]
-    assert f18.ap(2) == -528
+    assert f18.a(2) == -528
     f22 = eigenforms(22)[0]
-    assert f22.ap(3) == -128844
+    assert f22.a(3) == -128844
     assert f22.a(1) == 1
 
 
 def test_ap_past_stored_precision_raises():
     for f in eigenforms(12) + eigenforms(24):
-        assert f.prec == 128 and f.ap(127) == f.a(127)
+        assert f.prec == 128 and f.a(127) == f.coeffs[127]
         with pytest.raises(InsufficientPrecision):
-            f.ap(131)
+            f.a(131)
 
 
 def test_eigenforms_dim2_field():
     fp, fm = eigenforms(24)
     assert fp.field_disc == 144169
-    assert fp.ap(2) == QuadElem(144169, 540, 12)
-    assert fm.ap(2) == QuadElem(144169, 540, -12)
-    assert fp.embedding_choice == "plus"
+    assert fp.a(2) == QuadElem(144169, 540, 12)
+    assert fm.a(2) == QuadElem(144169, 540, -12)
     with pytest.raises(DimTooLarge):
         eigenforms(36)
 
@@ -229,14 +218,19 @@ def test_shared_eigenforms_cannot_change(k):
     forms.pop(0)
     assert eigenforms(k) == kept
     f = kept[0]
-    a2 = f.ap(2)
+    a2 = f.a(2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.weight = 12
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.coeffs = ()
     with pytest.raises(TypeError):
         f.coeffs[2] = 0
-    assert eigenforms(k)[0].ap(2) == a2 and eigenforms(k)[0].weight == k
+    assert eigenforms(k)[0].a(2) == a2 and eigenforms(k)[0].weight == k
+
+
+def quad_mul(disc, x, y):
+    """(a, b) of (x0 + x1 sqrt(disc)) (y0 + y1 sqrt(disc))."""
+    return x[0] * y[0] + disc * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
 def test_hecke_multiplicativity():
@@ -245,7 +239,8 @@ def test_hecke_multiplicativity():
         for p, q in ((2, 3), (2, 5), (3, 5), (2, 7)):
             assert f.a(p * q) == f.a(p) * f.a(q)
     fp = eigenforms(24)[0]
-    assert fp.a(6) == fp.a(2) * fp.a(3)
+    a2, a3, a6 = (fp.a(n) for n in (2, 3, 6))
+    assert (a6.a, a6.b) == quad_mul(fp.field_disc, (a2.a, a2.b), (a3.a, a3.b))
 
 
 def test_delta_e4_e6_is_the_weight22_eigenform():
@@ -290,7 +285,7 @@ def test_ramanujan_bound_all_embeddings():
                 continue
             for f in eigenforms(r, prec=40):
                 for p in primes_upto(37):
-                    v = f.ap(p)
+                    v = f.a(p)
                     if isinstance(v, QuadElem):
                         vals = [v.embed(True), v.embed(False)]
                     else:
@@ -431,6 +426,14 @@ def test_congruence_scan_26():
     assert congruence_prime_scan(26) == [(29, 19, 10, 9), (43, 23, 18, 5), (97, 21, 14, 7)]
 
 
+def test_congruence_scan_38():
+    # the weight-38 critical values have 66-bit denominators
+    scan = congruence_prime_scan(38)
+    assert len(scan) == 49
+    # the primes of the row (38; 32, 4) of congruence_rows.csv
+    assert {(67, 36, 32, 4), (83, 36, 32, 4)} <= set(scan)
+
+
 def test_congruence_scan_20_empty():
     assert congruence_prime_scan(20) == []
 
@@ -459,9 +462,9 @@ def fails(compute):
     else:
         raise SystemExit("invariant not checked")
 fails(lambda: g1.basis_S(24, 2))  # two coefficients see rank 1 of 2
-fails(lambda: g1.EigenformG1(12, 1, "plus", [0, 0, Fraction(1, 2)]).a_min_poly(2))
+fails(lambda: g1.EigenformG1(12, 1, [0, 0, Fraction(1, 2)]).a_min_poly(2))
 real_delta = g1.delta
-g1.delta = lambda prec: real_delta(prec) ** 2  # leading term q^2
+g1.delta = lambda prec: real_delta(prec) * real_delta(prec)  # leading term q^2
 fails(lambda: g1.basis_S(12, 10))
 g1.delta = real_delta
 g1.char_poly_2x2 = lambda mat: (Fraction(0), Fraction(1))  # disc -4

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from siegelforms import hecke_satake
-from siegelforms.exact_arith import QuadElem
 from siegelforms.hecke_satake import (
     ALL_IDENTITIES,
     EulerFactor,
@@ -171,7 +170,7 @@ def test_sk_slopes_contain_zeta_factors():
 
         f = eigenforms(2 * k - 2)[0]
         for p in (2, 3, 5):
-            factor, lam, lam2 = sk_spin_factor(f.ap(p), k, p)
+            factor, lam, lam2 = sk_spin_factor(f.a(p), k, p)
             slopes = newton_slopes(factor, p)
             assert Fraction(k - 1) in slopes and Fraction(k - 2) in slopes
 

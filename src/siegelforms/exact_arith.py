@@ -2,19 +2,21 @@
 finite fields, Bernoulli machinery and rational reconstruction.
 
 Rationals are plain ``fractions.Fraction`` (kept reduced with positive
-denominator by construction).  High-precision reals are mpmath floats;
-precision is always set explicitly by the caller through
-``mpmath.workprec``.
+denominator by construction).  High-precision reals are ``decimal.Decimal``,
+the C-backed standard-library type, at one working precision: every
+function that computes one (QuadElem.embed, the L-values of g1_modforms)
+does so inside ``working_context()``, a fresh 97-digit context, so no
+context the caller set reaches the arithmetic.  rational_reconstruct reads
+its input exactly and its guard from the same precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath as mp
 
 
 class NoConvergent(Exception):
@@ -26,6 +28,27 @@ class InvalidInput(ValueError):
     non-prime p, a weight with no form, a bound below the smallest prime.
     Entry points raise it (or a subclass) for every input they reject, so
     the CLI maps it to one exit code instead of repeating the checks."""
+
+
+# ---------------------------------------------------------------------------
+# working precision of the reals
+
+# every L-value and the embeddings it reads: ratios and congruence primes
+# read the same integers at 256 and 512 bits up to weight 38, whose 66-bit
+# denominators stay below the 2^70 that rational_reconstruct accepts, and
+# g1_modforms._n_terms stays below the 128 coefficients eigenforms() stores
+# by default (92 at weight 38).  64 guard bits ride on top, held as
+# ceil(320 log10 2) = 97 decimal digits.
+PREC_BITS = 256
+_WORKING = Context(prec=math.ceil((PREC_BITS + 64) * math.log10(2)))
+
+
+def working_context():
+    """Context manager that runs its block in a copy of the working
+    context: 97 digits, the default rounding and traps.  It replaces
+    the caller's decimal context for the block, so precision, rounding and
+    traps set there cannot leak in."""
+    return localcontext(_WORKING)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +329,11 @@ class QuadElem:
     def __neg__(self):
         return QuadElem(self.disc, -self.a, -self.b)
 
-    def embed(self, plus: bool = True) -> mp.mpf:
-        """Numeric value a + b*sqrt(disc) (plus) or a - b*sqrt(disc)."""
-        root = mp.sqrt(self.disc)
-        return mp.mpf(self.a.numerator) / self.a.denominator + (
-            1 if plus else -1
-        ) * root * self.b.numerator / self.b.denominator
+    def embed(self, plus: bool = True) -> Decimal:
+        """a + b*sqrt(disc) (plus) or a - b*sqrt(disc) at the working precision."""
+        with working_context():
+            b = Decimal(self.b.numerator) * Decimal(self.disc).sqrt() / self.b.denominator
+            return Decimal(self.a.numerator) / self.a.denominator + (b if plus else -b)
 
     def to_json(self) -> dict:
         return {"disc": self.disc, "a": rat_str(self.a), "b": rat_str(self.b)}
@@ -501,27 +523,22 @@ def finite_field(q: int) -> Fq:
 # rational reconstruction
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpmath float."""
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -val if sign else val
+# half the working precision's bits: a residual below 2^-160 pins the rational
+_GUARD_BITS = (PREC_BITS + 64) // 2
 
 
-def rational_reconstruct(x) -> Fraction:
-    """Best continued-fraction convergent p/q of x with q <= 2^(guard/2 - 10),
-    the guard being half the current working precision.
+def rational_reconstruct(x: Decimal | Fraction) -> Fraction:
+    """Best continued-fraction convergent p/q of x with q <= 2^(guard/2 - 10)
+    = 2^70, the guard being half the working precision: 160 bits.
 
-    Raises NoConvergent when the residual exceeds 2^-guard, which signals
-    that x wasn't computed accurately enough to pin down a rational.  A
-    convergent that is not the true value passes the guard only when a
-    partial quotient above about 2^19 follows it.
+    x is read exactly, as Fraction(x), so the result depends on no decimal
+    context.  Raises NoConvergent when the residual exceeds 2^-guard, which
+    signals that x wasn't computed accurately enough to pin down a
+    rational.  A convergent that is not the true value passes the guard
+    only when a partial quotient above about 2^19 follows it.
     """
-    guard_bits = mp.mp.prec // 2
-    max_den = 2 ** (guard_bits // 2 - 10)
-    exact = x if isinstance(x, Fraction) else mpf_to_fraction(x)
+    max_den = 2 ** (_GUARD_BITS // 2 - 10)
+    exact = Fraction(x)
     # continued-fraction convergents of `exact`
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
@@ -538,8 +555,8 @@ def rational_reconstruct(x) -> Fraction:
     if best is None:
         raise NoConvergent(f"no convergent with denominator <= {max_den}")
     residual = abs(exact - best)
-    if residual > Fraction(1, 2 ** guard_bits):
+    if residual > Fraction(1, 2 ** _GUARD_BITS):
         raise NoConvergent(
-            f"residual {float(residual):.3e} exceeds 2^-{guard_bits}"
+            f"residual {float(residual):.3e} exceeds 2^-{_GUARD_BITS}"
         )
     return best

@@ -2,8 +2,9 @@
 
 Everything is built from the Eisenstein generators e4, e6 and the
 discriminant cusp form; Hecke operators act on an echelonized monomial
-basis of the cusp space.  Completed L-values Lambda(f, s) come from one
-evaluator, the incomplete-gamma series; one normalizer turns the critical
+basis of the cusp space.  Completed L-values Lambda(f, t) at the integer
+critical points come from one evaluator, the incomplete-gamma series
+climbed by an exact recurrence; one normalizer turns the critical
 values of a conjugate pair of eigenforms over Q(sqrt(D)) into coprime
 integers a_t + b_t sqrt(D).  A rational eigenform is its own conjugate pair
 (D = 1, b_t = 0), so critical_ratios and congruence_prime_scan share it.
@@ -17,23 +18,23 @@ tuples per precision, so every basis of one precision shares them.  Each
 monomial Delta^c E4^a E6^b starts with 1 q^c, so echelonizing the
 monomials is an integer back-substitution.  The eigenforms of each
 (weight, prec) are built once per process and are immutable (frozen, with
-tuple coefficients), so every caller shares them.  Lambda(f, s) climbs the
-incomplete-gamma recurrence from one seed per n and class of s mod 1, at
-one working precision and on the coefficients eigenforms() stores by
-default, so the L-values read the same forms as every other caller.
+tuple coefficients), so every caller shares them.  Lambda(f, t) is a
+decimal.Decimal at the one working precision of exact_arith, climbed from
+e^-x / x for each n, on the coefficients eigenforms() stores by default,
+so the L-values read the same forms as every other caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-import mpmath as mp
-
 from .exact_arith import (
+    PREC_BITS,
     InvalidInput,
     QuadElem,
     bernoulli,
@@ -44,6 +45,7 @@ from .exact_arith import (
     rat_str,
     rational_reconstruct,
     squarefree_part,
+    working_context,
 )
 
 
@@ -283,13 +285,14 @@ class EigenformG1:
             raise FormInvariantError(f"a({p}) = {self.a(p)} is not an integer")
         return poly
 
-    def embed_coeff(self, n: int) -> mp.mpf:
+    def embed_coeff(self, n: int) -> Decimal:
         # coefficients already carry the chosen root of the T(2) polynomial,
         # so the numeric embedding is always b -> +sqrt(D)
         v = self.coeffs[n]
         if isinstance(v, QuadElem):
             return v.embed(plus=True)
-        return mp.mpf(v.numerator) / v.denominator
+        with working_context():
+            return Decimal(v.numerator) / v.denominator
 
     def to_json(self) -> dict:
         ap = {}
@@ -343,17 +346,10 @@ def _eigenforms(k: int, prec: int) -> tuple[EigenformG1, ...]:
 # ---------------------------------------------------------------------------
 # completed L-function values
 
-# working precision of every L-value: ratios and congruence primes read the
-# same integers at 256 and 512 bits up to weight 38, whose 66-bit
-# denominators stay below the 2^70 that rational_reconstruct accepts here,
-# and _n_terms stays below the 128 coefficients eigenforms() stores by
-# default (92 at weight 38)
-_PREC_BITS = 256
-
 
 def _n_terms(r: int) -> int:
     # tail of sum a(n) (2 pi n)^(s-1) e^(-2 pi n) with |a(n)| <= 2 sigma_0 n^((r-1)/2)
-    target = (_PREC_BITS + 48) * math.log(2)
+    target = (PREC_BITS + 48) * math.log(2)
     n = 8
     while 2 * math.pi * n - (1.5 * r) * math.log(2 * math.pi * n) < target:
         n += 1
@@ -362,45 +358,65 @@ def _n_terms(r: int) -> int:
     return n
 
 
-def lambda_values(f: EigenformG1, points) -> list:
-    """Lambda(f, s) = Gamma(s)/(2 pi)^s L(f, s) at each real s in points.
+def _arccot(k: int, unit: int) -> int:
+    """unit * arctan(1/k), k >= 2, by its alternating Taylor series in integers."""
+    total, power, j = 0, unit // k, 1
+    while power:
+        total += power // j if j % 4 == 1 else -(power // j)
+        power //= k * k
+        j += 2
+    return total
+
+
+@lru_cache(maxsize=None)
+def _two_pi() -> Decimal:
+    """2 pi at the working precision, from Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239) in integers with ten guard digits."""
+    with working_context() as ctx:
+        unit = 10 ** (ctx.prec + 10)
+        return Decimal(8 * (4 * _arccot(5, unit) - _arccot(239, unit))) / unit
+
+
+def lambda_values(f: EigenformG1, points) -> list[Decimal]:
+    """Lambda(f, s) = Gamma(s)/(2 pi)^s L(f, s) at each integer s in points,
+    1 <= s <= r - 1; any other point raises InvalidInput.
 
     Uses the two-sided incomplete-gamma series: with x = 2 pi n and
     H(m) = x^-m Gamma(m, x), Lambda(s) = sum a(n) (H(s) + (-1)^(r/2) H(r-s)).
-    Gamma(m+1, x) = m Gamma(m, x) + x^m e^-x gives the recurrence
-    H(m+1) = (m H(m) + e^-x) / x, whose terms are positive for m > 0.  So
-    for each n one incomplete gamma seeds the smallest exponent of each
-    class mod 1 among the points and r - points, and the recurrence climbs
-    to the others; the integer critical points make one class.  Each term
-    is symmetric under s <-> r-s, so the functional equation
-    Lambda(s) = (-1)^(r/2) Lambda(r-s) holds by construction and checks
-    nothing about the coefficients.  The series takes _n_terms(r)
-    coefficients, and a form storing no more raises PrecisionLoss.
+    At integers no incomplete gamma is needed: H(1) = e^-x / x, and
+    Gamma(m+1, x) = m Gamma(m, x) + x^m e^-x gives H(m+1) = (m H(m) + e^-x) / x,
+    whose terms are positive, so each n climbs once from H(1) to the largest
+    exponent among the points and r - points.  The arithmetic is
+    decimal.Decimal in the working context of exact_arith (97 digits), so
+    no context the caller set reaches it.  Each term is symmetric under
+    s <-> r-s, so the functional equation Lambda(s) = (-1)^(r/2) Lambda(r-s)
+    holds by construction and checks nothing about the coefficients.  The
+    series takes _n_terms(r) coefficients, and a form storing no more
+    raises PrecisionLoss.
     """
     r = f.weight
+    points = list(points)
+    for s in points:
+        if not isinstance(s, int) or not 1 <= s <= r - 1:
+            raise InvalidInput(f"Lambda(f, s) is evaluated at integers 1 <= s <= {r - 1}, not at {s!r}")
     n_terms = _n_terms(r)
     if n_terms >= f.prec:
         raise PrecisionLoss(f"need {n_terms} coefficients, eigenform stores {f.prec}")
+    top = max((max(s, r - s) for s in points), default=1)
     sign = (-1) ** (r // 2)
-    with mp.workprec(_PREC_BITS + 64):
-        pairs = [(mp.mpf(s), mp.mpf(r - s)) for s in points]
-        classes = {}  # fractional part -> its exponents m, smallest first
-        for m in sorted({m for pair in pairs for m in pair}):
-            classes.setdefault(m - mp.floor(m), []).append(m)
-        columns = {m: [] for ms in classes.values() for m in ms}  # m -> H(m) by n
+    with working_context():
+        two_pi = _two_pi()
+        sums = [Decimal(0)] * (top + 1)  # sums[m] = sum over n of a(n) H(m)
         for n in range(1, n_terms + 1):
-            x = 2 * mp.pi * n
-            ex, inv_x = mp.exp(-x), 1 / x
-            for ms in classes.values():
-                m0 = ms[0]
-                h = [x ** -m0 * mp.gammainc(m0, x)]
-                for j in range(int(ms[-1] - m0)):
-                    h.append(((m0 + j) * h[-1] + ex) * inv_x)
-                for m in ms:
-                    columns[m].append(h[int(m - m0)])
-        an = [f.embed_coeff(n) for n in range(1, n_terms + 1)]
-        sums = {m: mp.fdot(an, column) for m, column in columns.items()}
-        return [sums[s] + sign * sums[rs] for s, rs in pairs]
+            an = f.embed_coeff(n)
+            x = two_pi * n
+            ex, inv_x = (-x).exp(), 1 / x
+            h = ex * inv_x
+            sums[1] += an * h
+            for m in range(1, top):
+                h = (m * h + ex) * inv_x
+                sums[m + 1] += an * h
+        return [sums[s] + sign * sums[r - s] for s in points]
 
 
 def _critical_entries(f: EigenformG1, g: EigenformG1) -> list:
@@ -419,8 +435,8 @@ def _critical_entries(f: EigenformG1, g: EigenformG1) -> list:
     vf = lambda_values(f, ts)
     vg = vf if g is f else lambda_values(g, ts)
     out = []
-    with mp.workprec(_PREC_BITS + 64):
-        sqrtD = mp.sqrt(D)
+    with working_context():
+        sqrtD = Decimal(D).sqrt()
         for parity in (0, 1):
             cls = [(t, x, y) for t, x, y in zip(ts, vf, vg) if t % 2 == parity]
             _, x0, y0 = cls[0]

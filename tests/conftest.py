@@ -56,14 +56,15 @@ def mellin_split():
     + (-1)^(r/2) (2 pi n)^(s-r) Gamma(r-s, 2 pi n/t).  At t = 1 that is the
     symmetric series of g1_modforms.lambda_values; at any other t it equals
     Lambda(f, s) only when f is modular of weight r, so comparing the two
-    at t != 1 checks the coefficients."""
+    at t != 1 checks the coefficients.  An mpmath float at the caller's
+    precision; the Decimal coefficients enter through their digits."""
 
     def split(f, s, t):
         r = f.weight
         acc = mp.mpf(0)
         for n in range(1, f.prec):
             x = 2 * mp.pi * n
-            acc += f.embed_coeff(n) * (
+            acc += mp.mpf(str(f.embed_coeff(n))) * (
                 x ** -s * mp.gammainc(s, x * t)
                 + (-1) ** (r // 2) * x ** (s - r) * mp.gammainc(r - s, x / t)
             )

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -262,6 +265,29 @@ def test_library_raises_invalid_input(call):
     with pytest.raises(InvalidInput) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+def test_library_runs_without_mpmath():
+    # mpmath is a test-only oracle: importing every module and taking
+    # L-values through the CLI loads none of it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = (
+        "import sys\n"
+        "import siegelforms.cohom, siegelforms.harder, siegelforms.hecke_satake, siegelforms.siegel_g2\n"
+        "from siegelforms.cli import main\n"
+        "codes = [main(['g1', '--weight', '22', '--ratios']),\n"
+        "         main(['g1', '--weight', '28', '--congruence-primes'])]\n"
+        "print(codes, 'mpmath' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "[82080, 9464, 1365, 246, 42]" in done.stdout
+    assert "(4057, 21, 12, 9)" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_g1_zero_space_exit_code(capsys):

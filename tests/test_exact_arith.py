@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -24,9 +25,9 @@ from siegelforms.exact_arith import (
     kronecker,
     min_poly,
     mobius,
-    mpf_to_fraction,
     rational_reconstruct,
     squarefree_part,
+    working_context,
 )
 from siegelforms.siegel_g2 import chi10, chi12, eisenstein_g2
 
@@ -279,31 +280,32 @@ def test_quadelem_to_json():
 
 
 def test_rational_reconstruct_trivial():
-    with mp.workprec(256):
-        assert rational_reconstruct(mp.mpf(0.5)) == Fraction(1, 2)
-    with mp.workprec(200):
-        assert rational_reconstruct(mp.mpf(25) / 48) == Fraction(25, 48)
+    assert rational_reconstruct(Decimal("0.5")) == Fraction(1, 2)
+    with working_context():
+        assert rational_reconstruct(Decimal(25) / 48) == Fraction(25, 48)
 
 
 def test_rational_reconstruct_round_trip():
     rng = random.Random(7)
-    with mp.workprec(256):
+    with working_context():
         for _ in range(200):
             den = rng.randrange(1, 10 ** 6)
             num = rng.randrange(-10 ** 9, 10 ** 9)
             x = Fraction(num, den)
-            approx = mp.mpf(num) / den
+            approx = Decimal(num) / den
             assert rational_reconstruct(approx) == x
 
 
 def test_rational_reconstruct_pi_rejected():
-    with mp.workprec(200):
-        with pytest.raises(NoConvergent):
-            rational_reconstruct(mp.pi)
+    with mp.workprec(320):
+        pi = Decimal(str(mp.pi))
+    with pytest.raises(NoConvergent):
+        rational_reconstruct(pi)
 
 
 def test_rational_reconstruct_denominator_bound():
-    # at 320 bits the guard is 160 and denominators up to 2^70 are accepted
+    # the guard is 160 bits and denominators up to 2^70 are accepted,
+    # whatever decimal context the caller runs in
     rng = random.Random(11)
 
     def random_fraction(bits):
@@ -311,20 +313,20 @@ def test_rational_reconstruct_denominator_bound():
             pass
         return Fraction(rng.randrange(-d, d), d)
 
-    with mp.workprec(320):
-        for bits in (53, 66, 70):
-            x = random_fraction(bits)
-            assert rational_reconstruct(mp.mpf(x.numerator) / x.denominator) == x
-        x = random_fraction(72)
+    for prec in (5, 28, 200):
+        with working_context():
+            xs = [random_fraction(bits) for bits in (53, 66, 70, 72)]
+            approx = [Decimal(x.numerator) / x.denominator for x in xs]
+        with localcontext() as ctx:
+            ctx.prec = prec
+            assert [rational_reconstruct(y) for y in approx[:3]] == xs[:3]
+            with pytest.raises(NoConvergent):
+                rational_reconstruct(approx[3])
+    # a value known to fewer digits than the guard is refused, not rounded
+    with localcontext() as ctx:
+        ctx.prec = 28
         with pytest.raises(NoConvergent):
-            rational_reconstruct(mp.mpf(x.numerator) / x.denominator)
-
-
-def test_mpf_to_fraction_exact():
-    with mp.workprec(200):
-        x = mp.mpf(25) / 48
-        assert mpf_to_fraction(x) * 48 == 25 or abs(mpf_to_fraction(x) - Fraction(25, 48)) < Fraction(1, 2 ** 150)
-        assert mpf_to_fraction(mp.mpf(0)) == 0
+            rational_reconstruct(Decimal(25) / 48)
 
 
 def _digit_sum(F, x, y, sign=1):

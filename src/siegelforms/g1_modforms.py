@@ -2,12 +2,13 @@
 
 Everything is built from the Eisenstein generators e4, e6 and the
 discriminant cusp form; Hecke operators act on an echelonized monomial
-basis of the cusp space.  Completed L-values Lambda(f, t) at the integer
-critical points come from one evaluator, the incomplete-gamma series
-climbed by an exact recurrence; one normalizer turns the critical
-values of a conjugate pair of eigenforms over Q(sqrt(D)) into coprime
-integers a_t + b_t sqrt(D).  A rational eigenform is its own conjugate pair
-(D = 1, b_t = 0), so critical_ratios and congruence_prime_scan share it.
+basis of the cusp space.  Critical values Lambda(f, t) are read, up to
+one period per parity of t, from a period polynomial, found exactly as a
+solution of the Eichler-Shimura relations and cut to the eigenform by
+T(2) acting through four integer matrices, so the ratios within a parity
+class are elements a_t + b_t sqrt(D) of the coefficient field, and one
+normalizer makes each class coprime integers.  A rational eigenform has
+D = 1 and b_t = 0, so critical_ratios and congruence_prime_scan share it.
 
 Coefficients are Fractions at the QExpansion boundary and integers inside.
 One truncated convolution, _convolve, multiplies QExpansions (each factor
@@ -18,23 +19,19 @@ tuples per precision, so every basis of one precision shares them.  Each
 monomial Delta^c E4^a E6^b starts with 1 q^c, so echelonizing the
 monomials is an integer back-substitution.  The eigenforms of each
 (weight, prec) are built once per process and are immutable (frozen, with
-tuple coefficients), so every caller shares them.  Lambda(f, t) is a
-decimal.Decimal at the one working precision of exact_arith, climbed from
-e^-x / x for each n, on the coefficients eigenforms() stores by default,
-so the L-values read the same forms as every other caller.
+tuple coefficients), so every caller shares them.  The critical values
+read only a(2) of a form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .exact_arith import (
-    PREC_BITS,
     InvalidInput,
     QuadElem,
     bernoulli,
@@ -43,9 +40,7 @@ from .exact_arith import (
     min_poly,
     primes_upto,
     rat_str,
-    rational_reconstruct,
     squarefree_part,
-    working_context,
 )
 
 
@@ -54,10 +49,6 @@ class InsufficientPrecision(Exception):
 
 
 class DimTooLarge(InvalidInput):
-    pass
-
-
-class PrecisionLoss(InvalidInput):
     pass
 
 
@@ -285,15 +276,6 @@ class EigenformG1:
             raise FormInvariantError(f"a({p}) = {self.a(p)} is not an integer")
         return poly
 
-    def embed_coeff(self, n: int) -> Decimal:
-        # coefficients already carry the chosen root of the T(2) polynomial,
-        # so the numeric embedding is always b -> +sqrt(D)
-        v = self.coeffs[n]
-        if isinstance(v, QuadElem):
-            return v.embed(plus=True)
-        with working_context():
-            return Decimal(v.numerator) / v.denominator
-
     def to_json(self) -> dict:
         ap = {}
         for p in primes_upto(self.prec - 1):
@@ -304,6 +286,11 @@ class EigenformG1:
 
 def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
     """Normalized eigenforms of S_k(Gamma_1); supports dim <= 2.
+
+    The default 128 coefficients now only set which a(p) `g1 --json`
+    prints, every p below 128, kept so its output stays byte-stable;
+    `harder` reads a(p) up to its p_max (37 by default) and the critical
+    values read only a(2).
 
     The forms of each (k, prec) are built and checked once per process and
     are immutable; each call returns a new list of the shared forms.  A
@@ -344,111 +331,119 @@ def _eigenforms(k: int, prec: int) -> tuple[EigenformG1, ...]:
 
 
 # ---------------------------------------------------------------------------
-# completed L-function values
+# critical values from period polynomials
+
+# U = (1 -1; 1 0) and U^2 = (0 -1; 1 -1) as (a, b, c, d)
+_U = ((1, -1, 1, 0), (0, -1, 1, -1))
+# T(2) on period polynomials (Zagier 1990): the matrices of determinant 2
+# with a > c >= 0 and d > b >= 0
+_T2 = ((1, 0, 0, 2), (1, 1, 0, 2), (2, 0, 0, 1), (2, 0, 1, 1))
 
 
-def _n_terms(r: int) -> int:
-    # tail of sum a(n) (2 pi n)^(s-1) e^(-2 pi n) with |a(n)| <= 2 sigma_0 n^((r-1)/2)
-    target = (PREC_BITS + 48) * math.log(2)
-    n = 8
-    while 2 * math.pi * n - (1.5 * r) * math.log(2 * math.pi * n) < target:
-        n += 1
-        if n > 4000:
-            raise PrecisionLoss("tail bound not met")
-    return n
+def _binomial_terms(a: int, b: int, n: int):
+    """(j, coefficient) for the nonzero coefficients of X^j in (aX + b)^n."""
+    for j in range(n + 1):
+        x = math.comb(n, j) * a ** j * b ** (n - j)
+        if x:
+            yield j, x
 
 
-def _arccot(k: int, unit: int) -> int:
-    """unit * arctan(1/k), k >= 2, by its alternating Taylor series in integers."""
-    total, power, j = 0, unit // k, 1
-    while power:
-        total += power // j if j % 4 == 1 else -(power // j)
-        power //= k * k
-        j += 2
-    return total
+def _slash(poly: list, m: tuple) -> list:
+    """(P|M)(X) = (cX + d)^w P((aX + b)/(cX + d)) for M = (a, b, c, d) and
+    P = sum poly[i] X^i of degree <= w = len(poly) - 1."""
+    a, b, c, d = m
+    w = len(poly) - 1
+    out = [0] * (w + 1)
+    for i, ci in enumerate(poly):
+        if ci:
+            right = list(_binomial_terms(c, d, w - i))
+            for j, x in _binomial_terms(a, b, i):
+                for k, y in right:
+                    out[j + k] += ci * x * y
+    return out
 
 
-@lru_cache(maxsize=None)
-def _two_pi() -> Decimal:
-    """2 pi at the working precision, from Machin's formula
-    pi = 16 arctan(1/5) - 4 arctan(1/239) in integers with ten guard digits."""
-    with working_context() as ctx:
-        unit = 10 ** (ctx.prec + 10)
-        return Decimal(8 * (4 * _arccot(5, unit) - _arccot(239, unit))) / unit
+def _hecke2(poly: list) -> list:
+    """T(2) on a period polynomial: the sum of P|M over _T2."""
+    return [sum(col) for col in zip(*(_slash(poly, m) for m in _T2))]
 
 
-def lambda_values(f: EigenformG1, points) -> list[Decimal]:
-    """Lambda(f, s) = Gamma(s)/(2 pi)^s L(f, s) at each integer s in points,
-    1 <= s <= r - 1; any other point raises InvalidInput.
+def _period_poly(w: int, parity: int) -> list[Fraction]:
+    """A nonzero P = sum c_i X^i of degree <= w, w even, in the powers X^i
+    with i = parity mod 2, c_0 = 0, and P|(1 + S) = P|(1 + U + U^2) = 0.
 
-    Uses the two-sided incomplete-gamma series: with x = 2 pi n and
-    H(m) = x^-m Gamma(m, x), Lambda(s) = sum a(n) (H(s) + (-1)^(r/2) H(r-s)).
-    At integers no incomplete gamma is needed: H(1) = e^-x / x, and
-    Gamma(m+1, x) = m Gamma(m, x) + x^m e^-x gives H(m+1) = (m H(m) + e^-x) / x,
-    whose terms are positive, so each n climbs once from H(1) to the largest
-    exponent among the points and r - points.  The arithmetic is
-    decimal.Decimal in the working context of exact_arith (97 digits), so
-    no context the caller set reaches it.  Each term is symmetric under
-    s <-> r-s, so the functional equation Lambda(s) = (-1)^(r/2) Lambda(r-s)
-    holds by construction and checks nothing about the coefficients.  The
-    series takes _n_terms(r) coefficients, and a form storing no more
-    raises PrecisionLoss.
+    These P span the part of parity of the period polynomials of S_{w+2}
+    modulo X^w - 1 (Eichler-Shimura; Kohnen-Zagier), one dimension per
+    eigenform, so the interior c_1..c_{w-1} of P is nonzero.  P|S = -P
+    fixes c_{w-i} = -(-1)^i c_i, so the unknowns are the c_i with
+    0 < i <= w/2, and the relation 1 + U + U^2 is solved for them exactly.
     """
-    r = f.weight
-    points = list(points)
-    for s in points:
-        if not isinstance(s, int) or not 1 <= s <= r - 1:
-            raise InvalidInput(f"Lambda(f, s) is evaluated at integers 1 <= s <= {r - 1}, not at {s!r}")
-    n_terms = _n_terms(r)
-    if n_terms >= f.prec:
-        raise PrecisionLoss(f"need {n_terms} coefficients, eigenform stores {f.prec}")
-    top = max((max(s, r - s) for s in points), default=1)
-    sign = (-1) ** (r // 2)
-    with working_context():
-        two_pi = _two_pi()
-        sums = [Decimal(0)] * (top + 1)  # sums[m] = sum over n of a(n) H(m)
-        for n in range(1, n_terms + 1):
-            an = f.embed_coeff(n)
-            x = two_pi * n
-            ex, inv_x = (-x).exp(), 1 / x
-            h = ex * inv_x
-            sums[1] += an * h
-            for m in range(1, top):
-                h = (m * h + ex) * inv_x
-                sums[m + 1] += an * h
-        return [sums[s] + sign * sums[r - s] for s in points]
+    basis = []
+    for i in range(2 - parity, w // 2 + 1, 2):
+        v = [0] * (w + 1)
+        v[i] += 1
+        v[w - i] -= (-1) ** i
+        if any(v):  # c_{w/2} = -c_{w/2} when w/2 is even
+            basis.append(v)
+    rows = [[Fraction(sum(z)) for z in zip(v, *(_slash(v, m) for m in _U))] for v in basis]
+    # eliminate: rows[j] holds the image of basis[j] and keys[j] its
+    # combination of the basis; the first image to vanish is a solution
+    keys = [[Fraction(int(i == j)) for i in range(len(basis))] for j in range(len(basis))]
+    for j in range(len(basis)):
+        row, key = rows[j], keys[j]
+        col = next((n for n, x in enumerate(row) if x), None)
+        if col is None:
+            return [sum(k * v[n] for k, v in zip(key, basis)) for n in range(w + 1)]
+        for i in range(j + 1, len(rows)):
+            factor = rows[i][col] / row[col]
+            if factor:
+                rows[i] = [x - factor * y for x, y in zip(rows[i], row)]
+                keys[i] = [x - factor * y for x, y in zip(keys[i], key)]
+    raise FormInvariantError(f"no period polynomial of weight {w + 2} and parity {parity}")
 
 
-def _critical_entries(f: EigenformG1, g: EigenformG1) -> list:
+def _critical_entries(f: EigenformG1) -> list:
     """(t, a_t, b_t) with Lambda(f, t) proportional to a_t + b_t sqrt(D), for
     r/2 <= t <= r-2, each parity class of t a coprime integer vector.
 
-    f and g are the conjugate eigenforms over Q(sqrt(D)).  A rational form is
-    its own conjugate: D = 1, b_t = 0, and its values are evaluated once.
-    Each class is scaled by its first value, so its first a_t is positive
-    and its first b_t is 0.  The endpoint t = r-1 is left out: its ratio to
-    the interior values carries the numerator of B_r, which would pollute
-    the gcd.  So is t = r/2 when r/2 is odd, where Lambda vanishes.
+    By Manin's periods theorem Lambda(f, t) is proportional, within one
+    parity class of t, to (-1)^floor(t/2) c_{w-t+1} / C(w, t-1), w = r-2,
+    where c_i are the coefficients of the period polynomial of f: of
+    _period_poly when dim S_r = 1, and of (T(2) - a'(2)) P when dim S_r = 2,
+    a'(2) = a - b sqrt(D) the eigenvalue of the conjugate form, which
+    T(2) - a'(2) kills.  That part of f is X + sqrt(D) Y with rational X
+    and Y, read at sqrt(D) > 0, the embedding in which f has a(2) = a +
+    b sqrt(D).  A rational form has D = 1 and b_t = 0.  Each class is
+    scaled by its first value, so its first a_t is positive and its first
+    b_t is 0.  The endpoint t = r-1 is left out: its ratio to the interior
+    values carries the numerator of B_r, which would pollute the gcd.  So
+    is t = r/2 when r/2 is odd, where Lambda vanishes.
     """
     r, D = f.weight, f.field_disc
-    ts = [t for t in range(r - 2, r // 2 - 1, -1) if 2 * t != r or r % 4 == 0]
-    vf = lambda_values(f, ts)
-    vg = vf if g is f else lambda_values(g, ts)
+    w = r - 2
     out = []
-    with working_context():
-        sqrtD = Decimal(D).sqrt()
-        for parity in (0, 1):
-            cls = [(t, x, y) for t, x, y in zip(ts, vf, vg) if t % 2 == parity]
-            _, x0, y0 = cls[0]
-            coords = []
-            for t, x, y in cls:
-                xp, xm = x / x0, y / y0
-                a = rational_reconstruct((xp + xm) / 2)
-                b = rational_reconstruct((xp - xm) / (2 * sqrtD))
-                coords.append((t, a, b))
-            lcm = math.lcm(*(x.denominator for _, a, b in coords for x in (a, b)))
-            gcd = math.gcd(*(int(x * lcm) for _, a, b in coords for x in (a, b)))
-            out += [(t, int(a * lcm) // gcd, int(b * lcm) // gcd) for t, a, b in coords]
+    for parity in (0, 1):
+        P = _period_poly(w, 1 - parity)  # c_{w-t+1} has the other parity
+        if D == 1:
+            X, Y = P, [0] * (w + 1)
+        else:
+            a2 = f.a(2)
+            X = [x - a2.a * c for x, c in zip(_hecke2(P), P)]
+            Y = [a2.b * c for c in P]
+        cls = []
+        for t in range(r - 2, r // 2 - 1, -1):
+            if t % 2 == parity and (2 * t != r or r % 4 == 0):
+                scale = Fraction((-1) ** (t // 2), math.comb(w, t - 1))
+                cls.append((t, scale * X[w - t + 1], scale * Y[w - t + 1]))
+        # divide by the first value x0 + y0 sqrt(D): multiply by its
+        # conjugate, then by the sign of its norm
+        _, x0, y0 = cls[0]
+        coords = [(t, x * x0 - D * y * y0, y * x0 - x * y0) for t, x, y in cls]
+        lcm = math.lcm(*(x.denominator for _, a, b in coords for x in (a, b)))
+        gcd = math.gcd(*(int(x * lcm) for _, a, b in coords for x in (a, b)))
+        if coords[0][1] < 0:
+            gcd = -gcd
+        out += [(t, int(a * lcm) // gcd, int(b * lcm) // gcd) for t, a, b in coords]
     return out
 
 
@@ -456,7 +451,7 @@ def critical_ratios(f: EigenformG1) -> list[int]:
     """Coprime integers proportional to (Lambda(f, r-2), Lambda(f, r-4), ...)."""
     if f.field_disc != 1:
         raise DimTooLarge("rational eigenforms only; use congruence_prime_scan")
-    return [a for t, a, _ in _critical_entries(f, f) if t % 2 == 0]
+    return [a for t, a, _ in _critical_entries(f) if t % 2 == 0]
 
 
 def congruence_prime_scan(r: int) -> list[tuple[int, int, int, int]]:
@@ -470,11 +465,10 @@ def congruence_prime_scan(r: int) -> list[tuple[int, int, int, int]]:
     d = dim_S(r)
     if d not in (1, 2):
         raise DimTooLarge(f"dim S_{r} = {d}")
-    forms = eigenforms(r)
-    f, g = forms[0], forms[-1]
+    f = eigenforms(r)[0]
     D = f.field_disc
     out = set()
-    for t, a, b in _critical_entries(f, g):
+    for t, a, b in _critical_entries(f):
         j, k = 2 * t - r - 2, r - t + 2
         n = abs(a * a - D * b * b)
         if j >= 0 and n != 0:

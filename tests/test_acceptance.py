@@ -26,7 +26,6 @@ from siegelforms.g1_modforms import (
     eigenforms,
     eisenstein_e,
     hecke_T,
-    lambda_values,
     mat_trace,
 )
 from siegelforms.g2data import cusp_dims_jk, published_lambdas, s68_table
@@ -263,7 +262,7 @@ def test_criterion_11_harder_verification():
     )
 
 
-def test_criterion_12_property_suite(mellin_split):
+def test_criterion_12_property_suite(mellin_split, critical_classes_match, embed):
     t0 = time.time()
     # census order-independence: the q = 5 quintics in five slices merge to
     # the same histogram forward and reversed
@@ -311,21 +310,15 @@ def test_criterion_12_property_suite(mellin_split):
                 for f in eigenforms(r, prec=40):
                     for p in primes_upto(37):
                         v = f.a(p)
-                        vals = (
-                            [mp.mpf(str(v.embed(True))), mp.mpf(str(v.embed(False)))]
-                            if isinstance(v, QuadElem)
-                            else [mp.mpf(v.numerator) / v.denominator]
-                        )
+                        vals = [embed(v), embed(v, False)] if isinstance(v, QuadElem) else [embed(v)]
                         bound = 2 * mp.mpf(p) ** ((r - 1) / 2.0)
                         assert all(abs(x) <= bound * (1 + mp.mpf(10) ** -20) for x in vals)
-    # functional equations: Lambda(s) against the Mellin integral split at
-    # t = 6/5, which only a modular form's coefficients satisfy
+    # functional equations: the exact critical ratios against the Mellin
+    # integral split at t = 6/5, which only a modular form's coefficients
+    # satisfy
     with mp.workprec(320):
         for r in (12, 22):
             f = eigenforms(r)[0]
-            for s in (r - 1, r - 2, r - 3, r // 2 + 1):
-                want = mp.mpf(str(lambda_values(f, [s])[0]))
-                got = mellin_split(f, s, mp.mpf(6) / 5)
-                assert abs(got - want) < mp.mpf(2) ** -200 * abs(want)
+            critical_classes_match(f, lambda s: mellin_split(f, s, mp.mpf(6) / 5))
     report(12, time.time() - t0, "order independence, q^3 polynomiality, "
            "Weyl oracle x100, Ramanujan, functional equations")

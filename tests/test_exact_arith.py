@@ -1,17 +1,14 @@
 import hashlib
 import json
 import random
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelforms.exact_arith import (
     Fq,
-    NoConvergent,
     QuadElem,
     _is_squarefree,
     bernoulli,
@@ -21,13 +18,10 @@ from siegelforms.exact_arith import (
     finite_field,
     gen_bernoulli,
     is_fundamental_discriminant,
-    is_prime,
     kronecker,
     min_poly,
     mobius,
-    rational_reconstruct,
     squarefree_part,
-    working_context,
 )
 from siegelforms.siegel_g2 import chi10, chi12, eisenstein_g2
 
@@ -274,59 +268,6 @@ def test_min_poly_of_rationals_and_quadelems():
 def test_quadelem_to_json():
     x = QuadElem(51349, Fraction(4320), Fraction(-25, 48))
     assert x.to_json() == {"disc": 51349, "a": "4320", "b": "-25/48"}
-
-
-# -- rational reconstruction
-
-
-def test_rational_reconstruct_trivial():
-    assert rational_reconstruct(Decimal("0.5")) == Fraction(1, 2)
-    with working_context():
-        assert rational_reconstruct(Decimal(25) / 48) == Fraction(25, 48)
-
-
-def test_rational_reconstruct_round_trip():
-    rng = random.Random(7)
-    with working_context():
-        for _ in range(200):
-            den = rng.randrange(1, 10 ** 6)
-            num = rng.randrange(-10 ** 9, 10 ** 9)
-            x = Fraction(num, den)
-            approx = Decimal(num) / den
-            assert rational_reconstruct(approx) == x
-
-
-def test_rational_reconstruct_pi_rejected():
-    with mp.workprec(320):
-        pi = Decimal(str(mp.pi))
-    with pytest.raises(NoConvergent):
-        rational_reconstruct(pi)
-
-
-def test_rational_reconstruct_denominator_bound():
-    # the guard is 160 bits and denominators up to 2^70 are accepted,
-    # whatever decimal context the caller runs in
-    rng = random.Random(11)
-
-    def random_fraction(bits):
-        while not is_prime(d := rng.getrandbits(bits) | 1 << (bits - 1) | 1):
-            pass
-        return Fraction(rng.randrange(-d, d), d)
-
-    for prec in (5, 28, 200):
-        with working_context():
-            xs = [random_fraction(bits) for bits in (53, 66, 70, 72)]
-            approx = [Decimal(x.numerator) / x.denominator for x in xs]
-        with localcontext() as ctx:
-            ctx.prec = prec
-            assert [rational_reconstruct(y) for y in approx[:3]] == xs[:3]
-            with pytest.raises(NoConvergent):
-                rational_reconstruct(approx[3])
-    # a value known to fewer digits than the guard is refused, not rounded
-    with localcontext() as ctx:
-        ctx.prec = 28
-        with pytest.raises(NoConvergent):
-            rational_reconstruct(Decimal(25) / 48)
 
 
 def _digit_sum(F, x, y, sign=1):

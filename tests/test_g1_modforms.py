@@ -3,7 +3,6 @@ import hashlib
 import json
 import operator
 import random
-from decimal import Inexact, localcontext
 from fractions import Fraction
 from functools import reduce
 
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from siegelforms import g1_modforms
 from siegelforms.cohom import motive_trace
-from siegelforms.exact_arith import InvalidInput, QuadElem, bernoulli, primes_upto, sigma_div
+from siegelforms.exact_arith import QuadElem, bernoulli, primes_upto, sigma_div
 from siegelforms.g1_modforms import (
     DimTooLarge,
     InsufficientPrecision,
@@ -30,7 +29,6 @@ from siegelforms.g1_modforms import (
     eigenforms,
     eisenstein_e,
     hecke_T,
-    lambda_values,
     mat_trace,
 )
 
@@ -281,7 +279,7 @@ def test_motive_trace_square_identity():
         assert motive_trace(k, p, 2) == tr2 - 2 * d * Fraction(p) ** (k - 1)
 
 
-def test_ramanujan_bound_all_embeddings():
+def test_ramanujan_bound_all_embeddings(embed):
     with mp.workprec(128):
         for r in (12, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 38):
             if dim_S(r) == 0 or dim_S(r) > 2:
@@ -289,43 +287,36 @@ def test_ramanujan_bound_all_embeddings():
             for f in eigenforms(r, prec=40):
                 for p in primes_upto(37):
                     v = f.a(p)
-                    if isinstance(v, QuadElem):
-                        vals = [mp.mpf(str(v.embed(True))), mp.mpf(str(v.embed(False)))]
-                    else:
-                        vals = [mp.mpf(v.numerator) / v.denominator]
+                    vals = [embed(v), embed(v, False)] if isinstance(v, QuadElem) else [embed(v)]
                     for x in vals:
                         assert abs(x) <= 2 * mp.mpf(p) ** ((r - 1) / 2.0) * (1 + mp.mpf(10) ** -20)
 
 
-def test_lambda_functional_equation(mellin_split):
-    # the library's series is symmetric under s <-> r-s term by term; the
-    # split at t = 6/5 agrees with it only for a modular form
+def test_lambda_functional_equation(mellin_split, critical_classes_match):
+    # the split at t = 6/5 equals Lambda(f, s) only for a modular form
     f = eigenforms(12)[0]
     with mp.workprec(320):
-        for s in (11, 10, 9, 8):
-            want = mp.mpf(str(lambda_values(f, [s])[0]))
-            assert abs(mellin_split(f, s, mp.mpf(6) / 5) - want) < mp.mpf(2) ** -200 * abs(want)
+        critical_classes_match(f, lambda s: mellin_split(f, s, mp.mpf(6) / 5))
 
 
-def test_lambda_functional_equation_weight22(mellin_split):
+def test_lambda_functional_equation_weight22(mellin_split, critical_classes_match):
     f = eigenforms(22)[0]
     with mp.workprec(320):
-        for s in (21, 18, 14, 11):
-            want = mp.mpf(str(lambda_values(f, [s])[0]))
-            got = mellin_split(f, s, mp.mpf(6) / 5)
-            # Lambda(11) = 0: the sign of the functional equation is -1
-            assert abs(got - want) < mp.mpf(2) ** -200 * max(abs(want), 1)
+        critical_classes_match(f, lambda s: mellin_split(f, s, mp.mpf(6) / 5))
+        # Lambda(11) = 0: the sign of the functional equation is -1
+        assert abs(mellin_split(f, 11, mp.mpf(6) / 5)) < mp.mpf(2) ** -200
 
 
-def gammainc_oracle(f, s):
+def gammainc_oracle(f, s, embed):
     """Lambda(f, s) as sum a(n) (x^-s Gamma(s, x) + (-1)^(r/2) x^(s-r) Gamma(r-s, x)),
-    x = 2 pi n, with two incomplete gammas per term."""
+    x = 2 pi n, with two incomplete gammas per term, over the stored a(n)
+    embedded with sqrt(D) > 0."""
     r = f.weight
     with mp.workprec(320):
         acc = mp.mpf(0)
-        for n in range(1, g1_modforms._n_terms(r) + 1):
+        for n in range(1, f.prec):
             x = 2 * mp.pi * n
-            acc += mp.mpf(str(f.embed_coeff(n))) * (
+            acc += embed(f.a(n)) * (
                 x ** -s * mp.gammainc(s, x)
                 + (-1) ** (r // 2) * x ** (s - r) * mp.gammainc(r - s, x)
             )
@@ -333,61 +324,63 @@ def gammainc_oracle(f, s):
 
 
 @pytest.mark.parametrize("r, which", [(12, 0), (22, 0), (24, 0), (24, 1)])
-def test_lambda_recurrence_matches_gammainc_oracle(r, which):
+def test_lambda_recurrence_matches_gammainc_oracle(r, which, critical_classes_match, embed):
+    # the exact ratios of each parity class against the incomplete-gamma series
     f = eigenforms(r)[which]
-    points = [s for s in range(r // 2, r - 1) if 2 * s != r or r % 4 == 0]
-    points += [2]
-    got = lambda_values(f, points)
-    with mp.workprec(320):
-        for s, value in zip(points, got):
-            oracle = gammainc_oracle(f, s)
-            assert abs(mp.mpf(str(value)) / oracle - 1) < mp.mpf(2) ** -200, s
+    critical_classes_match(f, lambda s: gammainc_oracle(f, s, embed))
 
 
 @pytest.mark.parametrize(
     "r, which, bound", [(12, 0, 1e-10), (22, 0, 1e-20), (24, 0, 1e-20), (24, 1, 1e-20)]
 )
-def test_lambda_matches_dirichlet_series(r, which, bound):
+def test_lambda_matches_dirichlet_series(r, which, bound, embed):
     # at s = r-1 the Dirichlet series converges absolutely, so its truncation
-    # is an oracle that does not share the evaluator's s <-> r-s symmetry
+    # is an oracle that does not share gammainc_oracle's s <-> r-s symmetry
     f = eigenforms(r)[which]
     s = r - 1
     with mp.workprec(320):
-        series = sum(mp.mpf(str(f.embed_coeff(n))) * mp.mpf(n) ** -s for n in range(1, f.prec))
+        series = sum(embed(f.a(n)) * mp.mpf(n) ** -s for n in range(1, f.prec))
         oracle = (2 * mp.pi) ** -s * mp.gamma(s) * series
-        assert abs(mp.mpf(str(lambda_values(f, [s])[0])) / oracle - 1) < bound
-
-
-@pytest.mark.parametrize("s", [0, 12, 6.5, 6.0, Fraction(6), "6"])
-def test_lambda_values_take_integer_points_only(s):
-    f = eigenforms(12)[0]
-    with pytest.raises(InvalidInput, match="integers 1 <= s <= 11"):
-        lambda_values(f, [10, s])
-
-
-def test_critical_ratios_ignore_the_callers_decimal_context():
-    # a 5-digit context that traps every rounding: the L-values run in
-    # their own working context, and rational_reconstruct reads its guard
-    # from the working precision, not from the caller's
-    with localcontext() as ctx:
-        ctx.prec = 5
-        ctx.traps[Inexact] = True
-        assert critical_ratios(eigenforms(12)[0]) == [48, 25, 20]
-        assert ctx.prec == 5 and not ctx.flags[Inexact]
+        assert abs(gammainc_oracle(f, s, embed) / oracle - 1) < bound
 
 
 def test_critical_entries_frozen():
     # the full (t, a_t, b_t) vectors of every weight with dim S_r <= 2, not
     # only the primes the scan prints; the digest was taken from the mpmath
-    # incomplete-gamma evaluator that the decimal recurrence replaced
+    # incomplete-gamma evaluator that the period polynomials replaced
     entries = []
     for r in range(12, 39, 2):
         if dim_S(r) in (1, 2):
-            forms = eigenforms(r)
-            entries.append(_critical_entries(forms[0], forms[-1]))
+            entries.append(_critical_entries(eigenforms(r)[0]))
     assert len(entries) == 12
     digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
     assert digest == "58b34252c7f41041f3801ddf51fade327191e268a187534ee5e83c83a6841670"
+
+
+def test_periods_are_hecke_eigenvectors():
+    # ties the period polynomials to the q-expansions: on the interior
+    # c_1..c_{w-1} of each chosen P, T(2) acting through its four matrices
+    # has the eigenvalue a(2) (dim 1), or the minimal polynomial of a(2)
+    # in T(2) kills P (dim 2)
+    T, checked = g1_modforms._hecke2, 0
+    for r in range(12, 39, 2):
+        if dim_S(r) not in (1, 2):
+            continue
+        w, f = r - 2, eigenforms(r)[0]
+        for parity in (0, 1):
+            P = g1_modforms._period_poly(w, parity)
+            assert any(P[1:w])
+            if dim_S(r) == 1:
+                image = [x - f.a(2) * c for x, c in zip(T(P), P)]
+            else:
+                a2 = f.a(2)
+                image = [
+                    x - 2 * a2.a * y + (a2.a ** 2 - a2.disc * a2.b ** 2) * c
+                    for x, y, c in zip(T(T(P)), T(P), P)
+                ]
+            assert not any(image[1:w]), (r, parity)
+            checked += 1
+    assert checked == 24
 
 
 def test_critical_ratios_delta():
@@ -407,20 +400,10 @@ def test_critical_ratios_weight22():
     assert critical_ratios(f) == expect
 
 
-def test_lvalues_read_the_default_eigenforms():
-    # the series stops below the 128 coefficients every caller shares, for
-    # every weight with dim S_r <= 2; a shorter form is refused, not truncated
-    need = {r: g1_modforms._n_terms(r) for r in range(12, 39, 2) if dim_S(r) in (1, 2)}
-    assert max(need.values()) == need[38] == 92
-    with pytest.raises(g1_modforms.PrecisionLoss, match="need 51 coefficients"):
-        critical_ratios(eigenforms(12, 51)[0])
-    assert critical_ratios(eigenforms(12, 52)[0]) == [48, 25, 20]
-
-
 def test_lambda_values_normalized_matches_ratios():
     # a rational form is its own conjugate pair: every b_t is 0
     f = eigenforms(12)[0]
-    entries = _critical_entries(f, f)
+    entries = _critical_entries(f)
     assert [(t, a) for t, a, _ in entries if t % 2 == 0] == [(10, 48), (8, 25), (6, 20)]
     assert [t for t, _, _ in entries] == [10, 8, 6, 9, 7]
     assert all(b == 0 for _, _, b in entries)

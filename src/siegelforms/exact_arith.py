@@ -134,7 +134,10 @@ def gen_bernoulli(r: int, D: int) -> Fraction:
     L(1-r, chi_D) = -B_{r,chi_D}/r.  For D = 1 this is B_r with B_1 = -1/2.
     Expanding B_r(x) = sum_k C(r,k) B_k x^(r-k) gives
     B_{r,chi} = sum_k C(r,k) B_k m^(k-1) S_{r-k} with the integer power
-    sums S_j = sum_{a < m} chi_D(a) a^j, m = |D|.
+    sums S_j = sum_{a < m} chi_D(a) a^j, m = |D|.  The r + 1 terms are
+    summed as integers over one common denominator, and one Fraction is
+    built at the end: this is behind every Cohen H-value (siegel_g2.cohen_H)
+    of E_{4,1} and E_{6,1}, so of every chi10, chi12 and E_k table.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -151,11 +154,15 @@ def gen_bernoulli(r: int, D: int) -> Fraction:
             for j in range(r + 1):
                 sums[j] += power
                 power *= a
-    return sum(
-        (math.comb(r, k) * bernoulli(k) * Fraction(m) ** (k - 1) * sums[r - k]
-         for k in range(r + 1)),
-        Fraction(0),
+    # over the common denominator m * den, den the lcm of the denominators
+    # of B_0..B_r: m^(k-1) B_k = m^k (B_k den) / (m den)
+    bs = [bernoulli(k) for k in range(r + 1)]
+    den = math.lcm(*(b.denominator for b in bs))
+    num = sum(
+        math.comb(r, k) * b.numerator * (den // b.denominator) * m ** k * sums[r - k]
+        for k, b in enumerate(bs)
     )
+    return Fraction(num, m * den)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +219,12 @@ def primes_upto(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (valid far beyond 64 bits for these bases)."""
+    """Miller-Rabin to the twelve prime bases 2..37.
+
+    The answer is proven only below 318665857834031151167461, about
+    3.18e23 (Sorenson and Webster 2015); every n below it that passes is
+    prime.  Above that bound a True means a probable prime: no composite
+    passing all twelve bases is known, but none is ruled out."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -235,14 +247,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Pollard rho steps allowed per factor search: 364 times the 180 that
+# congruence_prime_scan takes at most over the weights r <= 38 (r = 34)
+RHO_STEP_CAP = 1 << 16
+
+
+class FactorizationTooHard(ArithmeticError):
+    """Pollard rho found no factor within RHO_STEP_CAP steps.  The numbers
+    the pipeline factors need far fewer, so this points at a wrong input
+    (a wrong critical value, say) that a search without a cap would hang on."""
+
+
 def _pollard_rho(n: int) -> int:
     if n % 2 == 0:
         return 2
-    c = 1
+    c, steps = 1, 0
     while True:
         x = y = 2
         d = 1
         while d == 1:
+            steps += 1
+            if steps > RHO_STEP_CAP:
+                raise FactorizationTooHard(
+                    f"no factor of a {n.bit_length()}-bit number in {RHO_STEP_CAP} Pollard rho steps"
+                )
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
@@ -253,7 +281,9 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| > 0 as {prime: exponent}."""
+    """Prime factorization of |n| > 0 as {prime: exponent}; raises
+    FactorizationTooHard when a composite cofactor resists RHO_STEP_CAP
+    steps of Pollard rho."""
     n = abs(n)
     if n == 0:
         raise ValueError("factorize(0)")
@@ -293,8 +323,10 @@ class QuadElem:
     def __post_init__(self):
         if self.disc <= 0 or math.isqrt(self.disc) ** 2 == self.disc:
             raise ValueError(f"disc must be a positive non-square, got {self.disc}")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        for name in ("a", "b"):
+            x = getattr(self, name)
+            if type(x) is not Fraction:
+                object.__setattr__(self, name, Fraction(x))
 
     def __neg__(self):
         return QuadElem(self.disc, -self.a, -self.b)

@@ -17,10 +17,15 @@ cusp bases.  E4 and E6 are integer lists whose divisor-power sums come from
 one sieve; the powers Delta^c and E4^a live on a cached ladder of integer
 tuples per precision, so every basis of one precision shares them.  Each
 monomial Delta^c E4^a E6^b starts with 1 q^c, so echelonizing the
-monomials is an integer back-substitution.  The eigenforms of each
-(weight, prec) are built once per process and are immutable (frozen, with
-tuple coefficients), so every caller shares them.  The critical values
-read only a(2) of a form.
+monomials is an integer back-substitution, and a two-dimensional
+eigenform's coefficients are read off the integer basis rows.  The
+eigenforms of each (weight, prec) are built once per process and are
+immutable (frozen, with tuple coefficients), so every caller of one
+precision shares them.  Each library caller asks for the coefficients it
+reads: harder.check_congruence for a(0..p_max), verify_reference_row up to
+the largest published p as well, and congruence_prime_scan for a(0..2),
+since the critical values read only a(2).  The default of 128
+coefficients serves only `g1 --json` and `g1 --ratios`.
 """
 
 from __future__ import annotations
@@ -287,10 +292,15 @@ class EigenformG1:
 def eigenforms(k: int, prec: int = 128) -> list[EigenformG1]:
     """Normalized eigenforms of S_k(Gamma_1); supports dim <= 2.
 
-    The default 128 coefficients now only set which a(p) `g1 --json`
-    prints, every p below 128, kept so its output stays byte-stable;
-    `harder` reads a(p) up to its p_max (37 by default) and the critical
-    values read only a(2).
+    prec is the number of coefficients a(0..prec-1) a caller reads; a
+    form stores at least 6 (8 in dimension 2, where T(2) is read off the
+    basis).  harder.check_congruence asks for p_max + 1 (38 by default)
+    on a row with eigenvalue data, verify_reference_row for one more than
+    the largest of p_max and the published p of weight 22, and
+    congruence_prime_scan for 3 (the critical values read only a(2)).
+    The default 128 sets which a(p) `g1 --json` prints, every p below
+    128, and is what `g1 --ratios` builds; it is kept so that their
+    output stays byte-stable.
 
     The forms of each (k, prec) are built and checked once per process and
     are immutable; each call returns a new list of the shared forms.  A
@@ -318,13 +328,15 @@ def _eigenforms(k: int, prec: int) -> tuple[EigenformG1, ...]:
     s = Fraction(c, disc.denominator)
     if D * s * s != disc:
         raise FormInvariantError(f"{disc} != {D} * ({s})^2")
+    # T(2) maps the integral basis to integral rows, so t and s are integers
+    t, s = int(t), int(s)
+    b0s, b1s = ([x.numerator for x in f.coeffs] for f in basis)
     out = []
     for sign in (1, -1):
         # basis[0] + lam2 basis[1] with lam2 = (t + sign s sqrt(D)) / 2
-        half_t, half_s = t / 2, sign * s / 2
         coeffs = tuple(
-            QuadElem(D, b0 + half_t * b1, half_s * b1)
-            for b0, b1 in zip(basis[0].coeffs, basis[1].coeffs)
+            QuadElem(D, Fraction(2 * b0 + t * b1, 2), Fraction(sign * s * b1, 2))
+            for b0, b1 in zip(b0s, b1s)
         )
         out.append(EigenformG1(k, D, coeffs))
     return tuple(out)
@@ -465,7 +477,7 @@ def congruence_prime_scan(r: int) -> list[tuple[int, int, int, int]]:
     d = dim_S(r)
     if d not in (1, 2):
         raise DimTooLarge(f"dim S_{r} = {d}")
-    f = eigenforms(r)[0]
+    f = eigenforms(r, 3)[0]  # the critical entries read a(2) only
     D = f.field_disc
     out = set()
     for t, a, b in _critical_entries(f):

@@ -193,12 +193,12 @@ def check_congruence(j: int, k: int, r: int, ell: int, p_max: int = 37) -> Congr
         raise InvalidInput(f"ell = {ell} is not a prime")
     _check_jk(j, k)
     _check_p_max(p_max)
-    f = eigenforms(r)[0]
     records = eigen_records(j, k, dim_S_jk(j, k), p_max)
     result = CongruenceResult(r, j, k, ell)
     result.missing = [p for p in primes_upto(p_max) if p not in records]
     if not records:
         return result  # untestable
+    f = eigenforms(r, p_max + 1)[0]
     verdict = True
     for p in sorted(records):
         c = p ** (j + k - 1) + p ** (k - 2)
@@ -245,14 +245,14 @@ def require_full_coverage(result: CongruenceResult) -> CongruenceResult:
 
 def verify_reference_row(p_max: int = 37) -> bool:
     """The fully-tabulated case: weight-22 against S_{4,10} mod 41, using
-    the published eigenvalue pair table for all p <= 37."""
+    the published eigenvalue pair table for all p <= p_max; every published
+    a(p) of weight 22 must equal the basis's."""
     res = require_full_coverage(check_congruence(4, 10, 22, 41, p_max))
     a22 = published_a22()
-    f22 = eigenforms(22)[0]
+    f22 = eigenforms(22, max([p_max, *a22]) + 1)[0]
     for p, ap in a22.items():
-        if p < f22.prec:
-            if f22.a(p) != ap:
-                raise EigenvalueMismatch(f"published a({p}) disagrees with the basis")
+        if f22.a(p) != ap:
+            raise EigenvalueMismatch(f"published a({p}) disagrees with the basis")
     return bool(res.verdict) and len(res.entries) == sum(
         1 for p in a22 if p <= p_max
     )

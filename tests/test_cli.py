@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from siegelforms import cohom, g1_modforms, harder, hecke_satake, siegel_g2
+from siegelforms import cohom, exact_arith, g1_modforms, harder, hecke_satake, siegel_g2
 from siegelforms.cli import main
 from siegelforms.exact_arith import InvalidInput
 
@@ -41,8 +41,9 @@ def test_g1_ratios(capsys):
 
 
 def test_g1_ratios_share_the_scan_precision_cap(capsys, monkeypatch):
-    # --ratios, --congruence-primes and the plain form read the one eigenform
-    # of weight 22, built once with the 128 coefficients every caller stores
+    # --ratios and the plain form read the one eigenform of weight 22, built
+    # once with the default 128 coefficients; --congruence-primes asks for
+    # a(0..2) and builds the form once at the floor of 6 coefficients
     builds = []
     form = g1_modforms.EigenformG1
 
@@ -58,7 +59,16 @@ def test_g1_ratios_share_the_scan_precision_cap(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["rows"] == [[41, 14, 4, 10]]
     code, out, _ = run(capsys, "g1", "--weight", "22", "--json")
     assert code == 0 and json.loads(out)["a_p"]["2"] == "-288"
-    assert builds == [(22, 128)]
+    assert builds == [(22, 128), (22, 6)]
+
+
+def test_g1_congruence_primes_past_the_rho_cap_exits_1(capsys, monkeypatch):
+    # weight 34 needs 180 Pollard rho steps; a factorization past the cap
+    # ends in an error line and exit 1, not a hang
+    monkeypatch.setattr(exact_arith, "RHO_STEP_CAP", 10)
+    code, out, err = run(capsys, "g1", "--weight", "34", "--congruence-primes", "--json")
+    assert code == 1 and out == ""
+    assert err.startswith("error: no factor of a ") and "in 10 Pollard rho steps" in err
 
 
 def test_census_commands(capsys):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegelforms import exact_arith
 from siegelforms.exact_arith import (
+    FactorizationTooHard,
     Fq,
     QuadElem,
     _is_squarefree,
@@ -23,6 +25,7 @@ from siegelforms.exact_arith import (
     mobius,
     squarefree_part,
 )
+from siegelforms.g1_modforms import congruence_prime_scan, dim_S
 from siegelforms.siegel_g2 import chi10, chi12, eisenstein_g2
 
 
@@ -180,6 +183,24 @@ def test_factorize():
     for p, e in f.items():
         n *= p ** e
     assert n == 282720345772032
+
+
+def test_factorize_step_cap_raises(monkeypatch):
+    # a composite cofactor that rho cannot split within the cap raises,
+    # where a search without a cap would run on
+    n = 1000003 * 1000033
+    assert factorize(n) == {1000003: 1, 1000033: 1}
+    monkeypatch.setattr(exact_arith, "RHO_STEP_CAP", 10)
+    with pytest.raises(FactorizationTooHard, match="40-bit number in 10 Pollard rho steps"):
+        factorize(n)
+
+
+def test_congruence_scans_stay_a_tenth_below_the_step_cap(monkeypatch):
+    # the cap keeps a factor of ten or more over what the scans need
+    monkeypatch.setattr(exact_arith, "RHO_STEP_CAP", exact_arith.RHO_STEP_CAP // 10)
+    for r in range(12, 39, 2):
+        if dim_S(r) in (1, 2):
+            congruence_prime_scan(r)
 
 
 # -- finite fields

@@ -253,6 +253,17 @@ def test_verify_reference_row():
     assert verify_reference_row()
 
 
+def test_verify_reference_row_reads_every_published_a22(monkeypatch):
+    # a published a(p) past p_max = 37 is compared too, never skipped
+    real = published_a22()
+    a41 = eigenforms(22, 42)[0].a(41)
+    monkeypatch.setattr(harder, "published_a22", lambda: {**real, 41: a41})
+    assert verify_reference_row()
+    monkeypatch.setattr(harder, "published_a22", lambda: {**real, 41: a41 + 1})
+    with pytest.raises(EigenvalueMismatch, match=r"a\(41\)"):
+        verify_reference_row()
+
+
 def test_published_a22_matches_basis():
     f22 = eigenforms(22)[0]
     for p, ap in published_a22().items():
@@ -292,8 +303,9 @@ def test_dim2_row_resolves_dimension_without_hint():
 
 
 def test_each_eigenform_is_built_once(monkeypatch):
-    # the table asks for eigenforms(r) once per row; the scan and the ratios
-    # read the same forms
+    # the table asks for eigenforms(r, p_max + 1) once per testable row, and
+    # every row of one weight shares the forms; the scan asks for a(0..2),
+    # and the ratios read the default 128 coefficients
     builds = []
     form = g1_modforms.EigenformG1
 
@@ -303,11 +315,12 @@ def test_each_eigenform_is_built_once(monkeypatch):
 
     monkeypatch.setattr(g1_modforms, "EigenformG1", counted)
     g1_modforms._eigenforms.cache_clear()
-    run_table(37)
+    table = run_table(37)
     congruence_prime_scan(22)
     critical_ratios(eigenforms(12)[0])
     assert len(builds) == len(set(builds))
-    expect = {(row.r, 128) for row in congruence_rows() if row.primes} | {(12, 128)}
+    expect = {(res.r, 38) for res in table if not res.untestable} | {(22, 6), (12, 128)}
+    assert 38 not in {k for k, _ in expect}  # both rows of weight 38 are untestable
     assert {(k, prec) for k, prec, _ in builds} == expect
     assert len(builds) == sum(dim_S(k) for k, _ in expect)
 
@@ -330,6 +343,17 @@ def test_outputs_match_pinned_digests():
     assert _sha256(forms) == "641a175bc6e6ad4b2ac5aafa8e9b476d49bfbbed2e1a55a24066b7baa025140a"
     assert _sha256([congruence_prime_scan(r) for r in range(22, 35, 2)]) == (
         "235313a70f20985f63716f4e19c47707ccfaf82bae29b1c9998f108c094dc96a"
+    )
+
+
+def test_outputs_past_the_default_reach_match_pinned_digests():
+    # digests of outputs the 128-coefficient forms computed: the scan at
+    # the largest weight, and the table at p_max = 41, past the default 37
+    assert _sha256(congruence_prime_scan(38)) == (
+        "4c1d02b622b5f09b7f57d09a218eaa267b4f9be76b435fcea641d04466b5ab4c"
+    )
+    assert _sha256([r.to_json() for r in run_table(41)]) == (
+        "162af38b70837d0d26ad82128223c8ec5c46b82b1c4f601d26f89ffd6522546c"
     )
 
 
